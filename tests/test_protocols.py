@@ -82,6 +82,69 @@ def test_layout_polarity_kinds(proto):
         assert layout.kind == "signal"
 
 
+# Exact payload of every wire constructor, plus one recursive protocol whose
+# unrolling shows the branch order and the rolled continuation.
+CHOICE_LOOP = Fix(ExternalChoice(SendValue(int, Z), End))
+
+GOLDEN_PAYLOADS = {
+    "End": ("signal", [("termination", "")]),
+    "ReceiveValue(str, End)": (
+        "reversed",
+        [("value", "str"), ("continuation-provider-endpoint", "End")],
+    ),
+    "SendValue(int, End)": (
+        "direct",
+        [("value", "int"), ("continuation-client-endpoint", "End")],
+    ),
+    "ReceiveChannel(End, End)": (
+        "reversed",
+        [
+            ("delegated-client-endpoint", "End"),
+            ("continuation-provider-endpoint", "End"),
+        ],
+    ),
+    "SendChannel(End, End)": (
+        "direct",
+        [
+            ("delegated-client-endpoint", "End"),
+            ("continuation-client-endpoint", "End"),
+        ],
+    ),
+    "ExternalChoice(End, End)": (
+        "reversed",
+        [
+            ("branch-tag", "left|right"),
+            ("continuation-provider-endpoint", "End or End"),
+        ],
+    ),
+    "InternalChoice(End, End)": (
+        "direct",
+        [
+            ("branch-tag", "left|right"),
+            ("continuation-client-endpoint", "End or End"),
+        ],
+    ),
+    "SharedToLinear(SendValue(int, Z))": ("reversed", [("release-ack", "")]),
+    str(CHOICE_LOOP): (
+        "reversed",
+        [
+            ("branch-tag", "left|right"),
+            (
+                "continuation-provider-endpoint",
+                f"SendValue(int, {CHOICE_LOOP}) or End",
+            ),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("proto", WIRE_CONSTRUCTORS + [CHOICE_LOOP], ids=str)
+def test_payload_layout_golden(proto):
+    layout = payload_of(proto)
+    parts = [(p.role, p.detail) for p in layout.parts]
+    assert (layout.kind, parts) == GOLDEN_PAYLOADS[str(proto)]
+
+
 def test_fix_payload_is_its_unrolling():
     counter = Fix(SendValue(int, Z))
     assert payload_of(counter) == payload_of(SendValue(int, counter))

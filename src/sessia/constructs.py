@@ -41,9 +41,32 @@ from .protocols import (
     ReceiveValue,
     SendChannel,
     SendValue,
+    _End,
     type_name,
 )
 from .runtime import END, LEFT, RIGHT, Branch, channel
+
+
+def _expect_offer(rule: str, offer, cls):
+    """Check that the offered protocol is the `cls` step a provider rule needs."""
+    if not isinstance(offer, cls):
+        raise ProtocolError(
+            f"{rule} offers {cls.__name__.lstrip('_')}, "
+            f"but the expected protocol here is {offer}"
+        )
+
+
+def _expect_slot(rule: str, n, ctx, cls, error=ProtocolError):
+    """The slot at lens `n`, checked to be the `cls` step a client rule needs."""
+    slot = slot_at(n, ctx)
+    if not isinstance(slot, cls):
+        name = cls.__name__.lstrip("_")
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise error(
+            f"{rule}: lens {n.level}: slot has type {slot}, "
+            f"expected {article} {name} step"
+        )
+    return slot
 
 
 def _check_value(rule: str, value, value_type):
@@ -60,10 +83,7 @@ def terminate() -> PartialSession:
     """Send the termination signal; every linear channel must be consumed."""
 
     def resolve(ctx, offer):
-        if offer != End:
-            raise ProtocolError(
-                f"terminate offers End, but the expected protocol here is {offer}"
-            )
+        _expect_offer("terminate", offer, _End)
         if not is_empty_context(ctx):
             live = first_live_slot(ctx)
             raise LinearityError(
@@ -85,7 +105,9 @@ def wait(n, cont) -> PartialSession:
     expect_program(cont, "wait")
 
     def resolve(ctx, offer):
-        target = lens_resolve(n, ctx, End, Empty)
+        # Waiting on anything but End reuses or drops a channel.
+        slot = _expect_slot("wait", n, ctx, _End, LinearityError)
+        target = lens_resolve(n, ctx, slot, Empty)
         exec_cont = cont._resolve(target, offer)
         level = n.level
 
@@ -106,11 +128,7 @@ def receive_value(cont) -> PartialSession:
     once = OneShotContinuation("receive_value", cont)
 
     def resolve(ctx, offer):
-        if not isinstance(offer, ReceiveValue):
-            raise ProtocolError(
-                f"receive_value offers ReceiveValue, "
-                f"but the expected protocol here is {offer}"
-            )
+        _expect_offer("receive_value", offer, ReceiveValue)
         after = offer.cont
 
         async def execute(endpoints, offer_chan):
@@ -131,12 +149,7 @@ def send_value_to(n, value, cont) -> PartialSession:
     expect_program(cont, "send_value_to")
 
     def resolve(ctx, offer):
-        slot = slot_at(n, ctx)
-        if not isinstance(slot, ReceiveValue):
-            raise ProtocolError(
-                f"send_value_to: lens {n.level}: slot has type {slot}, "
-                f"expected a ReceiveValue step"
-            )
+        slot = _expect_slot("send_value_to", n, ctx, ReceiveValue)
         _check_value("send_value_to", value, slot.value_type)
         target = lens_resolve(n, ctx, slot, slot.cont)
         exec_cont = cont._resolve(target, offer)
@@ -161,11 +174,7 @@ def send_value(value, cont) -> PartialSession:
     expect_program(cont, "send_value")
 
     def resolve(ctx, offer):
-        if not isinstance(offer, SendValue):
-            raise ProtocolError(
-                f"send_value offers SendValue, "
-                f"but the expected protocol here is {offer}"
-            )
+        _expect_offer("send_value", offer, SendValue)
         _check_value("send_value", value, offer.value_type)
         exec_cont = cont._resolve(ctx, offer.cont)
 
@@ -188,11 +197,7 @@ def send_value_async(produce) -> PartialSession:
     once = OneShotContinuation("send_value_async", produce)
 
     def resolve(ctx, offer):
-        if not isinstance(offer, SendValue):
-            raise ProtocolError(
-                f"send_value_async offers SendValue, "
-                f"but the expected protocol here is {offer}"
-            )
+        _expect_offer("send_value_async", offer, SendValue)
         value_type, after = offer.value_type, offer.cont
 
         async def execute(endpoints, offer_chan):
@@ -214,12 +219,7 @@ def receive_value_from(n, cont) -> PartialSession:
     once = OneShotContinuation("receive_value_from", cont)
 
     def resolve(ctx, offer):
-        slot = slot_at(n, ctx)
-        if not isinstance(slot, SendValue):
-            raise ProtocolError(
-                f"receive_value_from: lens {n.level}: slot has type {slot}, "
-                f"expected a SendValue step"
-            )
+        slot = _expect_slot("receive_value_from", n, ctx, SendValue)
         target = lens_resolve(n, ctx, slot, slot.cont)
         level = n.level
 
@@ -247,11 +247,7 @@ def receive_channel(cont) -> PartialSession:
     once = OneShotContinuation("receive_channel", cont)
 
     def resolve(ctx, offer):
-        if not isinstance(offer, ReceiveChannel):
-            raise ProtocolError(
-                f"receive_channel offers ReceiveChannel, "
-                f"but the expected protocol here is {offer}"
-            )
+        _expect_offer("receive_channel", offer, ReceiveChannel)
         lens = length_of(ctx)
         premise = expect_program(once(lens), "receive_channel continuation")
         exec_p = premise._resolve(append(ctx, (offer.carried, ())), offer.cont)
@@ -280,12 +276,7 @@ def send_channel_to(n1, n2, cont) -> PartialSession:
                 f"expected a live channel"
             )
         mid = lens_resolve(n2, ctx, carried, Empty)
-        slot = slot_at(n1, mid)
-        if not isinstance(slot, ReceiveChannel):
-            raise ProtocolError(
-                f"send_channel_to: lens {n1.level}: slot has type {slot}, "
-                f"expected a ReceiveChannel step"
-            )
+        slot = _expect_slot("send_channel_to", n1, mid, ReceiveChannel)
         if slot.carried != carried:
             raise ProtocolError(
                 f"send_channel_to: slot {n1.level} expects a channel of type "
@@ -312,11 +303,7 @@ def send_channel_from(n, cont) -> PartialSession:
     expect_program(cont, "send_channel_from")
 
     def resolve(ctx, offer):
-        if not isinstance(offer, SendChannel):
-            raise ProtocolError(
-                f"send_channel_from offers SendChannel, "
-                f"but the expected protocol here is {offer}"
-            )
+        _expect_offer("send_channel_from", offer, SendChannel)
         carried = slot_at(n, ctx)
         if carried != offer.carried:
             raise ProtocolError(
@@ -343,12 +330,7 @@ def receive_channel_from(n, cont) -> PartialSession:
     once = OneShotContinuation("receive_channel_from", cont)
 
     def resolve(ctx, offer):
-        slot = slot_at(n, ctx)
-        if not isinstance(slot, SendChannel):
-            raise ProtocolError(
-                f"receive_channel_from: lens {n.level}: slot has type {slot}, "
-                f"expected a SendChannel step"
-            )
+        slot = _expect_slot("receive_channel_from", n, ctx, SendChannel)
         mid = lens_resolve(n, ctx, slot, slot.cont)
         lens = length_of(mid)
         premise = expect_program(once(lens), "receive_channel_from continuation")
@@ -377,11 +359,7 @@ def offer_choice(left, right) -> PartialSession:
     expect_program(right, "offer_choice")
 
     def resolve(ctx, offer):
-        if not isinstance(offer, ExternalChoice):
-            raise ProtocolError(
-                f"offer_choice offers ExternalChoice, "
-                f"but the expected protocol here is {offer}"
-            )
+        _expect_offer("offer_choice", offer, ExternalChoice)
         exec_left = left._resolve(ctx, offer.left)
         exec_right = right._resolve(ctx, offer.right)
 
@@ -404,12 +382,7 @@ def choose(side: str, n, cont) -> PartialSession:
     expect_program(cont, "choose")
 
     def resolve(ctx, offer):
-        slot = slot_at(n, ctx)
-        if not isinstance(slot, ExternalChoice):
-            raise ProtocolError(
-                f"choose_{side}: lens {n.level}: slot has type {slot}, "
-                f"expected an ExternalChoice step"
-            )
+        slot = _expect_slot(f"choose_{side}", n, ctx, ExternalChoice)
         chosen = slot.left if side == LEFT else slot.right
         target = lens_resolve(n, ctx, slot, chosen)
         exec_cont = cont._resolve(target, offer)
@@ -441,11 +414,7 @@ def offer(side: str, cont) -> PartialSession:
     expect_program(cont, "offer")
 
     def resolve(ctx, offer_protocol):
-        if not isinstance(offer_protocol, InternalChoice):
-            raise ProtocolError(
-                f"offer_{side} offers InternalChoice, "
-                f"but the expected protocol here is {offer_protocol}"
-            )
+        _expect_offer(f"offer_{side}", offer_protocol, InternalChoice)
         chosen = offer_protocol.left if side == LEFT else offer_protocol.right
         exec_cont = cont._resolve(ctx, chosen)
 
@@ -475,12 +444,7 @@ def case(n, left, right) -> PartialSession:
     expect_program(right, "case")
 
     def resolve(ctx, offer):
-        slot = slot_at(n, ctx)
-        if not isinstance(slot, InternalChoice):
-            raise ProtocolError(
-                f"case: lens {n.level}: slot has type {slot}, "
-                f"expected an InternalChoice step"
-            )
+        slot = _expect_slot("case", n, ctx, InternalChoice)
         exec_left = left._resolve(lens_resolve(n, ctx, slot, slot.left), offer)
         exec_right = right._resolve(lens_resolve(n, ctx, slot, slot.right), offer)
         level = n.level

@@ -1,16 +1,29 @@
 """Session type constructors and their runtime payload layouts.
 
 A session type (protocol) describes one endpoint of a conversation from the
-provider's point of view. Each constructor fixes, once and for all, what a
-single message on a channel of that type carries:
+provider's point of view. Each constructor is a frozen dataclass that
+declares its shape in three class constants, and everything else about it
+is derived from them by `Protocol`:
 
-* provider-polarity sends travel as a direct payload on the step channel;
-* provider-polarity receives nest a fresh sender inside the payload so the
-  provider can receive without ever holding a receiving endpoint
-  (polarity reversal);
-* every constructor with a continuation embeds exactly one continuation
-  endpoint in its payload, which is how the conversation advances to the
-  next step channel.
+* `_carried`: the field sent alongside the continuation, as a pair
+  `(field, role)`. The role is `VALUE` for a value type, `CHANNEL` for a
+  delegated session type, or None for a session type that names the
+  constructor but never travels. `_carried` itself is None when nothing
+  is carried.
+* `_conts`: the continuation fields, in order. Substitution rebuilds these
+  and leaves the carried field untouched.
+* `_polarity`: how one message travels. "direct" for provider-polarity
+  sends, whose payload rides the step channel itself; "reversed" for
+  provider-polarity receives, whose payload is a fresh sender through which
+  the client replies (so the provider never holds a receiving endpoint);
+  "signal" for the bare termination message; None for a token that never
+  communicates.
+
+The dataclass fields are the carried field followed by the continuation
+fields. From the declaration come validation at formation, printing
+(`Name(field, ...)`), and the payload layout: the carried part, a branch
+tag when there are two continuations, and exactly one continuation
+endpoint.
 
 Value types carried by `ReceiveValue`/`SendValue` must be transferable
 between tasks; they are given as a Python type (or tuple of types) and are
@@ -20,15 +33,72 @@ enforced with `isinstance` when a value is sent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ProtocolError
 
+VALUE = "value"
+CHANNEL = "delegated-client-endpoint"
+
 
 class Protocol:
-    """Marker base class for linear session types."""
+    """Base class for linear session types; derives behaviour from the shape."""
+
+    _carried: ClassVar[tuple[str, str | None] | None] = None
+    _conts: ClassVar[tuple[str, ...]] = ()
+    _polarity: ClassVar[str | None] = "signal"
+    # Derived once per class, since substitution builds nodes on every
+    # unroll: every dataclass field (carried first), and its validation as
+    # (field, check, name in diagnostics).
+    _fields: ClassVar[tuple[str, ...]] = ()
+    _checks: ClassVar[tuple] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        carried = () if cls._carried is None else (cls._carried,)
+        cls._fields = tuple(field for field, _ in carried) + cls._conts
+        cls._checks = tuple(
+            (
+                field,
+                _check_value_type if (field, VALUE) in carried else check_protocol,
+                f"{cls.__name__} {field}",
+            )
+            for field in cls._fields
+        )
+
+    def __post_init__(self):
+        for field, check, who in self._checks:
+            check(getattr(self, field), who)
 
     def payload_layout(self) -> PayloadLayout:
-        raise NotImplementedError
+        if self._polarity is None:
+            raise ProtocolError(
+                f"{type(self).__name__} is an internal token and never communicates"
+            )
+        parts = []
+        if self._carried is not None and self._carried[1] is not None:
+            field, role = self._carried
+            parts.append(PayloadPart(role, type_name(getattr(self, field))))
+        if len(self._conts) > 1:
+            parts.append(PayloadPart("branch-tag", "|".join(self._conts)))
+        if self._conts:
+            side = "provider" if self._polarity == "reversed" else "client"
+            parts.append(
+                PayloadPart(
+                    f"continuation-{side}-endpoint",
+                    " or ".join(str(getattr(self, f)) for f in self._conts),
+                )
+            )
+        else:
+            # No continuation: a signal ends the session; a reversed step
+            # is answered with a bare acknowledgement.
+            bare = "termination" if self._polarity == "signal" else "release-ack"
+            parts.append(PayloadPart(bare))
+        return PayloadLayout(self._polarity, tuple(parts))
+
+    def __str__(self):
+        args = ", ".join(type_name(getattr(self, f)) for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
     def __repr__(self):
         return str(self)
@@ -54,10 +124,7 @@ class PayloadPart:
 class PayloadLayout:
     """What one message on a channel of a given protocol carries.
 
-    kind is "direct" for provider-polarity sends (the payload rides the
-    step channel itself), "reversed" for provider-polarity receives (the
-    payload is a fresh outbound sender through which the client replies),
-    and "signal" for the bare termination message.
+    kind is the constructor's polarity: "direct", "reversed" or "signal".
     """
 
     kind: str
@@ -98,9 +165,6 @@ class _End(Protocol):
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def payload_layout(self):
-        return PayloadLayout("signal", (PayloadPart("termination"),))
-
     def __str__(self):
         return "End"
 
@@ -121,21 +185,9 @@ class ReceiveValue(Protocol):
     value_type: object
     cont: Protocol
 
-    def __post_init__(self):
-        _check_value_type(self.value_type, "ReceiveValue")
-        check_protocol(self.cont, "ReceiveValue continuation")
-
-    def payload_layout(self):
-        return PayloadLayout(
-            "reversed",
-            (
-                PayloadPart("value", type_name(self.value_type)),
-                PayloadPart("continuation-provider-endpoint", str(self.cont)),
-            ),
-        )
-
-    def __str__(self):
-        return f"ReceiveValue({type_name(self.value_type)}, {self.cont})"
+    _carried = ("value_type", VALUE)
+    _conts = ("cont",)
+    _polarity = "reversed"
 
 
 @dataclass(frozen=True)
@@ -145,46 +197,23 @@ class SendValue(Protocol):
     value_type: object
     cont: Protocol
 
-    def __post_init__(self):
-        _check_value_type(self.value_type, "SendValue")
-        check_protocol(self.cont, "SendValue continuation")
-
-    def payload_layout(self):
-        return PayloadLayout(
-            "direct",
-            (
-                PayloadPart("value", type_name(self.value_type)),
-                PayloadPart("continuation-client-endpoint", str(self.cont)),
-            ),
-        )
-
-    def __str__(self):
-        return f"SendValue({type_name(self.value_type)}, {self.cont})"
+    _carried = ("value_type", VALUE)
+    _conts = ("cont",)
+    _polarity = "direct"
 
 
 @dataclass(frozen=True)
 class ReceiveChannel(Protocol):
-    """Receive a channel of type `carried`, then continue as `cont`."""
+    """Receive a channel of type `carried`, then continue as `cont`.
+
+    The received channel always arrives at client polarity."""
 
     carried: Protocol
     cont: Protocol
 
-    def __post_init__(self):
-        check_protocol(self.carried, "ReceiveChannel carried channel")
-        check_protocol(self.cont, "ReceiveChannel continuation")
-
-    def payload_layout(self):
-        # The received channel always arrives at client polarity.
-        return PayloadLayout(
-            "reversed",
-            (
-                PayloadPart("delegated-client-endpoint", str(self.carried)),
-                PayloadPart("continuation-provider-endpoint", str(self.cont)),
-            ),
-        )
-
-    def __str__(self):
-        return f"ReceiveChannel({self.carried}, {self.cont})"
+    _carried = ("carried", CHANNEL)
+    _conts = ("cont",)
+    _polarity = "reversed"
 
 
 @dataclass(frozen=True)
@@ -194,21 +223,9 @@ class SendChannel(Protocol):
     carried: Protocol
     cont: Protocol
 
-    def __post_init__(self):
-        check_protocol(self.carried, "SendChannel carried channel")
-        check_protocol(self.cont, "SendChannel continuation")
-
-    def payload_layout(self):
-        return PayloadLayout(
-            "direct",
-            (
-                PayloadPart("delegated-client-endpoint", str(self.carried)),
-                PayloadPart("continuation-client-endpoint", str(self.cont)),
-            ),
-        )
-
-    def __str__(self):
-        return f"SendChannel({self.carried}, {self.cont})"
+    _carried = ("carried", CHANNEL)
+    _conts = ("cont",)
+    _polarity = "direct"
 
 
 @dataclass(frozen=True)
@@ -218,25 +235,8 @@ class ExternalChoice(Protocol):
     left: Protocol
     right: Protocol
 
-    def __post_init__(self):
-        check_protocol(self.left, "ExternalChoice left branch")
-        check_protocol(self.right, "ExternalChoice right branch")
-
-    def payload_layout(self):
-        # One tag per choice point, plus the provider endpoint of the
-        # branch the tag selects.
-        return PayloadLayout(
-            "reversed",
-            (
-                PayloadPart("branch-tag", "left|right"),
-                PayloadPart(
-                    "continuation-provider-endpoint", f"{self.left} or {self.right}"
-                ),
-            ),
-        )
-
-    def __str__(self):
-        return f"ExternalChoice({self.left}, {self.right})"
+    _conts = ("left", "right")
+    _polarity = "reversed"
 
 
 @dataclass(frozen=True)
@@ -246,23 +246,8 @@ class InternalChoice(Protocol):
     left: Protocol
     right: Protocol
 
-    def __post_init__(self):
-        check_protocol(self.left, "InternalChoice left branch")
-        check_protocol(self.right, "InternalChoice right branch")
-
-    def payload_layout(self):
-        return PayloadLayout(
-            "direct",
-            (
-                PayloadPart("branch-tag", "left|right"),
-                PayloadPart(
-                    "continuation-client-endpoint", f"{self.left} or {self.right}"
-                ),
-            ),
-        )
-
-    def __str__(self):
-        return f"InternalChoice({self.left}, {self.right})"
+    _conts = ("left", "right")
+    _polarity = "direct"
 
 
 def payload_of(p: Protocol) -> PayloadLayout:

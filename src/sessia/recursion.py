@@ -5,64 +5,59 @@
 and only unrolling. Rolling (`fix_session`) and unrolling
 (`unfix_session_for`) are explicit and purely representational: no message
 is exchanged and no channel is touched, which keeps the fixed point
-iso-recursive.
+iso-recursive. A body must be contractive: its top level is a
+communication step, never `Z` or another `Fix`.
 
-`type_apply` substitutes the argument into continuation positions only:
-delegated channel types (the carried side of channel send/receive) are
-complete protocols of their own and are left untouched, as is any inner
-`Fix`. Multi-level recursion markers (`S(Z)` and deeper) are not supported.
+`substitute` is the one substitution traversal, shared with the shared
+session types. It rebuilds the continuation fields each constructor
+declares and leaves carried fields untouched: delegated channel types are
+complete protocols of their own. Constructors without continuations
+(`End`, an inner `Fix`, a release step) are leaves, and the caller decides
+what a leaf means; `type_apply` keeps every leaf as it is. Multi-level
+recursion markers (`S(Z)` and deeper) are not supported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import S, _Z
+from .context import S, Z, _Z
 from .errors import ProtocolError
-from .protocols import (
-    End,
-    ExternalChoice,
-    InternalChoice,
-    Protocol,
-    ReceiveChannel,
-    ReceiveValue,
-    SendChannel,
-    SendValue,
-    _End,
-    check_protocol,
-)
+from .protocols import End, Protocol
 
 
-def type_apply(f: Protocol, x: Protocol) -> Protocol:
-    """Substitute `x` for the recursion marker Z throughout `f`."""
-    if isinstance(f, _Z):
-        return x
+def substitute(f, x: Protocol, leaf):
+    """Replace the recursion marker Z by `x` in the continuations of `f`.
+
+    `leaf(node)` gives the result for every other node without
+    continuations, including values that are not session types at all.
+    """
+    conts = getattr(f, "_conts", None)
+    if not conts:
+        return x if f is Z else leaf(f)
+    args = []
+    for name in f._fields:
+        value = getattr(f, name)
+        args.append(substitute(value, x, leaf) if name in conts else value)
+    return type(f)(*args)
+
+
+def _keep_leaf(f):
+    if isinstance(f, Protocol):
+        # End, an inner fixed point (its own Z is bound) or a release step:
+        # none carries open recursion.
+        return f
     if isinstance(f, S):
         raise ProtocolError(
             "multi-level recursion markers (S(Z), ...) are not supported; "
             "only Z marks the recursion point"
         )
-    if isinstance(f, _End):
-        return f
-    if isinstance(f, ReceiveValue):
-        return ReceiveValue(f.value_type, type_apply(f.cont, x))
-    if isinstance(f, SendValue):
-        return SendValue(f.value_type, type_apply(f.cont, x))
-    if isinstance(f, ReceiveChannel):
-        return ReceiveChannel(f.carried, type_apply(f.cont, x))
-    if isinstance(f, SendChannel):
-        return SendChannel(f.carried, type_apply(f.cont, x))
-    if isinstance(f, ExternalChoice):
-        return ExternalChoice(type_apply(f.left, x), type_apply(f.right, x))
-    if isinstance(f, InternalChoice):
-        return InternalChoice(type_apply(f.left, x), type_apply(f.right, x))
-    if isinstance(f, Fix):
-        # An inner fixed point is a complete protocol; its own Z is bound.
-        return f
-    if isinstance(f, Protocol):
-        # Remaining leaves (e.g. a release step) carry no open recursion.
-        return f
     raise ProtocolError(f"type_apply: {f!r} is not a session type")
+
+
+def type_apply(f: Protocol, x: Protocol) -> Protocol:
+    """Substitute `x` for the recursion marker Z throughout `f`."""
+    return substitute(f, x, _keep_leaf)
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,17 @@ class Fix(Protocol):
 
     body: Protocol
 
+    _carried = ("body", None)
+
     def __post_init__(self):
-        check_protocol(self.body, "Fix body")
+        super().__post_init__()
+        # A body that is Z or a Fix never reaches a communication step, so
+        # its unrolling (and its payload) would recurse forever.
+        if isinstance(self.body, (_Z, Fix)):
+            raise ProtocolError(
+                f"Fix body {self.body} is not contractive: it must start with "
+                f"a communication step, not Z or another Fix"
+            )
         # Probe the substitution now so malformed bodies fail at type
         # formation rather than at first unroll.
         type_apply(self.body, End)
@@ -83,9 +87,6 @@ class Fix(Protocol):
     def payload_layout(self):
         # Rolling is representation-only; the wire carries the unrolling.
         return self.unroll().payload_layout()
-
-    def __str__(self):
-        return f"Fix({self.body})"
 
 
 def fix_session(cont):

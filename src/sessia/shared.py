@@ -4,8 +4,10 @@ A shared protocol `LinearToShared(body)` is inherently recursive: every
 client that acquires it gets the same linear critical section, and the
 section must end by releasing back to the very same shared type (strict
 equi-synchronization). That constraint is enforced structurally:
-`shared_type_apply` has no rule for `End`, so a body whose recursion
-position could terminate simply cannot form a shared type.
+`shared_type_apply` runs the one substitution traversal of `recursion.py`
+but treats every leaf other than `Z` as an error. A body with an `End`, a
+nested `Fix` or a release step of its own at the end of some path has a
+path that never releases back to the shared type, and cannot form one.
 
 At runtime one background task owns the shared process. It serves acquire
 requests strictly FIFO, runs each critical section on its own task, and
@@ -41,7 +43,6 @@ from .context import (
     slot_at,
     Empty,
     Z,
-    _Z,
     S,
 )
 from .core import (
@@ -57,21 +58,8 @@ from .errors import (
     SharedTypeError,
 )
 from .instrument import record_event
-from .protocols import (
-    ExternalChoice,
-    InternalChoice,
-    PayloadLayout,
-    PayloadPart,
-    Protocol,
-    ReceiveChannel,
-    ReceiveValue,
-    SendChannel,
-    SendValue,
-    SharedProtocol,
-    _End,
-    check_protocol,
-)
-from .recursion import Fix
+from .protocols import Protocol, SharedProtocol, _End, check_protocol
+from .recursion import Fix, substitute
 from .runtime import ACK, channel, current_run
 
 
@@ -81,11 +69,8 @@ class SharedToLinear(Protocol):
 
     body: Protocol
 
-    def payload_layout(self):
-        return PayloadLayout("reversed", (PayloadPart("release-ack"),))
-
-    def __str__(self):
-        return f"SharedToLinear({self.body})"
+    _carried = ("body", None)
+    _polarity = "reversed"
 
 
 @dataclass(frozen=True)
@@ -94,56 +79,39 @@ class Lock(Protocol):
 
     body: Protocol
 
-    def payload_layout(self):
-        raise ProtocolError("Lock is an internal token and never communicates")
+    _carried = ("body", None)
+    _polarity = None
 
-    def __str__(self):
-        return f"Lock({self.body})"
+
+_NOT_EQUI_SYNCHRONIZING = {
+    _End: "End cannot appear at the recursion position of a shared session "
+    "body; every path must release back to the shared type",
+    Fix: "a nested fixed point cannot sit at the recursion position of a "
+    "shared session body",
+    SharedToLinear: "a release step cannot appear in a shared session body; "
+    "Z marks the one release point, back to the shared type itself",
+}
+
+
+def _strict_leaf(f):
+    reason = _NOT_EQUI_SYNCHRONIZING.get(type(f))
+    if reason is not None:
+        raise SharedTypeError(f"not strictly equi-synchronizing: {reason}")
+    if isinstance(f, S):
+        raise SharedTypeError(
+            "multi-level recursion markers are not supported in shared bodies"
+        )
+    raise SharedTypeError(f"shared_type_apply: no rule for {f!r}")
 
 
 def shared_type_apply(f: Protocol, x: Protocol) -> Protocol:
     """Substitute `x` at the recursion position of a shared session body.
 
-    Unlike plain type application there is deliberately no rule for `End`:
-    every path through the body must reach the recursion position, i.e. the
-    release point.
+    Unlike plain type application every leaf other than Z is an error:
+    every path through the body must reach the recursion position, i.e.
+    the release point.
     """
-    if isinstance(f, _Z):
-        return x
-    if isinstance(f, S):
-        raise SharedTypeError(
-            "multi-level recursion markers are not supported in shared bodies"
-        )
-    if isinstance(f, _End):
-        raise SharedTypeError(
-            "not strictly equi-synchronizing: End cannot appear at the "
-            "recursion position of a shared session body; every path must "
-            "release back to the shared type"
-        )
-    if isinstance(f, Fix):
-        raise SharedTypeError(
-            "not strictly equi-synchronizing: a nested fixed point cannot "
-            "sit at the recursion position of a shared session body"
-        )
-    if isinstance(f, ReceiveValue):
-        return ReceiveValue(f.value_type, shared_type_apply(f.cont, x))
-    if isinstance(f, SendValue):
-        return SendValue(f.value_type, shared_type_apply(f.cont, x))
-    if isinstance(f, ReceiveChannel):
-        return ReceiveChannel(f.carried, shared_type_apply(f.cont, x))
-    if isinstance(f, SendChannel):
-        return SendChannel(f.carried, shared_type_apply(f.cont, x))
-    if isinstance(f, ExternalChoice):
-        return ExternalChoice(
-            shared_type_apply(f.left, x), shared_type_apply(f.right, x)
-        )
-    if isinstance(f, InternalChoice):
-        return InternalChoice(
-            shared_type_apply(f.left, x), shared_type_apply(f.right, x)
-        )
-    if isinstance(f, SharedToLinear):
-        return f
-    raise SharedTypeError(f"shared_type_apply: no rule for {f!r}")
+    return substitute(f, x, _strict_leaf)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,17 @@
 import asyncio
 import itertools
 
+from hypothesis import settings
+
 from sessia import End, ReceiveValue, SendValue
+
+# Generated tests are reproducible and never fail on a slow host: a fixed
+# example sequence, no per-example deadline, a bounded example count, and
+# no example database written to disk.
+settings.register_profile(
+    "sessia", deadline=None, derandomize=True, max_examples=60, database=None
+)
+settings.load_profile("sessia")
 
 # Three distinct protocols used as the slot alphabet for enumerated
 # context/lens instance tests.

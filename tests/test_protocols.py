@@ -5,6 +5,7 @@ from sessia import (
     ExternalChoice,
     Fix,
     InternalChoice,
+    Lock,
     ProtocolError,
     ReceiveChannel,
     ReceiveValue,
@@ -166,6 +167,10 @@ def test_nested_positions_must_be_protocols():
         ExternalChoice(End, 3)
     with pytest.raises(ProtocolError, match="value type"):
         ReceiveValue("not a type", End)
+    with pytest.raises(ProtocolError, match="expected a session type"):
+        SharedToLinear("x")
+    with pytest.raises(ProtocolError, match="expected a session type"):
+        Lock(3)
 
 
 def test_value_type_may_be_a_tuple_of_types():

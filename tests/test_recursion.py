@@ -98,6 +98,18 @@ def test_fix_body_must_be_a_protocol():
         Fix("nope")
 
 
+def test_fix_body_must_be_contractive():
+    # a body that is Z or a fixed point never reaches a communication step,
+    # so its payload would unroll forever
+    with pytest.raises(ProtocolError, match="not contractive"):
+        Fix(Z)
+    with pytest.raises(ProtocolError, match="not contractive"):
+        Fix(Fix(Z))
+    inner = Fix(SendValue(int, Z))
+    with pytest.raises(ProtocolError, match="not contractive"):
+        Fix(inner)
+
+
 # -- rolling and unrolling programs -------------------------------------------
 
 

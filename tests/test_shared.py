@@ -61,6 +61,12 @@ def test_linear_to_shared_rejects_end_body():
         LinearToShared(End)
 
 
+def test_linear_to_shared_rejects_inner_release_step():
+    # a release to some other shared type is not the body's own release point
+    with pytest.raises(SharedTypeError, match="strictly equi-synchronizing"):
+        LinearToShared(SendValue(int, SharedToLinear(SendValue(int, Z))))
+
+
 # -- accept / detach typing ----------------------------------------------------
 
 

@@ -3,7 +3,8 @@
 Each function maps premise programs to a conclusion program: the returned
 `PartialSession`, once its judgment is imposed, checks the premises against
 the judgments the rule dictates and wires up the executor that performs the
-construct's single protocol step before delegating to the continuation.
+construct's single protocol step and returns the continuation's step to the
+driver (`core.drive`).
 
 Provider-side rules act on the offer handle; client-side rules act on a
 context slot through a lens and leave the offered protocol alone. Value
@@ -113,7 +114,7 @@ def wait(n, cont) -> PartialSession:
 
         async def execute(endpoints, offer_chan):
             await endpoints_at(endpoints, level).recv()
-            await exec_cont(replace_endpoint(endpoints, level, ()), offer_chan)
+            return exec_cont, replace_endpoint(endpoints, level, ()), offer_chan
 
         return execute
 
@@ -137,7 +138,7 @@ def receive_value(cont) -> PartialSession:
             value, next_offer = await receiver.recv()
             premise = await force(once(value))
             exec_p = resolve_deferred(premise, ctx, after, "receive_value continuation")
-            await exec_p(endpoints, next_offer)
+            return exec_p, endpoints, next_offer
 
         return execute
 
@@ -159,7 +160,7 @@ def send_value_to(n, value, cont) -> PartialSession:
             outbound = await endpoints_at(endpoints, level).recv()
             sender, receiver = channel()
             outbound.send((value, sender))
-            await exec_cont(replace_endpoint(endpoints, level, receiver), offer_chan)
+            return exec_cont, replace_endpoint(endpoints, level, receiver), offer_chan
 
         return execute
 
@@ -181,7 +182,7 @@ def send_value(value, cont) -> PartialSession:
         async def execute(endpoints, offer_chan):
             sender, receiver = channel()
             offer_chan.send((value, receiver))
-            await exec_cont(endpoints, sender)
+            return exec_cont, endpoints, sender
 
         return execute
 
@@ -206,7 +207,7 @@ def send_value_async(produce) -> PartialSession:
             exec_p = resolve_deferred(premise, ctx, after, "send_value_async producer")
             sender, receiver = channel()
             offer_chan.send((value, receiver))
-            await exec_p(endpoints, sender)
+            return exec_p, endpoints, sender
 
         return execute
 
@@ -229,9 +230,7 @@ def receive_value_from(n, cont) -> PartialSession:
             exec_p = resolve_deferred(
                 premise, target, offer, "receive_value_from continuation"
             )
-            await exec_p(
-                replace_endpoint(endpoints, level, next_endpoint), offer_chan
-            )
+            return exec_p, replace_endpoint(endpoints, level, next_endpoint), offer_chan
 
         return execute
 
@@ -256,7 +255,7 @@ def receive_channel(cont) -> PartialSession:
             sender, receiver = channel()
             offer_chan.send(sender)
             carried_endpoint, next_offer = await receiver.recv()
-            await exec_p(append_endpoint(endpoints, carried_endpoint), next_offer)
+            return exec_p, append_endpoint(endpoints, carried_endpoint), next_offer
 
         return execute
 
@@ -291,7 +290,7 @@ def send_channel_to(n1, n2, cont) -> PartialSession:
             sender, receiver = channel()
             outbound.send((endpoints_at(endpoints, level2), sender))
             endpoints = replace_endpoint(endpoints, level2, ())
-            await exec_cont(replace_endpoint(endpoints, level1, receiver), offer_chan)
+            return exec_cont, replace_endpoint(endpoints, level1, receiver), offer_chan
 
         return execute
 
@@ -317,7 +316,7 @@ def send_channel_from(n, cont) -> PartialSession:
         async def execute(endpoints, offer_chan):
             sender, receiver = channel()
             offer_chan.send((endpoints_at(endpoints, level), receiver))
-            await exec_cont(replace_endpoint(endpoints, level, ()), sender)
+            return exec_cont, replace_endpoint(endpoints, level, ()), sender
 
         return execute
 
@@ -342,7 +341,7 @@ def receive_channel_from(n, cont) -> PartialSession:
                 endpoints, level
             ).recv()
             endpoints = replace_endpoint(endpoints, level, next_endpoint)
-            await exec_p(append_endpoint(endpoints, carried_endpoint), offer_chan)
+            return exec_p, append_endpoint(endpoints, carried_endpoint), offer_chan
 
         return execute
 
@@ -368,7 +367,7 @@ def offer_choice(left, right) -> PartialSession:
             offer_chan.send(sender)
             branch = await receiver.recv()
             chosen = exec_left if branch.side == LEFT else exec_right
-            await chosen(endpoints, branch.endpoint)
+            return chosen, endpoints, branch.endpoint
 
         return execute
 
@@ -392,7 +391,7 @@ def choose(side: str, n, cont) -> PartialSession:
             outbound = await endpoints_at(endpoints, level).recv()
             sender, receiver = channel()
             outbound.send(Branch(side, sender))
-            await exec_cont(replace_endpoint(endpoints, level, receiver), offer_chan)
+            return exec_cont, replace_endpoint(endpoints, level, receiver), offer_chan
 
         return execute
 
@@ -421,7 +420,7 @@ def offer(side: str, cont) -> PartialSession:
         async def execute(endpoints, offer_chan):
             sender, receiver = channel()
             offer_chan.send(Branch(side, receiver))
-            await exec_cont(endpoints, sender)
+            return exec_cont, endpoints, sender
 
         return execute
 
@@ -452,9 +451,8 @@ def case(n, left, right) -> PartialSession:
         async def execute(endpoints, offer_chan):
             branch = await endpoints_at(endpoints, level).recv()
             chosen = exec_left if branch.side == LEFT else exec_right
-            await chosen(
-                replace_endpoint(endpoints, level, branch.endpoint), offer_chan
-            )
+            endpoints = replace_endpoint(endpoints, level, branch.endpoint)
+            return chosen, endpoints, offer_chan
 
         return execute
 

@@ -16,6 +16,15 @@ checking happens strictly before execution:
 
 Program values are linear: every `PartialSession`/`Session` is consumed by
 the construct that uses it, and every executor runs at most once.
+
+A run executes as a trampoline. Each executor performs its construct's one
+protocol step and returns the next step, `(executor, endpoints, offer)`,
+or None once its task is done; it never awaits another executor. One
+driver loop per task, `drive`, runs the steps one after another and holds
+the one-shot and polarity checks, so a task's stack and the cost of a step
+stay the same however many steps came before. `run_session`'s main task,
+every provider that `cut` and `include_session` spawn, and every critical
+section of a shared process run under `drive`.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .context import (
     append,
     append_endpoint,
     context_str,
+    endpoints_at,
     first_live_slot,
     is_empty_context,
     length,
@@ -54,27 +64,35 @@ from .runtime import (
 _tokens = itertools.count()
 
 
-def _wrap_executor(rule: str, exec_fn):
-    token = next(_tokens)
-    ran = False
+class Executor:
+    """The checked, one-shot step of one construct, run only by `drive`."""
 
-    async def run(endpoints, offer):
-        nonlocal ran
-        if ran:
-            raise RuntimeViolation(f"{rule}: executor invoked twice")
-        ran = True
+    __slots__ = ("rule", "execute", "token")
+
+    def __init__(self, rule: str, execute):
+        self.rule = rule
+        self.execute = execute
+        self.token = next(_tokens)
+
+
+async def drive(executor: Executor, endpoints, offer) -> None:
+    """Run one task's steps until an executor returns None."""
+    step = (executor, endpoints, offer)
+    while step is not None:
+        executor, endpoints, offer = step
+        execute, executor.execute = executor.execute, None
+        if execute is None:
+            raise RuntimeViolation(f"{executor.rule}: executor invoked twice")
         rec = active_recorder()
         if rec is not None:
-            rec.executor_ran(token)
-            if not isinstance(offer, Sender):
-                rec.polarity_violation()
+            rec.executor_ran(executor.token)
         if not isinstance(offer, Sender):
+            if rec is not None:
+                rec.polarity_violation()
             raise RuntimeViolation(
-                f"{rule}: executor needs the provider-side sending endpoint"
+                f"{executor.rule}: executor needs the provider-side sending endpoint"
             )
-        await exec_fn(endpoints, offer)
-
-    return run
+        step = await execute(endpoints, offer)
 
 
 class OneShotContinuation:
@@ -125,7 +143,12 @@ class PartialSession:
         self._take(self._rule)
         validate_context(ctx, self._rule)
         check_protocol(offer, self._rule)
-        return _wrap_executor(self._rule, self._resolve_fn(ctx, offer))
+        execute = self._resolve_fn(ctx, offer)
+        # Rolling and unrolling exchange nothing: they pass on the executor
+        # of their premise instead of adding a step.
+        if isinstance(execute, Executor):
+            return execute
+        return Executor(self._rule, execute)
 
     def __repr__(self):
         return f"<PartialSession {self._rule}>"
@@ -202,7 +225,7 @@ def run_session(s: Session):
             sender, receiver = channel()
 
             async def main():
-                await executor((), sender)
+                await drive(executor, (), sender)
                 signal = await receiver.recv()
                 if signal is not END:
                     raise RuntimeViolation(
@@ -253,8 +276,6 @@ def forward(n) -> PartialSession:
         level = n.level
 
         async def execute(endpoints, offer_chan):
-            from .context import endpoints_at
-
             payload = await endpoints_at(endpoints, level).recv()
             offer_chan.send(payload)
 
@@ -314,8 +335,8 @@ def cut(cont1, cont2, *, provider_protocol=None, provider_context=None) -> Parti
         async def execute(endpoints, offer_chan):
             eps1, eps2 = split_endpoints(endpoints, c1_len)
             sender, receiver = channel()
-            spawn(exec2(eps2, sender))
-            await exec1(append_endpoint(eps1, receiver), offer_chan)
+            spawn(drive(exec2, eps2, sender))
+            return exec1, append_endpoint(eps1, receiver), offer_chan
 
         return execute
 
@@ -339,8 +360,8 @@ def include_session(a: Session, cont) -> PartialSession:
 
         async def execute(endpoints, offer_chan):
             sender, receiver = channel()
-            spawn(exec_a((), sender))
-            await exec_p(append_endpoint(endpoints, receiver), offer_chan)
+            spawn(drive(exec_a, (), sender))
+            return exec_p, append_endpoint(endpoints, receiver), offer_chan
 
         return execute
 

@@ -202,40 +202,6 @@ def counter_demo(start: int = 0, take: int = 5, delay_ms: int = 0) -> Transcript
     return transcript
 
 
-# -- the paper-style unbounded stream (not exercised by tests) -------------
-
-
-Counter = Fix(SendValue(int, Z))
-
-
-def stream_producer_unbounded(value: int, delay_ms: int = 1000) -> Session:
-    """Infinite counter: sends value, value+1, ... forever."""
-
-    async def produce():
-        if delay_ms:
-            await asyncio.sleep(delay_ms / 1000.0)
-        return value, stream_producer_unbounded(value + 1, delay_ms)
-
-    return session(Counter, fix_session(send_value_async(produce)))
-
-
-def stream_client_unbounded() -> Session:
-    """Consumes the infinite counter by re-including a fresh copy of itself
-    after every value and forwarding; never terminates."""
-
-    def body(stream):
-        def on_value(value):
-            print(f"Received value: {value}")
-            return include_session(
-                stream_client_unbounded(),
-                lambda nxt: send_channel_to(nxt, stream, forward(nxt)),
-            )
-
-        return unfix_session_for(stream, receive_value_from(stream, on_value))
-
-    return session(ReceiveChannel(Counter, End), receive_channel(body))
-
-
 # -- shared counter --------------------------------------------------------
 
 

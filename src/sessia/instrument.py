@@ -22,6 +22,7 @@ import contextlib
 import contextvars
 import itertools
 import time
+import weakref
 from dataclasses import dataclass, field
 
 EVENT_KINDS = ("SEND", "RECV", "ACQ", "REL", "END")
@@ -66,13 +67,19 @@ class Transcript:
         return iter(self._events)
 
 
+class _NoTask:
+    """Key for events recorded outside any task."""
+
+
+_NO_TASK = _NoTask()
+
+
 @dataclass
 class Counters:
     endpoints_created: int = 0
     endpoints_consumed: int = 0
     executors: dict[int, int] = field(default_factory=dict)
     continuations: dict[int, int] = field(default_factory=dict)
-    channel_events: list[tuple[int, str, str]] = field(default_factory=list)
     polarity_violations: int = 0
 
 
@@ -84,7 +91,8 @@ class Recorder:
         self.counters = Counters()
         self._seq = itertools.count()
         self._chan_ids = itertools.count()
-        self._task_ids: dict[int, str] = {}
+        # Keyed by the task object: CPython reuses the id of a finished task.
+        self._task_ids: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._task_seq = itertools.count(1)
 
     # -- transcript ------------------------------------------------------
@@ -94,7 +102,7 @@ class Recorder:
             task = asyncio.current_task()
         except RuntimeError:
             task = None
-        key = id(task) if task is not None else 0
+        key = task if task is not None else _NO_TASK
         name = self._task_ids.get(key)
         if name is None:
             # Stable per-run ids in first-seen order, so transcripts are
@@ -122,12 +130,10 @@ class Recorder:
     def channel_created(self) -> int:
         chan_id = next(self._chan_ids)
         self.counters.endpoints_created += 2
-        self.counters.channel_events.append((chan_id, "created", self._task_name()))
         return chan_id
 
     def endpoint_consumed(self, chan_id: int, side: str) -> None:
         self.counters.endpoints_consumed += 1
-        self.counters.channel_events.append((chan_id, side, self._task_name()))
 
     def polarity_violation(self) -> None:
         self.counters.polarity_violations += 1

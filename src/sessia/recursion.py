@@ -20,6 +20,7 @@ recursion markers (`S(Z)` and deeper) are not supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .context import S, Z, _Z
 from .errors import ProtocolError
@@ -81,8 +82,13 @@ class Fix(Protocol):
         # formation rather than at first unroll.
         type_apply(self.body, End)
 
-    def unroll(self) -> Protocol:
+    @cached_property
+    def _unrolling(self) -> Protocol:
+        # Cached in the instance dict; equality and hashing stay field-based.
         return type_apply(self.body, self)
+
+    def unroll(self) -> Protocol:
+        return self._unrolling
 
     def payload_layout(self):
         # Rolling is representation-only; the wire carries the unrolling.

@@ -39,6 +39,7 @@ import inspect
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .context import (
     append,
@@ -59,6 +60,7 @@ from .context import (
 from .core import (
     OneShotContinuation,
     PartialSession,
+    drive,
     expect_program,
     resolve_deferred,
 )
@@ -135,10 +137,15 @@ class LinearToShared(SharedProtocol):
         check_protocol(self.body, "LinearToShared body")
         # Form the unrolling now: malformed bodies (e.g. an End leaf) are
         # rejected at type formation.
-        shared_type_apply(self.body, SharedToLinear(self.body))
+        self.unroll()
+
+    @cached_property
+    def _unrolling(self) -> Protocol:
+        # Cached in the instance dict; equality and hashing stay field-based.
+        return shared_type_apply(self.body, SharedToLinear(self.body))
 
     def unroll(self) -> Protocol:
-        return shared_type_apply(self.body, SharedToLinear(self.body))
+        return self._unrolling
 
     def __str__(self):
         return f"LinearToShared({self.body})"
@@ -167,19 +174,19 @@ class SharedSessionBuilder:
 class SharedSession:
     """A checked shared program; single-use, inert until run."""
 
-    def __init__(self, protocol: LinearToShared, runner):
+    def __init__(self, protocol: LinearToShared, executor):
         self._protocol = protocol
-        self._runner = runner
+        self._executor = executor
 
     @property
     def protocol(self) -> LinearToShared:
         return self._protocol
 
-    def _take_runner(self):
-        if self._runner is None:
+    def _take_executor(self):
+        if self._executor is None:
             raise LinearityError("shared session program already consumed")
-        runner, self._runner = self._runner, None
-        return runner
+        executor, self._executor = self._executor, None
+        return executor
 
     def __repr__(self):
         return f"<SharedSession {self._protocol}>"
@@ -212,13 +219,7 @@ def accept_shared_session(cont) -> SharedSessionBuilder:
     expect_program(cont, "accept_shared_session")
 
     def resolve(protocol):
-        body_protocol = protocol.unroll()
-        exec_body = cont._resolve((Lock(protocol.body), ()), body_protocol)
-
-        async def runner(lock_sender, offer_sender):
-            await exec_body((lock_sender, ()), offer_sender)
-
-        return runner
+        return cont._resolve((Lock(protocol.body), ()), protocol.unroll())
 
     return SharedSessionBuilder("accept_shared_session", resolve)
 
@@ -305,7 +306,7 @@ def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
                 exec_p = resolve_deferred(
                     premise, premise_ctx, offer, "acquire_shared_session continuation"
                 )
-            await exec_p(append_endpoint(endpoints, linear), offer_chan)
+            return exec_p, append_endpoint(endpoints, linear), offer_chan
 
         return execute
 
@@ -332,7 +333,7 @@ def release_shared_session(n, cont) -> PartialSession:
             outbound = await endpoints_at(endpoints, level).recv()
             record_event("REL")
             outbound.send(ACK)
-            await exec_cont(replace_endpoint(endpoints, level, ()), offer_chan)
+            return exec_cont, replace_endpoint(endpoints, level, ()), offer_chan
 
         return execute
 
@@ -446,12 +447,12 @@ async def _serve(state: _SharedState, first: SharedSession):
             response, run = request
             if response.done():
                 continue  # the acquirer was cancelled while queued
-            runner = current._take_runner()
+            executor = current._take_executor()
             section = _Section(state, run)
             linear_sender, linear_receiver = channel()
             response.set_result(linear_receiver)
             # The critical section runs here, on the shared process's task.
-            await runner(section, linear_sender)
+            await drive(executor, (section, ()), linear_sender)
             following = section.following
             if (
                 not isinstance(following, SharedSession)

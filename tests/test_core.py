@@ -1,3 +1,5 @@
+import asyncio
+
 import pytest
 
 from conftest import run
@@ -8,6 +10,7 @@ from sessia import (
     ProtocolError,
     ReceiveChannel,
     ReceiveValue,
+    RuntimeViolation,
     SendValue,
     Z,
     apply_channel,
@@ -27,7 +30,9 @@ from sessia import (
     terminate,
     wait,
 )
+from sessia.core import drive
 from sessia.demos import apply_channel_via_cut, hello_pair
+from sessia.runtime import END, channel
 
 
 def end_provider():
@@ -283,6 +288,38 @@ def test_every_executor_and_continuation_ran_once():
         run(run_session(session(End, body)))
     assert rec.one_shot_ok()
     assert all(n == 1 for n in rec.counters.executors.values())
+
+
+def test_driver_runs_an_executor_once_and_only_with_a_sender():
+    async def main():
+        executor = end_provider()._resolve((), End)
+        sender, receiver = channel()
+        await drive(executor, (), sender)
+        assert await receiver.recv() is END
+        with pytest.raises(RuntimeViolation, match="terminate: executor invoked twice"):
+            await drive(executor, (), channel()[0])
+        _, wrong_end = channel()
+        with pytest.raises(RuntimeViolation, match="provider-side sending endpoint"):
+            await drive(end_provider()._resolve((), End), (), wrong_end)
+
+    with recording() as rec:
+        run(main())
+    assert rec.counters.polarity_violations == 1
+
+
+def test_recorder_names_tasks_whose_ids_are_reused():
+    # each task has finished before the next starts, so CPython may give
+    # the next one the same id
+    async def one(k):
+        record_event("RECV", k)
+
+    async def main():
+        for k in range(50):
+            await asyncio.get_running_loop().create_task(one(k))
+
+    with recording() as rec:
+        asyncio.run(main())
+    assert len({event.task for event in rec.transcript}) == 50
 
 
 def _consume_and_close(x):

@@ -88,6 +88,15 @@ def test_unrolling_is_the_unique_type_application():
     assert Counter.unroll() == type_apply(SendValue(int, Z), Counter)
 
 
+def test_unrolling_is_memoised_on_the_node():
+    p = Fix(ExternalChoice(SendValue(int, Z), End))
+    assert p.unroll() is p.unroll()
+    assert p.unroll() == type_apply(p.body, p)
+    # the cache takes no part in equality or hashing
+    q = Fix(ExternalChoice(SendValue(int, Z), End))
+    assert p == q and hash(p) == hash(q)
+
+
 def test_counter_unrolls_to_send_value_then_counter():
     # the first protocol step after unrolling is exactly one value send
     assert Counter.unroll() == SendValue(int, Counter)

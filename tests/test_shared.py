@@ -48,6 +48,13 @@ def test_shared_body_unrolls_to_release_step():
     assert unrolled == SendValue(int, SharedToLinear(SendValue(int, Z)))
 
 
+def test_shared_unrolling_is_memoised_on_the_node():
+    p = LinearToShared(SendValue(int, Z))
+    assert p.unroll() is p.unroll()
+    assert p.unroll() == shared_type_apply(p.body, SharedToLinear(p.body))
+    assert p == SharedCounter and hash(p) == hash(SharedCounter)
+
+
 def test_shared_type_apply_rejects_end_leaf():
     with pytest.raises(SharedTypeError, match="strictly equi-synchronizing"):
         shared_type_apply(SendValue(int, End), SharedToLinear(End))

@@ -13,18 +13,7 @@ payloads are checked against the declared value type when sent.
 
 from __future__ import annotations
 
-from .context import (
-    Empty,
-    append,
-    append_endpoint,
-    endpoints_at,
-    first_live_slot,
-    is_empty_context,
-    length_of,
-    lens_resolve,
-    replace_endpoint,
-    slot_at,
-)
+from .context import Empty, focus, live_slot, nat, put
 from .core import (
     OneShotContinuation,
     PartialSession,
@@ -59,7 +48,7 @@ def _expect_offer(rule: str, offer, cls):
 
 def _expect_slot(rule: str, n, ctx, cls, error=ProtocolError):
     """The slot at lens `n`, checked to be the `cls` step a client rule needs."""
-    slot = slot_at(n, ctx)
+    slot = focus(n, ctx)
     if not isinstance(slot, cls):
         name = cls.__name__.lstrip("_")
         article = "an" if name[0] in "AEIOU" else "a"
@@ -85,8 +74,8 @@ def terminate() -> PartialSession:
 
     def resolve(ctx, offer):
         _expect_offer("terminate", offer, _End)
-        if not is_empty_context(ctx):
-            live = first_live_slot(ctx)
+        live = live_slot(ctx)
+        if live is not None:
             raise LinearityError(
                 f"terminate requires an empty linear context; "
                 f"slot {live[0]} still holds {live[1]}"
@@ -107,14 +96,13 @@ def wait(n, cont) -> PartialSession:
 
     def resolve(ctx, offer):
         # Waiting on anything but End reuses or drops a channel.
-        slot = _expect_slot("wait", n, ctx, _End, LinearityError)
-        target = lens_resolve(n, ctx, slot, Empty)
-        exec_cont = cont._resolve(target, offer)
+        _expect_slot("wait", n, ctx, _End, LinearityError)
         level = n.level
+        exec_cont = cont._resolve(put(ctx, level, Empty), offer)
 
         async def execute(endpoints, offer_chan):
-            await endpoints_at(endpoints, level).recv()
-            return exec_cont, replace_endpoint(endpoints, level, ()), offer_chan
+            await endpoints[level].recv()
+            return exec_cont, put(endpoints, level, ()), offer_chan
 
         return execute
 
@@ -152,15 +140,14 @@ def send_value_to(n, value, cont) -> PartialSession:
     def resolve(ctx, offer):
         slot = _expect_slot("send_value_to", n, ctx, ReceiveValue)
         _check_value("send_value_to", value, slot.value_type)
-        target = lens_resolve(n, ctx, slot, slot.cont)
-        exec_cont = cont._resolve(target, offer)
         level = n.level
+        exec_cont = cont._resolve(put(ctx, level, slot.cont), offer)
 
         async def execute(endpoints, offer_chan):
-            outbound = await endpoints_at(endpoints, level).recv()
+            outbound = await endpoints[level].recv()
             sender, receiver = channel()
             outbound.send((value, sender))
-            return exec_cont, replace_endpoint(endpoints, level, receiver), offer_chan
+            return exec_cont, put(endpoints, level, receiver), offer_chan
 
         return execute
 
@@ -221,16 +208,16 @@ def receive_value_from(n, cont) -> PartialSession:
 
     def resolve(ctx, offer):
         slot = _expect_slot("receive_value_from", n, ctx, SendValue)
-        target = lens_resolve(n, ctx, slot, slot.cont)
         level = n.level
+        target = put(ctx, level, slot.cont)
 
         async def execute(endpoints, offer_chan):
-            value, next_endpoint = await endpoints_at(endpoints, level).recv()
+            value, next_endpoint = await endpoints[level].recv()
             premise = await force(once(value))
             exec_p = resolve_deferred(
                 premise, target, offer, "receive_value_from continuation"
             )
-            return exec_p, replace_endpoint(endpoints, level, next_endpoint), offer_chan
+            return exec_p, put(endpoints, level, next_endpoint), offer_chan
 
         return execute
 
@@ -247,15 +234,14 @@ def receive_channel(cont) -> PartialSession:
 
     def resolve(ctx, offer):
         _expect_offer("receive_channel", offer, ReceiveChannel)
-        lens = length_of(ctx)
-        premise = expect_program(once(lens), "receive_channel continuation")
-        exec_p = premise._resolve(append(ctx, (offer.carried, ())), offer.cont)
+        premise = expect_program(once(nat(len(ctx))), "receive_channel continuation")
+        exec_p = premise._resolve(ctx + (offer.carried,), offer.cont)
 
         async def execute(endpoints, offer_chan):
             sender, receiver = channel()
             offer_chan.send(sender)
             carried_endpoint, next_offer = await receiver.recv()
-            return exec_p, append_endpoint(endpoints, carried_endpoint), next_offer
+            return exec_p, endpoints + (carried_endpoint,), next_offer
 
         return execute
 
@@ -268,29 +254,28 @@ def send_channel_to(n1, n2, cont) -> PartialSession:
     expect_program(cont, "send_channel_to")
 
     def resolve(ctx, offer):
-        carried = slot_at(n2, ctx)
+        carried = focus(n2, ctx)
         if carried == Empty:
             raise LinearityError(
                 f"send_channel_to: lens {n2.level}: slot has type Empty, "
                 f"expected a live channel"
             )
-        mid = lens_resolve(n2, ctx, carried, Empty)
+        level1, level2 = n1.level, n2.level
+        mid = put(ctx, level2, Empty)
         slot = _expect_slot("send_channel_to", n1, mid, ReceiveChannel)
         if slot.carried != carried:
             raise ProtocolError(
                 f"send_channel_to: slot {n1.level} expects a channel of type "
                 f"{slot.carried}, but slot {n2.level} offers {carried}"
             )
-        target = lens_resolve(n1, mid, slot, slot.cont)
-        exec_cont = cont._resolve(target, offer)
-        level1, level2 = n1.level, n2.level
+        exec_cont = cont._resolve(put(mid, level1, slot.cont), offer)
 
         async def execute(endpoints, offer_chan):
-            outbound = await endpoints_at(endpoints, level1).recv()
+            outbound = await endpoints[level1].recv()
             sender, receiver = channel()
-            outbound.send((endpoints_at(endpoints, level2), sender))
-            endpoints = replace_endpoint(endpoints, level2, ())
-            return exec_cont, replace_endpoint(endpoints, level1, receiver), offer_chan
+            outbound.send((endpoints[level2], sender))
+            endpoints = put(endpoints, level2, ())
+            return exec_cont, put(endpoints, level1, receiver), offer_chan
 
         return execute
 
@@ -303,20 +288,19 @@ def send_channel_from(n, cont) -> PartialSession:
 
     def resolve(ctx, offer):
         _expect_offer("send_channel_from", offer, SendChannel)
-        carried = slot_at(n, ctx)
+        carried = focus(n, ctx)
         if carried != offer.carried:
             raise ProtocolError(
                 f"send_channel_from: lens {n.level}: slot has type {carried}, "
                 f"but the offered protocol sends {offer.carried}"
             )
-        target = lens_resolve(n, ctx, carried, Empty)
-        exec_cont = cont._resolve(target, offer.cont)
         level = n.level
+        exec_cont = cont._resolve(put(ctx, level, Empty), offer.cont)
 
         async def execute(endpoints, offer_chan):
             sender, receiver = channel()
-            offer_chan.send((endpoints_at(endpoints, level), receiver))
-            return exec_cont, replace_endpoint(endpoints, level, ()), sender
+            offer_chan.send((endpoints[level], receiver))
+            return exec_cont, put(endpoints, level, ()), sender
 
         return execute
 
@@ -330,18 +314,16 @@ def receive_channel_from(n, cont) -> PartialSession:
 
     def resolve(ctx, offer):
         slot = _expect_slot("receive_channel_from", n, ctx, SendChannel)
-        mid = lens_resolve(n, ctx, slot, slot.cont)
-        lens = length_of(mid)
-        premise = expect_program(once(lens), "receive_channel_from continuation")
-        exec_p = premise._resolve(append(mid, (slot.carried, ())), offer)
         level = n.level
+        premise = expect_program(
+            once(nat(len(ctx))), "receive_channel_from continuation"
+        )
+        exec_p = premise._resolve(put(ctx, level, slot.cont) + (slot.carried,), offer)
 
         async def execute(endpoints, offer_chan):
-            carried_endpoint, next_endpoint = await endpoints_at(
-                endpoints, level
-            ).recv()
-            endpoints = replace_endpoint(endpoints, level, next_endpoint)
-            return exec_p, append_endpoint(endpoints, carried_endpoint), offer_chan
+            carried_endpoint, next_endpoint = await endpoints[level].recv()
+            endpoints = put(endpoints, level, next_endpoint)
+            return exec_p, endpoints + (carried_endpoint,), offer_chan
 
         return execute
 
@@ -383,15 +365,14 @@ def choose(side: str, n, cont) -> PartialSession:
     def resolve(ctx, offer):
         slot = _expect_slot(f"choose_{side}", n, ctx, ExternalChoice)
         chosen = slot.left if side == LEFT else slot.right
-        target = lens_resolve(n, ctx, slot, chosen)
-        exec_cont = cont._resolve(target, offer)
         level = n.level
+        exec_cont = cont._resolve(put(ctx, level, chosen), offer)
 
         async def execute(endpoints, offer_chan):
-            outbound = await endpoints_at(endpoints, level).recv()
+            outbound = await endpoints[level].recv()
             sender, receiver = channel()
             outbound.send(Branch(side, sender))
-            return exec_cont, replace_endpoint(endpoints, level, receiver), offer_chan
+            return exec_cont, put(endpoints, level, receiver), offer_chan
 
         return execute
 
@@ -444,14 +425,14 @@ def case(n, left, right) -> PartialSession:
 
     def resolve(ctx, offer):
         slot = _expect_slot("case", n, ctx, InternalChoice)
-        exec_left = left._resolve(lens_resolve(n, ctx, slot, slot.left), offer)
-        exec_right = right._resolve(lens_resolve(n, ctx, slot, slot.right), offer)
         level = n.level
+        exec_left = left._resolve(put(ctx, level, slot.left), offer)
+        exec_right = right._resolve(put(ctx, level, slot.right), offer)
 
         async def execute(endpoints, offer_chan):
-            branch = await endpoints_at(endpoints, level).recv()
+            branch = await endpoints[level].recv()
             chosen = exec_left if branch.side == LEFT else exec_right
-            endpoints = replace_endpoint(endpoints, level, branch.endpoint)
+            endpoints = put(endpoints, level, branch.endpoint)
             return chosen, endpoints, offer_chan
 
         return execute

@@ -1,19 +1,27 @@
 """The linear context: an ordered, type-level list of channel slots.
 
-A context is a nested pair structure, `()` for the empty list and
-`(slot, rest)` for cons, where a slot is either a session type or `Empty`
-(a consumed position). Consumed slots are never compacted away, so the
-position of every other slot — and hence every lens pointing at it — stays
-valid for the whole derivation.
+A slot is either a session type or `Empty` (a consumed position). Consumed
+slots are never compacted away, so the position of every other slot — and
+hence every lens pointing at it — stays valid for the whole derivation.
+
+The checker and the runtime hold a context as a flat tuple of slots indexed
+by de Bruijn level: a slot read is `ctx[level]`, a retype is a slice-replace
+(`put`), an include is `ctx + (slot,)` and a length is `len(ctx)`. At
+runtime a context of length n is mirrored by a flat endpoints tuple of the
+same length: `()` per `Empty` slot, a receiving endpoint per live slot.
+
+Nested pairs exist only at the public API: `()` for the empty list and
+`(slot, rest)` for cons, as taken and returned by `context`, `slots_of`,
+`slot_at`, `length`, `length_of`, `append`, `lens_resolve`, `context_str`,
+`empty_endpoints` and `validate_context`, and as printed in diagnostics.
+These helpers convert by iteration, so their cost is linear in the length
+and they never recurse.
 
 Slots are addressed by de Bruijn levels: zero-sized naturals `Z` and
 `S(n)`, which exist as ordinary copyable values so one channel name can be
 used at several steps of its protocol. Linearity lives in the slot types,
 not in the name. `Z` doubles as the recursion marker of `Fix` bodies, which
 is why it is also a `Protocol`.
-
-At runtime a context of length n is mirrored by an endpoints product of the
-same shape: `()` per `Empty` slot, a receiving endpoint per live slot.
 """
 
 from __future__ import annotations
@@ -60,9 +68,7 @@ class Nat:
     level: int
 
     def __str__(self):
-        if self.level == 0:
-            return "Z"
-        return f"S({self.pred})" if isinstance(self, S) else f"nat({self.level})"
+        return "S(" * self.level + "Z" + ")" * self.level
 
     def __repr__(self):
         return str(self)
@@ -84,9 +90,6 @@ class _Z(Nat, Protocol):
             "apply it to a concrete session type first"
         )
 
-    def __str__(self):
-        return "Z"
-
     def __eq__(self, other):
         return isinstance(other, _Z)
 
@@ -97,29 +100,40 @@ class _Z(Nat, Protocol):
 Z = _Z()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class S(Nat):
-    """Successor lens: delegates access to the tail of the context."""
+    """Successor lens: delegates access to the tail of the context.
+
+    Its level is stored when it is built, and a natural is determined by
+    its level, so reading, comparing and hashing a lens never walk `pred`.
+    """
 
     pred: Nat
 
     def __post_init__(self):
         if not isinstance(self.pred, Nat):
             raise ProtocolError(f"S expects a natural, got {self.pred!r}")
+        object.__setattr__(self, "level", self.pred.level + 1)
 
-    @property
-    def level(self) -> int:
-        return self.pred.level + 1
+    def __eq__(self, other):
+        if isinstance(other, S):
+            return self.level == other.level
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(("S", self.level))
+
+
+_nats: list = [Z]
 
 
 def nat(level: int) -> Nat:
-    """The lens value at a given de Bruijn level."""
+    """The lens value at a given de Bruijn level; one value per level."""
     if level < 0:
         raise ValueError("lens level must be non-negative")
-    n: Nat = Z
-    for _ in range(level):
-        n = S(n)
-    return n
+    while len(_nats) <= level:
+        _nats.append(S(_nats[-1]))
+    return _nats[level]
 
 
 def _level(n) -> int:
@@ -128,7 +142,44 @@ def _level(n) -> int:
     raise ProtocolError(f"expected a context lens (Z or S(n)), got {n!r}")
 
 
-# -- structure ---------------------------------------------------------------
+# -- flat contexts and endpoints tuples --------------------------------------
+
+
+def focus(n, ctx):
+    """The slot at lens `n` of a flat context."""
+    level = _level(n)
+    if level >= len(ctx):
+        raise LinearityError(
+            f"lens level {level} out of range for context of length {len(ctx)}"
+        )
+    return ctx[level]
+
+
+def put(items: tuple, level: int, item) -> tuple:
+    """A flat context or endpoints tuple with position `level` replaced."""
+    return items[:level] + (item,) + items[level + 1:]
+
+
+def live_slot(ctx):
+    """(level, slot) of the first unconsumed slot of a flat context, or None."""
+    for level, slot in enumerate(ctx):
+        if slot is not Empty:
+            return level, slot
+    return None
+
+
+def show(ctx) -> str:
+    """A flat context printed as its nested pairs, as diagnostics show it."""
+    return "".join(f"({slot}, " for slot in ctx) + "()" + ")" * len(ctx)
+
+
+# -- the nested-pair public API ------------------------------------------------
+
+
+def _nest(items, tail=()) -> tuple:
+    for item in reversed(items):
+        tail = (item, tail)
+    return tail
 
 
 def validate_context(c, who: str = "context") -> None:
@@ -142,12 +193,11 @@ def validate_context(c, who: str = "context") -> None:
 
 def context(slots) -> tuple:
     """Build the nested-pair context from an iterable of slots."""
-    c: tuple = ()
-    for slot in reversed(list(slots)):
+    slots = list(slots)
+    for slot in slots:
         if not is_slot(slot):
             raise ProtocolError(f"context: {slot!r} is not a Slot")
-        c = (slot, c)
-    return c
+    return _nest(slots)
 
 
 def slots_of(c) -> list:
@@ -159,47 +209,25 @@ def slots_of(c) -> list:
 
 
 def context_str(c) -> str:
-    if c == ():
-        return "()"
-    head, tail = c
-    return f"({head}, {context_str(tail)})"
+    return show(slots_of(c))
 
 
 def length(c) -> int:
-    n = 0
-    while c != ():
-        _, c = c
-        n += 1
-    return n
+    return len(slots_of(c))
 
 
 def length_of(c) -> Nat:
     """Type-level length: Z for nil, S(length_of(tail)) for cons."""
-    if c == ():
-        return Z
-    _, tail = c
-    return S(length_of(tail))
+    return nat(length(c))
 
 
 def append(c1, c2) -> tuple:
     """c1 ++ c2, preserving order; levels into c1 stay valid."""
-    if c1 == ():
-        return c2
-    head, tail = c1
-    return (head, append(tail, c2))
+    return _nest(slots_of(c1), c2)
 
 
 def slot_at(n, c):
-    level = _level(n)
-    total = length(c)
-    if level >= total:
-        raise LinearityError(
-            f"lens level {level} out of range for context of length {total}"
-        )
-    for _ in range(level):
-        _, c = c
-    head, _ = c
-    return head
+    return focus(n, slots_of(c))
 
 
 def lens_resolve(n, c, a1, a2) -> tuple:
@@ -208,84 +236,22 @@ def lens_resolve(n, c, a1, a2) -> tuple:
     The focused slot must hold exactly `a1`; anything else is a linearity
     error (slot already consumed, wrong protocol state, or out of range).
     """
-    level = _level(n)
-    actual = slot_at(n, c)
+    slots = tuple(slots_of(c))
+    actual = focus(n, slots)
     if actual != a1:
         raise LinearityError(
-            f"lens {level}: slot has type {actual}, expected {a1}"
+            f"lens {n.level}: slot has type {actual}, expected {a1}"
         )
-    return _replace(c, level, a2)
-
-
-def _replace(c, level: int, slot) -> tuple:
-    head, tail = c
-    if level == 0:
-        return (slot, tail)
-    return (head, _replace(tail, level - 1, slot))
-
-
-def is_empty_context(c) -> bool:
-    """True for () and for (Empty, rest) with rest empty."""
-    while c != ():
-        head, c = c
-        if head != Empty:
-            return False
-    return True
-
-
-def first_live_slot(c):
-    """(level, slot) of the first unconsumed slot, or None."""
-    level = 0
-    while c != ():
-        head, c = c
-        if head != Empty:
-            return level, head
-        level += 1
-    return None
+    return _nest(put(slots, n.level, a2))
 
 
 def empty_endpoints(c) -> tuple:
     """The all-unit endpoints product of an empty context."""
-    if not is_empty_context(c):
-        live = first_live_slot(c)
+    slots = slots_of(c)
+    live = live_slot(slots)
+    if live is not None:
         raise LinearityError(
-            f"context {context_str(c)} is not empty: "
+            f"context {show(slots)} is not empty: "
             f"slot {live[0]} still holds {live[1]}"
         )
-    if c == ():
-        return ()
-    _, tail = c
-    return ((), empty_endpoints(tail))
-
-
-# -- endpoints products ------------------------------------------------------
-
-
-def endpoints_at(eps, level: int):
-    for _ in range(level):
-        _, eps = eps
-    head, _ = eps
-    return head
-
-
-def replace_endpoint(eps, level: int, value) -> tuple:
-    head, tail = eps
-    if level == 0:
-        return (value, tail)
-    return (head, replace_endpoint(tail, level - 1, value))
-
-
-def append_endpoint(eps, value) -> tuple:
-    if eps == ():
-        return (value, ())
-    head, tail = eps
-    return (head, append_endpoint(tail, value))
-
-
-def split_endpoints(eps, at: int) -> tuple:
-    """Split an endpoints product after `at` components."""
-    if at == 0:
-        return (), eps
-    head, tail = eps
-    front, back = split_endpoints(tail, at - 1)
-    return (head, front), back
+    return _nest(((),) * len(slots))

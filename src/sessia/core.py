@@ -35,17 +35,12 @@ import itertools
 
 from .context import (
     Empty,
-    append,
-    append_endpoint,
-    context_str,
-    endpoints_at,
-    first_live_slot,
-    is_empty_context,
-    length,
-    length_of,
-    lens_resolve,
-    slot_at,
-    split_endpoints,
+    focus,
+    live_slot,
+    nat,
+    put,
+    show,
+    slots_of,
     validate_context,
 )
 from .errors import LinearityError, ProtocolError, RuntimeViolation
@@ -141,7 +136,6 @@ class PartialSession:
 
     def _resolve(self, ctx, offer):
         self._take(self._rule)
-        validate_context(ctx, self._rule)
         check_protocol(offer, self._rule)
         execute = self._resolve_fn(ctx, offer)
         # Rolling and unrolling exchange nothing: they pass on the executor
@@ -176,10 +170,10 @@ class Session(PartialSession):
 
     def _resolve(self, ctx, offer):
         self._take("session")
-        if ctx != ():
+        if ctx:
             raise LinearityError(
                 f"a closed session cannot run in the non-empty context "
-                f"{context_str(ctx)}"
+                f"{show(ctx)}"
             )
         if offer != self._protocol:
             raise ProtocolError(
@@ -260,23 +254,22 @@ def forward(n) -> PartialSession:
     reconnect the two parties directly."""
 
     def resolve(ctx, offer):
-        slot = slot_at(n, ctx)
+        slot = focus(n, ctx)
         if slot != offer:
             raise ProtocolError(
                 f"forward: lens {n.level}: slot has type {slot}, "
                 f"but the expected protocol here is {offer}"
             )
-        target = lens_resolve(n, ctx, slot, Empty)
-        if not is_empty_context(target):
-            live = first_live_slot(target)
+        level = n.level
+        live = live_slot(put(ctx, level, Empty))
+        if live is not None:
             raise LinearityError(
                 f"forward requires every other slot to be consumed; "
                 f"slot {live[0]} still holds {live[1]}"
             )
-        level = n.level
 
         async def execute(endpoints, offer_chan):
-            payload = await endpoints_at(endpoints, level).recv()
+            payload = await endpoints[level].recv()
             offer_chan.send(payload)
 
         return execute
@@ -303,40 +296,34 @@ def cut(cont1, cont2, *, provider_protocol=None, provider_context=None) -> Parti
                 )
         else:
             a = provider_protocol if provider_protocol is not None else cont2._synth
-            c2 = provider_context if provider_context is not None else ()
+            c2 = ()
+            if provider_context is not None:
+                # The one context a user supplies: validated here, once.
+                validate_context(provider_context, "cut")
+                c2 = tuple(slots_of(provider_context))
         if a is None:
             raise ProtocolError(
                 "cut: cannot infer the provider protocol; pass a checked "
                 "Session or provider_protocol=..."
             )
-        c2_len = length(c2)
-        c1_len = length(ctx) - c2_len
+        c1_len = len(ctx) - len(c2)
         if c1_len < 0:
             raise LinearityError(
-                f"cut: provider context {context_str(c2)} is longer than "
-                f"the whole context {context_str(ctx)}"
+                f"cut: provider context {show(c2)} is longer than "
+                f"the whole context {show(ctx)}"
             )
-        slots = []
-        rest = ctx
-        for _ in range(c1_len):
-            head, rest = rest
-            slots.append(head)
-        if rest != c2:
+        if ctx[c1_len:] != c2:
             raise LinearityError(
-                f"cut: context {context_str(ctx)} does not end with the "
-                f"provider context {context_str(c2)}"
+                f"cut: context {show(ctx)} does not end with the "
+                f"provider context {show(c2)}"
             )
-        c1 = ()
-        for slot in reversed(slots):
-            c1 = (slot, c1)
-        exec1 = cont1._resolve(append(c1, (a, ())), offer)
+        exec1 = cont1._resolve(ctx[:c1_len] + (a,), offer)
         exec2 = cont2._resolve(c2, a)
 
         async def execute(endpoints, offer_chan):
-            eps1, eps2 = split_endpoints(endpoints, c1_len)
             sender, receiver = channel()
-            spawn(drive(exec2, eps2, sender))
-            return exec1, append_endpoint(eps1, receiver), offer_chan
+            spawn(drive(exec2, endpoints[c1_len:], sender))
+            return exec1, endpoints[:c1_len] + (receiver,), offer_chan
 
         return execute
 
@@ -353,15 +340,14 @@ def include_session(a: Session, cont) -> PartialSession:
     once = OneShotContinuation("include_session", cont)
 
     def resolve(ctx, offer):
-        lens = length_of(ctx)
-        premise = expect_program(once(lens), "include_session continuation")
-        exec_p = premise._resolve(append(ctx, (a.protocol, ())), offer)
+        premise = expect_program(once(nat(len(ctx))), "include_session continuation")
+        exec_p = premise._resolve(ctx + (a.protocol,), offer)
         exec_a = a._resolve((), a.protocol)
 
         async def execute(endpoints, offer_chan):
             sender, receiver = channel()
             spawn(drive(exec_a, (), sender))
-            return exec_p, append_endpoint(endpoints, receiver), offer_chan
+            return exec_p, endpoints + (receiver,), offer_chan
 
         return execute
 

@@ -34,7 +34,7 @@ from .constructs import (
     terminate,
     wait,
 )
-from .context import Z
+from .context import Z, nat
 from .core import (
     Session,
     apply_channel,
@@ -116,8 +116,6 @@ def hello_pair(name: str = "Alice") -> tuple[Session, Session]:
 def apply_channel_via_cut(f: Session, a: Session) -> Session:
     """The same linking as apply_channel, spelled with two explicit cuts
     followed by a delegation and a forward."""
-    from .context import nat
-
     chan_f, chan_a = Z, nat(1)
     body = cut(
         cut(

@@ -90,7 +90,6 @@ class Recorder:
         self.transcript = Transcript()
         self.counters = Counters()
         self._seq = itertools.count()
-        self._chan_ids = itertools.count()
         # Keyed by the task object: CPython reuses the id of a finished task.
         self._task_ids: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._task_seq = itertools.count(1)
@@ -127,12 +126,10 @@ class Recorder:
 
     # -- endpoint accounting ----------------------------------------------
 
-    def channel_created(self) -> int:
-        chan_id = next(self._chan_ids)
+    def channel_created(self) -> None:
         self.counters.endpoints_created += 2
-        return chan_id
 
-    def endpoint_consumed(self, chan_id: int, side: str) -> None:
+    def endpoint_consumed(self) -> None:
         self.counters.endpoints_consumed += 1
 
     def polarity_violation(self) -> None:

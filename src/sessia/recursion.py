@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import S, Z, _Z
+from .context import S, Z, _Z, focus, put
+from .core import PartialSession, expect_program
 from .errors import ProtocolError
 from .protocols import End, Protocol
 
@@ -97,8 +98,6 @@ class Fix(Protocol):
 
 def fix_session(cont):
     """Roll the unrolled session offered by `cont` into the fixed point."""
-    from .core import PartialSession, expect_program
-
     expect_program(cont, "fix_session")
 
     def resolve(ctx, offer):
@@ -114,19 +113,15 @@ def fix_session(cont):
 
 def unfix_session_for(n, cont):
     """Unroll the recursive protocol at slot `n`; exchanges nothing."""
-    from .context import lens_resolve, slot_at
-    from .core import PartialSession, expect_program
-
     expect_program(cont, "unfix_session_for")
 
     def resolve(ctx, offer):
-        slot = slot_at(n, ctx)
+        slot = focus(n, ctx)
         if not isinstance(slot, Fix):
             raise ProtocolError(
                 f"unfix_session_for: lens {n.level}: slot has type {slot}, "
                 f"expected a Fix protocol"
             )
-        target = lens_resolve(n, ctx, slot, slot.unroll())
-        return cont._resolve(target, offer)
+        return cont._resolve(put(ctx, n.level, slot.unroll()), offer)
 
     return PartialSession("unfix_session_for", resolve)

@@ -55,14 +55,15 @@ class Branch:
 
 
 class _OneShot:
-    __slots__ = ("_future", "_sent", "_received", "chan_id")
+    __slots__ = ("_future", "_sent", "_received")
 
     def __init__(self):
         self._future = asyncio.get_running_loop().create_future()
         self._sent = False
         self._received = False
         rec = active_recorder()
-        self.chan_id = rec.channel_created() if rec is not None else -1
+        if rec is not None:
+            rec.channel_created()
 
     def send(self, payload) -> None:
         if self._sent:
@@ -71,7 +72,7 @@ class _OneShot:
         self._future.set_result(payload)
         rec = active_recorder()
         if rec is not None:
-            rec.endpoint_consumed(self.chan_id, "sent")
+            rec.endpoint_consumed()
 
     def drop_unsent(self) -> None:
         if not self._sent and not self._future.done():
@@ -92,7 +93,7 @@ class _OneShot:
             )
         rec = active_recorder()
         if rec is not None:
-            rec.endpoint_consumed(self.chan_id, "received")
+            rec.endpoint_consumed()
         return payload
 
 

@@ -41,22 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import (
-    append,
-    append_endpoint,
-    context_str,
-    endpoints_at,
-    first_live_slot,
-    is_empty_context,
-    length,
-    length_of,
-    lens_resolve,
-    replace_endpoint,
-    slot_at,
-    Empty,
-    Z,
-    S,
-)
+from .context import Empty, S, focus, live_slot, nat, put, show
 from .core import (
     OneShotContinuation,
     PartialSession,
@@ -219,7 +204,7 @@ def accept_shared_session(cont) -> SharedSessionBuilder:
     expect_program(cont, "accept_shared_session")
 
     def resolve(protocol):
-        return cont._resolve((Lock(protocol.body), ()), protocol.unroll())
+        return cont._resolve((Lock(protocol.body),), protocol.unroll())
 
     return SharedSessionBuilder("accept_shared_session", resolve)
 
@@ -239,15 +224,13 @@ def detach_shared_session(cont: SharedSession) -> PartialSession:
                 f"detach_shared_session offers SharedToLinear, "
                 f"but the expected protocol here is {offer}"
             )
-        lock = Lock(offer.body)
-        if length(ctx) == 0 or slot_at(Z, ctx) != lock:
+        if not ctx or ctx[0] != Lock(offer.body):
             raise ProtocolError(
                 "detach_shared_session requires the critical-section lock "
-                f"at slot 0 of {context_str(ctx)}"
+                f"at slot 0 of {show(ctx)}"
             )
-        rest = ctx[1]
-        if not is_empty_context(rest):
-            live = first_live_slot(rest)
+        live = live_slot(ctx[1:])
+        if live is not None:
             raise LinearityError(
                 f"detach_shared_session requires all other channels consumed; "
                 f"slot {live[0] + 1} still holds {live[1]}"
@@ -260,7 +243,7 @@ def detach_shared_session(cont: SharedSession) -> PartialSession:
             )
 
         async def execute(endpoints, offer_chan):
-            section = endpoints_at(endpoints, 0)
+            section = endpoints[0]
             sender, receiver = channel()
             section.ack = sender
             # The client's release step acknowledges through the section.
@@ -284,8 +267,8 @@ def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
 
     def resolve(ctx, offer):
         body_protocol = shared.protocol.unroll()
-        premise_ctx = append(ctx, (body_protocol, ()))
-        produced = once(length_of(ctx))
+        premise_ctx = ctx + (body_protocol,)
+        produced = once(nat(len(ctx)))
         deferred = inspect.isawaitable(produced)
         exec_p = None
         if not deferred:
@@ -306,7 +289,7 @@ def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
                 exec_p = resolve_deferred(
                     premise, premise_ctx, offer, "acquire_shared_session continuation"
                 )
-            return exec_p, append_endpoint(endpoints, linear), offer_chan
+            return exec_p, endpoints + (linear,), offer_chan
 
         return execute
 
@@ -319,21 +302,20 @@ def release_shared_session(n, cont) -> PartialSession:
     expect_program(cont, "release_shared_session")
 
     def resolve(ctx, offer):
-        slot = slot_at(n, ctx)
+        slot = focus(n, ctx)
         if not isinstance(slot, SharedToLinear):
             raise ProtocolError(
                 f"release_shared_session: lens {n.level}: slot has type {slot}; "
                 f"the session has not reached its release point"
             )
-        target = lens_resolve(n, ctx, slot, Empty)
-        exec_cont = cont._resolve(target, offer)
         level = n.level
+        exec_cont = cont._resolve(put(ctx, level, Empty), offer)
 
         async def execute(endpoints, offer_chan):
-            outbound = await endpoints_at(endpoints, level).recv()
+            outbound = await endpoints[level].recv()
             record_event("REL")
             outbound.send(ACK)
-            return exec_cont, replace_endpoint(endpoints, level, ()), offer_chan
+            return exec_cont, put(endpoints, level, ()), offer_chan
 
         return execute
 
@@ -452,7 +434,7 @@ async def _serve(state: _SharedState, first: SharedSession):
             linear_sender, linear_receiver = channel()
             response.set_result(linear_receiver)
             # The critical section runs here, on the shared process's task.
-            await drive(executor, (section, ()), linear_sender)
+            await drive(executor, (section,), linear_sender)
             following = section.following
             if (
                 not isinstance(following, SharedSession)

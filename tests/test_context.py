@@ -209,3 +209,63 @@ def test_context_validation():
         validate_context((A, B))
     with pytest.raises(ProtocolError, match="not a Slot"):
         context([42])
+
+
+# -- long contexts: the public helpers iterate, never recurse ----------------
+
+from sessia.context import context_str  # noqa: E402
+
+LONG = 10_000
+
+
+def long_context(last=B):
+    return context([A] * (LONG - 1) + [last])
+
+
+def test_append_on_a_long_context():
+    grown = append(long_context(), (End, ()))
+    assert length(grown) == LONG + 1
+    assert slot_at(nat(LONG), grown) == End
+    assert slot_at(nat(LONG - 1), grown) == B
+
+
+def test_lens_resolve_on_a_long_context():
+    last = nat(LONG - 1)
+    got = lens_resolve(last, long_context(), B, Empty)
+    slots = slots_of(got)
+    assert len(slots) == LONG
+    assert slots[-1] == Empty
+    assert slots[:-1] == [A] * (LONG - 1)
+
+
+def test_length_of_a_long_context():
+    assert length_of(long_context()).level == LONG
+
+
+def test_context_str_of_a_long_context():
+    text = context_str(long_context())
+    assert text.startswith(f"({A}, ({A}, ")
+    assert text.endswith(f"({B}, ()" + ")" * LONG)
+
+
+def test_empty_endpoints_of_a_long_context():
+    eps = empty_endpoints(context([Empty] * LONG))
+    assert slots_of(eps) == [()] * LONG
+
+
+def test_nat_level_of_a_deep_lens():
+    assert nat(LONG).level == LONG
+    assert S(nat(LONG - 1)) == nat(LONG)
+    assert nat(LONG) != nat(LONG - 1)
+
+
+def test_nat_values_are_interned():
+    for level in (0, 1, 2, 64, LONG):
+        assert nat(level) is nat(level)
+
+
+def test_length_of_is_the_lens_of_the_length():
+    for slots in enumerate_contexts(PROTOS3, 3):
+        c = context(slots)
+        assert length_of(c) is nat(length(c))
+    assert length_of(long_context()) == nat(length(long_context()))

@@ -330,3 +330,107 @@ def test_terminate_in_context_of_consumed_slots():
     # (Empty, ()) is an empty context: terminate is accepted there
     body = include_session(end_provider(), lambda x: wait(x, terminate()))
     run(run_session(session(End, body)))
+
+
+# -- the user-supplied provider context is validated once, at cut ------------
+
+import sessia.core  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "provider_context, text",
+    [((End, End), "cut: malformed context End"), (("x", ()), "cut: 'x' is not a Slot")],
+)
+def test_cut_rejects_a_malformed_provider_context_at_check_time(
+    provider_context, text
+):
+    program = include_session(
+        end_provider(),
+        lambda a: cut(
+            wait(nat(0), terminate()),
+            terminate(),
+            provider_protocol=End,
+            provider_context=provider_context,
+        ),
+    )
+    with recording() as rec:
+        with pytest.raises(ProtocolError) as raised:
+            session(End, program)
+    assert str(raised.value) == text
+    assert rec.counters.endpoints_created == 0
+
+
+def test_cut_hands_the_provider_the_tail_of_the_context():
+    # slot 0 stays with the client, slot 1 moves to the provider of slot 2
+    def provider_body():
+        def on_value(v):
+            record_event("RECV", f"provider {v}")
+            return wait(Z, terminate())
+
+        return receive_value_from(Z, on_value)
+
+    def client(a, b):
+        def on_value(v):
+            record_event("RECV", f"client {v}")
+            return wait(a, wait(nat(1), terminate()))
+
+        return cut(
+            receive_value_from(a, on_value),
+            provider_body(),
+            provider_protocol=End,
+            provider_context=(SendValue(int, End), ()),
+        )
+
+    program = include_session(
+        int_provider(1), lambda a: include_session(int_provider(2), lambda b: client(a, b))
+    )
+    with recording() as rec:
+        run(run_session(session(End, program)))
+    assert sorted(rec.transcript.values("RECV")) == ["client 1", "provider 2"]
+    assert rec.conservation_ok() and rec.one_shot_ok()
+
+
+def fanout_client(width):
+    """Include `width` SendValue(int, End) providers, then drain each."""
+
+    def drain(level):
+        if level == width:
+            return terminate()
+        lens = nat(level)
+        return receive_value_from(lens, lambda v: wait(lens, drain(level + 1)))
+
+    def include(level):
+        if level == width:
+            return drain(0)
+        return include_session(int_provider(level), lambda lens: include(level + 1))
+
+    return include(0)
+
+
+def test_library_built_contexts_are_not_validated_again(monkeypatch):
+    calls = []
+    validate = sessia.core.validate_context
+
+    def counting(c, who="context"):
+        calls.append(who)
+        validate(c, who)
+
+    monkeypatch.setattr(sessia.core, "validate_context", counting)
+    checked = session(End, fanout_client(64))
+    assert calls == []
+    session(
+        End,
+        include_session(
+            end_provider(),
+            lambda a: cut(
+                wait(Z, terminate()),
+                wait(Z, terminate()),
+                provider_protocol=End,
+                provider_context=(End, ()),
+            ),
+        ),
+    )
+    assert calls == ["cut"]
+    with recording() as rec:
+        run(run_session(checked))
+    assert rec.conservation_ok() and rec.one_shot_ok()

@@ -250,3 +250,75 @@ def test_substitution_leaves_no_marker(body, x):
             shared_type_apply(body, x)
     else:
         assert shared_type_apply(body, x) == linear
+
+
+# -- the same pairs at wider contexts ----------------------------------------
+
+Pad = SendValue(int, End)
+PAD_BASE = 1000
+
+
+class WideClient(Client):
+    """The client of the protocol at slot `lens`; `tail` ends every path."""
+
+    def __init__(self, mask, lens, tail):
+        super().__init__(mask)
+        self.lens = lens
+        self.tail = tail
+
+    def build(self, p, depth=0):
+        if p == End:
+            return wait(self.lens, self.tail())
+        return self.step(p, depth, self.lens)
+
+
+def drain(lenses, rest):
+    """Receive from and wait on each pad at `lenses` in turn, then `rest()`."""
+    if not lenses:
+        return rest()
+    lens = lenses[0]
+
+    def on_value(v):
+        record_event("RECV", v)
+        return wait(lens, drain(lenses[1:], rest))
+
+    return receive_value_from(lens, on_value)
+
+
+def padded(p, mask, before, after):
+    """p's provider at slot `before`, with `before` pads below it and
+    `after` pads above; the client drains the lower pads, runs p's client,
+    then drains the upper pads, each through the lens it was handed."""
+    width = before + 1 + after
+    lenses = []
+
+    def include(slot):
+        if slot == width:
+            upper = lenses[before + 1:]
+            client = WideClient(mask, lenses[before], lambda: drain(upper, terminate))
+            return drain(lenses[:before], lambda: client.build(p))
+        if slot == before:
+            provided = session(p, provider(p, mask))
+        else:
+            provided = session(Pad, send_value(PAD_BASE + slot, terminate()))
+
+        def handed(lens):
+            lenses.append(lens)
+            return include(slot + 1)
+
+        return include_session(provided, handed)
+
+    return include(0)
+
+
+@given(protocols(5), st.integers(0, 63), st.integers(0, 6), st.integers(0, 3))
+def test_generated_pairs_run_among_pads(p, mask, before, after):
+    program = session(End, padded(p, mask, before, after))
+    with recording() as rec:
+        run(run_session(program))
+    assert rec.conservation_ok()
+    assert rec.one_shot_ok()
+    pads = [slot for slot in range(before + 1 + after) if slot != before]
+    assert len(rec.transcript.events("END")) == 2 + len(pads)
+    expected = expected_values(p, mask) + [PAD_BASE + slot for slot in pads]
+    assert sorted(rec.transcript.values("RECV")) == sorted(str(v) for v in expected)

@@ -124,6 +124,7 @@ class S(Nat):
         return hash(("S", self.level))
 
 
+# _nats[k] is the lens at level k; grown on demand, never shrunk.
 _nats: list = [Z]
 
 
@@ -217,7 +218,7 @@ def length(c) -> int:
 
 
 def length_of(c) -> Nat:
-    """Type-level length: Z for nil, S(length_of(tail)) for cons."""
+    """Type-level length, the lens the next include gets: `nat(length(c))`."""
     return nat(length(c))
 
 

@@ -18,7 +18,14 @@ from sessia import (
     lens_resolve,
     nat,
 )
-from sessia.context import context, length, slot_at, slots_of, validate_context
+from sessia.context import (
+    context,
+    context_str,
+    length,
+    slot_at,
+    slots_of,
+    validate_context,
+)
 
 A = SendValue(int, End)
 B = ReceiveValue(str, End)
@@ -212,8 +219,6 @@ def test_context_validation():
 
 
 # -- long contexts: the public helpers iterate, never recurse ----------------
-
-from sessia.context import context_str  # noqa: E402
 
 LONG = 10_000
 

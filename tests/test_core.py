@@ -30,6 +30,7 @@ from sessia import (
     terminate,
     wait,
 )
+import sessia.core
 from sessia.core import drive
 from sessia.demos import apply_channel_via_cut, hello_pair
 from sessia.runtime import END, channel
@@ -333,8 +334,6 @@ def test_terminate_in_context_of_consumed_slots():
 
 
 # -- the user-supplied provider context is validated once, at cut ------------
-
-import sessia.core  # noqa: E402
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,10 @@ checking happens strictly before execution:
   still before that subtree executes.
 
 Program values are linear: every `PartialSession`/`Session` is consumed by
-the construct that uses it, and every executor runs at most once.
+the construct that links it, and every executor and user continuation runs
+at most once. Each such resource sits in one slot that is emptied when it is
+used (a program's content, an executor's `execute`, a continuation's
+function), and an empty slot is the one mark of "already used".
 
 A run executes as a trampoline. Each executor performs its construct's one
 protocol step and returns the next step, `(executor, endpoints, offer)`,
@@ -93,7 +96,7 @@ async def drive(executor: Executor, endpoints, offer) -> None:
 class OneShotContinuation:
     """Wraps a user continuation so it can be invoked exactly once."""
 
-    __slots__ = ("_rule", "_fn", "_token", "_called")
+    __slots__ = ("_rule", "_fn", "_token")
 
     def __init__(self, rule: str, fn):
         if not callable(fn):
@@ -101,16 +104,14 @@ class OneShotContinuation:
         self._rule = rule
         self._fn = fn
         self._token = next(_tokens)
-        self._called = False
 
     def __call__(self, *args):
-        if self._called:
+        fn, self._fn = self._fn, None
+        if fn is None:
             raise RuntimeViolation(f"{self._rule}: continuation invoked twice")
-        self._called = True
         rec = active_recorder()
         if rec is not None:
             rec.continuation_ran(self._token)
-        fn, self._fn = self._fn, None
         return fn(*args)
 
 
@@ -121,23 +122,25 @@ class PartialSession:
     by the construct (or the `session` annotation) that uses them.
     """
 
-    def __init__(self, rule: str, resolve_fn, synth_protocol: Protocol | None = None):
+    def __init__(self, rule: str, content, synth_protocol: Protocol | None = None):
         self._rule = rule
-        self._resolve_fn = resolve_fn
+        # The rule's resolve function, or a checked Session's executor.
+        self._content = content
         self._synth = synth_protocol
-        self._consumed = False
 
     def _take(self, what: str):
-        if self._consumed:
+        """Empty the content slot; an empty slot means already consumed."""
+        content, self._content = self._content, None
+        if content is None:
             raise LinearityError(
                 f"{what}: session program value already consumed (programs are linear)"
             )
-        self._consumed = True
+        return content
 
     def _resolve(self, ctx, offer):
-        self._take(self._rule)
+        resolve_fn = self._take(self._rule)
         check_protocol(offer, self._rule)
-        execute = self._resolve_fn(ctx, offer)
+        execute = resolve_fn(ctx, offer)
         # Rolling and unrolling exchange nothing: they pass on the executor
         # of their premise instead of adding a step.
         if isinstance(execute, Executor):
@@ -160,16 +163,15 @@ class Session(PartialSession):
     """A checked closed program: no free linear channels, offers `protocol`."""
 
     def __init__(self, protocol: Protocol, executor):
-        super().__init__("session", None)
+        super().__init__("session", executor)
         self._protocol = protocol
-        self._executor = executor
 
     @property
     def protocol(self) -> Protocol:
         return self._protocol
 
     def _resolve(self, ctx, offer):
-        self._take("session")
+        executor = self._take("session")
         if ctx:
             raise LinearityError(
                 f"a closed session cannot run in the non-empty context "
@@ -180,7 +182,6 @@ class Session(PartialSession):
                 f"session offers {self._protocol}, "
                 f"but the expected protocol here is {offer}"
             )
-        executor, self._executor = self._executor, None
         return executor
 
     def __repr__(self):
@@ -288,19 +289,19 @@ def cut(cont1, cont2, *, provider_protocol=None, provider_context=None) -> Parti
     expect_program(cont2, "cut")
 
     def resolve(ctx, offer):
+        c2 = ()
+        if provider_context is not None:
+            # The one context a user supplies: validated here, once.
+            validate_context(provider_context, "cut")
+            c2 = tuple(slots_of(provider_context))
         if isinstance(cont2, Session):
-            a, c2 = cont2.protocol, ()
+            a = cont2.protocol
             if provider_protocol is not None and provider_protocol != a:
                 raise ProtocolError(
                     f"cut: provider offers {a}, not {provider_protocol}"
                 )
         else:
             a = provider_protocol if provider_protocol is not None else cont2._synth
-            c2 = ()
-            if provider_context is not None:
-                # The one context a user supplies: validated here, once.
-                validate_context(provider_context, "cut")
-                c2 = tuple(slots_of(provider_context))
         if a is None:
             raise ProtocolError(
                 "cut: cannot infer the provider protocol; pass a checked "

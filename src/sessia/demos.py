@@ -15,7 +15,6 @@ channel — so requests to a nonexistent canvas are unrepresentable.
 from __future__ import annotations
 
 import asyncio
-import gc
 from dataclasses import dataclass
 
 from .constructs import (
@@ -230,11 +229,6 @@ def shared_counter_client(chan) -> Session:
     return session(End, acquire_shared_session(chan, body))
 
 
-async def _stop_shared(state) -> None:
-    gc.collect()
-    await asyncio.wait_for(state.stopped.wait(), timeout=5)
-
-
 def shared_counter_demo(clients: int = 2) -> Transcript:
     """`clients` concurrent clients each take one count from one shared
     counter process; counts are unique and critical sections disjoint."""
@@ -252,7 +246,7 @@ def shared_counter_demo(clients: int = 2) -> Transcript:
         if tasks:
             await asyncio.gather(*tasks)
         del tasks
-        await _stop_shared(state)
+        await asyncio.wait_for(state.stopped.wait(), timeout=5)
 
     transcript, _ = _run_demo(main)
     return transcript
@@ -381,7 +375,7 @@ def canvas_demo() -> Transcript:
         del chan
         await asyncio.gather(*tasks)
         del tasks
-        await _stop_shared(state)
+        await asyncio.wait_for(state.stopped.wait(), timeout=5)
 
     transcript, _ = _run_demo(main)
     return transcript

@@ -2,7 +2,9 @@
 
 Every protocol step communicates over a fresh one-shot channel with
 capacity one: the send never blocks, the channel carries at most one
-payload, and each endpoint may be used once. The sending endpoint of a
+payload, and each endpoint may be used once. A channel is one future; each
+endpoint holds it in one slot and empties the slot when it is used, so an
+empty slot marks a used endpoint. The sending endpoint of a
 freshly created step channel belongs to the provider and the receiving
 endpoint to the client; reversal, where needed, is done by nesting a fresh
 sender inside a payload, never by handing a provider a receiver.
@@ -23,7 +25,7 @@ from .instrument import active_recorder
 
 
 class Signal:
-    """Zero-payload wire token (termination, release, acknowledgement)."""
+    """Zero-payload wire token (termination, acknowledgement)."""
 
     __slots__ = ("name",)
 
@@ -35,7 +37,6 @@ class Signal:
 
 
 END = Signal("end")
-RELEASE = Signal("release")
 ACK = Signal("ack")
 
 # Sentinel delivered when a sending endpoint is dropped without ever being
@@ -54,39 +55,55 @@ class Branch:
     endpoint: object = None
 
 
-class _OneShot:
-    __slots__ = ("_future", "_sent", "_received")
+def channel() -> tuple[Sender, Receiver]:
+    """A fresh one-shot channel: one future, held by both endpoints."""
+    future = asyncio.get_running_loop().create_future()
+    rec = active_recorder()
+    if rec is not None:
+        rec.channel_created()
+    return Sender(future), Receiver(future)
 
-    def __init__(self):
-        self._future = asyncio.get_running_loop().create_future()
-        self._sent = False
-        self._received = False
-        rec = active_recorder()
-        if rec is not None:
-            rec.channel_created()
+
+class Sender:
+    """Provider-held endpoint of a one-shot step channel."""
+
+    __slots__ = ("_future",)
+
+    def __init__(self, future: asyncio.Future):
+        self._future = future
 
     def send(self, payload) -> None:
-        if self._sent:
+        future, self._future = self._future, None
+        if future is None:
             raise RuntimeViolation("one-shot channel endpoint used twice (send)")
-        self._sent = True
-        self._future.set_result(payload)
+        future.set_result(payload)
         rec = active_recorder()
         if rec is not None:
             rec.endpoint_consumed()
 
-    def drop_unsent(self) -> None:
-        if not self._sent and not self._future.done():
-            self._sent = True
+    def __del__(self):
+        # Dropped unused: wake the receiver instead of leaving it blocked.
+        future = getattr(self, "_future", None)
+        if future is not None and not future.done():
             try:
-                self._future.set_result(_DROPPED)
+                future.set_result(_DROPPED)
             except RuntimeError:
                 pass  # event loop already closed
 
+
+class Receiver:
+    """Client-held endpoint of a one-shot step channel."""
+
+    __slots__ = ("_future",)
+
+    def __init__(self, future: asyncio.Future):
+        self._future = future
+
     async def recv(self):
-        if self._received:
+        future, self._future = self._future, None
+        if future is None:
             raise RuntimeViolation("one-shot channel endpoint used twice (recv)")
-        self._received = True
-        payload = await self._future
+        payload = await future
         if payload is _DROPPED:
             raise RuntimeViolation(
                 "the sending endpoint of this channel was dropped unused"
@@ -95,40 +112,6 @@ class _OneShot:
         if rec is not None:
             rec.endpoint_consumed()
         return payload
-
-
-class Sender:
-    """Provider-held endpoint of a one-shot step channel."""
-
-    __slots__ = ("_chan",)
-
-    def __init__(self, chan: _OneShot):
-        self._chan = chan
-
-    def send(self, payload) -> None:
-        self._chan.send(payload)
-
-    def __del__(self):
-        chan = getattr(self, "_chan", None)
-        if chan is not None:
-            chan.drop_unsent()
-
-
-class Receiver:
-    """Client-held endpoint of a one-shot step channel."""
-
-    __slots__ = ("_chan",)
-
-    def __init__(self, chan: _OneShot):
-        self._chan = chan
-
-    async def recv(self):
-        return await self._chan.recv()
-
-
-def channel() -> tuple[Sender, Receiver]:
-    chan = _OneShot()
-    return Sender(chan), Receiver(chan)
 
 
 class RunContext:

@@ -10,12 +10,19 @@ nested `Fix` or a release step of its own at the end of some path has a
 path that never releases back to the shared type, and cannot form one.
 
 At runtime one background task owns the shared process. It serves acquire
-requests strictly FIFO, runs each critical section on its own task, and
-only moves to the next request after the releasing client has acknowledged
-the release — so critical sections never overlap. The `Lock` slot is the
+requests strictly FIFO, runs each critical section on that task, and only
+moves to the next request after the releasing client has acknowledged the
+release — so critical sections never overlap. The `Lock` slot is the
 runtime witness of being inside a critical section: `accept` plants it at
 slot 0 and `detach` consumes it to hand the continuation of the shared
 process back to the loop.
+
+A shared *channel* may be aliased, but the checked shared program behind it
+is linear. A `SharedSession` is consumed when it is linked, as a checked
+`Session` is: by `run_shared_session`, or when the `detach_shared_session`
+that continues with it is checked. Its executor sits in one slot that
+linking empties, and an empty slot is the one-shot mark, so a reuse fails
+with `LinearityError` where it is linked, never inside the running process.
 
 Each acquire request carries the client's run, which the shared process
 binds to the critical section before it hands over the linear channel and
@@ -35,7 +42,6 @@ acquire is pending.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -47,7 +53,6 @@ from .core import (
     PartialSession,
     drive,
     expect_program,
-    resolve_deferred,
 )
 from .errors import (
     LinearityError,
@@ -140,24 +145,23 @@ class LinearToShared(SharedProtocol):
 
 
 class SharedSessionBuilder:
-    """Unchecked shared program; becomes a SharedSession via shared_session."""
+    """Unchecked shared program; becomes a SharedSession via shared_session.
 
-    def __init__(self, rule: str, resolve_fn):
-        self._rule = rule
-        self._resolve_fn = resolve_fn
-        self._consumed = False
+    It holds only the critical-section program `cont`, so checking it twice
+    is caught when `cont` is consumed the second time.
+    """
 
-    def _resolve(self, protocol: LinearToShared):
-        if self._consumed:
-            raise LinearityError(
-                f"{self._rule}: shared program value already consumed"
-            )
-        self._consumed = True
-        return self._resolve_fn(protocol)
+    def __init__(self, cont: PartialSession):
+        self.cont = cont
 
 
 class SharedSession:
-    """A checked shared program; single-use, inert until run."""
+    """A checked shared program; inert until linked, and linked once.
+
+    `run_shared_session`, or the check of a `detach_shared_session` that
+    continues with it, empties its executor slot; a second link finds the
+    slot empty and raises `LinearityError`.
+    """
 
     def __init__(self, protocol: LinearToShared, executor):
         self._protocol = protocol
@@ -195,18 +199,14 @@ def shared_session(protocol: LinearToShared, program) -> SharedSession:
             f"shared_session: expected a shared program "
             f"(accept_shared_session(...)), got {program!r}"
         )
-    return SharedSession(protocol, program._resolve(protocol))
+    section = program.cont._resolve((Lock(protocol.body),), protocol.unroll())
+    return SharedSession(protocol, section)
 
 
 def accept_shared_session(cont) -> SharedSessionBuilder:
     """Accept one acquire: run `cont` as the critical section, holding the
     lock token at slot 0 and offering the unrolled shared body."""
-    expect_program(cont, "accept_shared_session")
-
-    def resolve(protocol):
-        return cont._resolve((Lock(protocol.body),), protocol.unroll())
-
-    return SharedSessionBuilder("accept_shared_session", resolve)
+    return SharedSessionBuilder(expect_program(cont, "accept_shared_session"))
 
 
 def detach_shared_session(cont: SharedSession) -> PartialSession:
@@ -241,6 +241,7 @@ def detach_shared_session(cont: SharedSession) -> PartialSession:
                 f"detach_shared_session: continuation offers {cont.protocol}, "
                 f"expected {expected}"
             )
+        following = cont._take_executor()
 
         async def execute(endpoints, offer_chan):
             section = endpoints[0]
@@ -249,7 +250,7 @@ def detach_shared_session(cont: SharedSession) -> PartialSession:
             # The client's release step acknowledges through the section.
             offer_chan.send(section)
             await receiver.recv()
-            section.following = cont
+            section.following = following
 
         return execute
 
@@ -266,29 +267,14 @@ def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
     once = OneShotContinuation("acquire_shared_session", cont)
 
     def resolve(ctx, offer):
-        body_protocol = shared.protocol.unroll()
-        premise_ctx = ctx + (body_protocol,)
-        produced = once(nat(len(ctx)))
-        deferred = inspect.isawaitable(produced)
-        exec_p = None
-        if not deferred:
-            exec_p = expect_program(
-                produced, "acquire_shared_session continuation"
-            )._resolve(premise_ctx, offer)
+        premise = expect_program(
+            once(nat(len(ctx))), "acquire_shared_session continuation"
+        )
+        exec_p = premise._resolve(ctx + (shared.protocol.unroll(),), offer)
 
         async def execute(endpoints, offer_chan):
-            nonlocal exec_p
             linear = await shared._request(current_run())
-            if isinstance(linear, _PoisonPill):
-                raise RuntimeViolation(
-                    "shared process failed before this acquire was served"
-                ) from linear.exc
             record_event("ACQ")
-            if exec_p is None:
-                premise = await produced
-                exec_p = resolve_deferred(
-                    premise, premise_ctx, offer, "acquire_shared_session continuation"
-                )
             return exec_p, endpoints + (linear,), offer_chan
 
         return execute
@@ -325,21 +311,14 @@ def release_shared_session(n, cont) -> PartialSession:
 # -- the shared process --------------------------------------------------
 
 
-class _PoisonPill:
-    __slots__ = ("exc",)
-
-    def __init__(self, exc):
-        self.exc = exc
-
-
 class _Section:
     """Endpoint at the `Lock` slot of one critical section.
 
     While `run` is set, the client run that acquired the section is bound
     to it: the run's failure fails the shared process. The client's release
     step sends its acknowledgement through the section, which unbinds the
-    run before it wakes `detach`; `detach` then leaves the continuation of
-    the shared process in `following`.
+    run before it wakes `detach`; `detach` then leaves the executor of the
+    shared process's next section in `following`.
     """
 
     __slots__ = ("state", "run", "ack", "following", "abandoned")
@@ -418,8 +397,7 @@ class _SharedState:
             self._waiter = None
 
 
-async def _serve(state: _SharedState, first: SharedSession):
-    current = first
+async def _serve(state: _SharedState, executor):
     section = None
     try:
         while True:
@@ -429,21 +407,16 @@ async def _serve(state: _SharedState, first: SharedSession):
             response, run = request
             if response.done():
                 continue  # the acquirer was cancelled while queued
-            executor = current._take_executor()
             section = _Section(state, run)
             linear_sender, linear_receiver = channel()
             response.set_result(linear_receiver)
             # The critical section runs here, on the shared process's task.
             await drive(executor, (section,), linear_sender)
-            following = section.following
-            if (
-                not isinstance(following, SharedSession)
-                or following.protocol != state.protocol
-            ):
+            executor = section.following
+            if executor is None:
                 raise RuntimeViolation(
-                    "shared process: detach handed back a mismatched continuation"
+                    "shared process: a critical section ended without a detach"
                 )
-            current = following
     except BaseException as exc:
         failure = exc
         if section is not None and section.abandoned is not None:
@@ -458,7 +431,11 @@ async def _serve(state: _SharedState, first: SharedSession):
         while state.requests:
             response, _ = state.requests.popleft()
             if not response.done():
-                response.set_result(_PoisonPill(failure))
+                lost = RuntimeViolation(
+                    "shared process failed before this acquire was served"
+                )
+                lost.__cause__ = failure
+                response.set_exception(lost)
         raise failure
     finally:
         state.stopped.set()
@@ -491,7 +468,7 @@ class SharedChannel:
 
     def _request(self, run) -> asyncio.Future:
         """Queue an acquire by `run`; the future resolves to the linear
-        channel, or to a poison pill if the shared process fails first."""
+        channel, or fails if the shared process fails first."""
         if self._state.failure is not None:
             raise RuntimeViolation(
                 "shared process already failed"
@@ -511,8 +488,9 @@ def run_shared_session(s: SharedSession) -> SharedChannel:
             f"(build one with shared_session(S, ...)), got {s!r}"
         )
     state = _SharedState(s.protocol)
-    state.task = asyncio.get_running_loop().create_task(_serve(state, s))
-    # the failure is reported through poisoned acquires / the bound run;
+    executor = s._take_executor()
+    state.task = asyncio.get_running_loop().create_task(_serve(state, executor))
+    # the failure is reported through failed acquires / the bound run;
     # retrieve it here so the loop task never warns about it
     state.task.add_done_callback(
         lambda t: t.exception() if not t.cancelled() else None

@@ -359,6 +359,31 @@ def test_cut_rejects_a_malformed_provider_context_at_check_time(
     assert rec.counters.endpoints_created == 0
 
 
+@pytest.mark.parametrize(
+    "provider_context, error, text",
+    [
+        ((End, End), ProtocolError, "cut: malformed context End"),
+        (
+            (End, ()),
+            LinearityError,
+            "a closed session cannot run in the non-empty context",
+        ),
+    ],
+)
+def test_cut_checks_the_provider_context_of_a_checked_session(
+    provider_context, error, text
+):
+    program = include_session(
+        end_provider(),
+        lambda a: cut(
+            wait(Z, terminate()), end_provider(), provider_context=provider_context
+        ),
+    )
+    with pytest.raises(error) as raised:
+        session(End, program)
+    assert str(raised.value).startswith(text)
+
+
 def test_cut_hands_the_provider_the_tail_of_the_context():
     # slot 0 stays with the client, slot 1 moves to the provider of slot 2
     def provider_body():

@@ -6,6 +6,8 @@ import pytest
 from conftest import run
 from sessia import (
     End,
+    ExternalChoice,
+    LinearityError,
     LinearToShared,
     ProtocolError,
     RuntimeViolation,
@@ -18,6 +20,7 @@ from sessia import (
     detach_shared_session,
     include_session,
     nat,
+    offer_choice,
     receive_value_from,
     record_event,
     recording,
@@ -34,6 +37,7 @@ from sessia import (
 )
 from sessia.demos import (
     SharedCounter,
+    canvas_demo,
     shared_counter_client,
     shared_counter_demo,
     shared_counter_provider,
@@ -542,3 +546,117 @@ def test_outside_cancellation_mid_section_stops_shared_process():
             await run_session(shared_counter_client(chan.clone()))
 
     run_without_gc(main())
+
+
+# -- a checked shared program is consumed when it is linked --------------------
+
+
+def test_a_second_run_of_one_shared_session_is_rejected():
+    async def main():
+        provider = shared_counter_provider(0)
+        chan = run_shared_session(provider)
+        with pytest.raises(LinearityError, match="already consumed"):
+            run_shared_session(provider)
+        seen = []
+        await asyncio.wait_for(run_session(counting_client(chan.clone(), seen)), 1)
+        assert seen == [0]
+
+    run_without_gc(main())
+
+
+def test_a_detach_that_reuses_the_running_shared_session_fails_its_client():
+    async def main():
+        entered, gate = asyncio.Event(), asyncio.Event()
+        provider = None
+
+        async def produce():
+            entered.set()
+            await gate.wait()
+            return 0, detach_shared_session(provider)
+
+        provider = shared_session(
+            SharedCounter, accept_shared_session(send_value_async(produce))
+        )
+        chan = run_shared_session(provider)
+        state = chan._state
+        first = asyncio.ensure_future(run_session(counting_client(chan.clone(), [])))
+        queued = asyncio.ensure_future(run_session(counting_client(chan.clone(), [])))
+        await asyncio.wait_for(entered.wait(), 1)
+        while not state.requests:
+            await asyncio.sleep(0)
+        gate.set()
+        with pytest.raises(LinearityError, match="already consumed"):
+            await asyncio.wait_for(first, 1)
+        await asyncio.wait_for(state.stopped.wait(), 1)
+        assert isinstance(state.failure, LinearityError)
+        with pytest.raises(
+            RuntimeViolation, match="failed before this acquire was served"
+        ):
+            await asyncio.wait_for(queued, 1)
+
+    run_without_gc(main())
+
+
+def test_two_branches_cannot_detach_to_one_shared_session():
+    Toggle = LinearToShared(ExternalChoice(SendValue(int, Z), SendValue(int, Z)))
+
+    def toggle(value):
+        def branch():
+            async def produce():
+                return value, detach_shared_session(toggle(value + 1))
+
+            return send_value_async(produce)
+
+        return shared_session(Toggle, accept_shared_session(offer_choice(branch(), branch())))
+
+    following = toggle(0)
+    with pytest.raises(LinearityError, match="already consumed"):
+        shared_session(
+            Toggle,
+            accept_shared_session(
+                offer_choice(
+                    send_value(0, detach_shared_session(following)),
+                    send_value(1, detach_shared_session(following)),
+                )
+            ),
+        )
+
+
+def test_an_async_acquire_continuation_is_rejected_when_checked():
+    async def body(c):
+        return release_shared_session(c, terminate())
+
+    async def main():
+        chan = run_shared_session(shared_counter_provider(0))
+        # the rejected continuation's coroutine is dropped unawaited
+        with pytest.warns(RuntimeWarning, match="never awaited"):
+            with pytest.raises(
+                ProtocolError,
+                match="acquire_shared_session continuation: expected a session program",
+            ):
+                session(End, acquire_shared_session(chan, body))
+            gc.collect()
+
+    run(main())
+
+
+def test_demos_stop_their_shared_process_without_gc(monkeypatch):
+    def no_collect(*args):
+        raise AssertionError("gc.collect() called")
+
+    monkeypatch.setattr(gc, "collect", no_collect)
+    gc.disable()
+    try:
+        for clients in range(9):
+            assert len(shared_counter_demo(clients).values("RECV")) == clients
+        assert sorted(canvas_demo().values("RECV")) == [
+            "canvas-1 LineTo(10,0)",
+            "canvas-1 LineTo(10,10)",
+            "canvas-1 MoveTo(0,0)",
+            "canvas-2 LineTo(6,7)",
+            "canvas-2 MoveTo(5,5)",
+            "id 1",
+            "id 2",
+        ]
+    finally:
+        gc.enable()

@@ -55,15 +55,6 @@ class Branch:
     endpoint: object = None
 
 
-def channel() -> tuple[Sender, Receiver]:
-    """A fresh one-shot channel: one future, held by both endpoints."""
-    future = asyncio.get_running_loop().create_future()
-    rec = active_recorder()
-    if rec is not None:
-        rec.channel_created()
-    return Sender(future), Receiver(future)
-
-
 class Sender:
     """Provider-held endpoint of a one-shot step channel."""
 
@@ -112,6 +103,15 @@ class Receiver:
         if rec is not None:
             rec.endpoint_consumed()
         return payload
+
+
+def channel() -> tuple[Sender, Receiver]:
+    """A fresh one-shot channel: one future, held by both endpoints."""
+    future = asyncio.get_running_loop().create_future()
+    rec = active_recorder()
+    if rec is not None:
+        rec.channel_created()
+    return Sender(future), Receiver(future)
 
 
 class RunContext:

@@ -607,7 +607,9 @@ def test_two_branches_cannot_detach_to_one_shared_session():
 
             return send_value_async(produce)
 
-        return shared_session(Toggle, accept_shared_session(offer_choice(branch(), branch())))
+        return shared_session(
+            Toggle, accept_shared_session(offer_choice(branch(), branch()))
+        )
 
     following = toggle(0)
     with pytest.raises(LinearityError, match="already consumed"):

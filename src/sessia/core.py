@@ -153,6 +153,8 @@ class PartialSession:
 
 def expect_program(p, rule: str) -> PartialSession:
     if not isinstance(p, PartialSession):
+        if inspect.iscoroutine(p):
+            p.close()  # a rejected async continuation is never awaited
         raise ProtocolError(
             f"{rule}: expected a session program (PartialSession), got {p!r}"
         )

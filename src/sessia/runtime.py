@@ -117,18 +117,20 @@ def channel() -> tuple[Sender, Receiver]:
 class RunContext:
     """Tracks the tasks of one run so failures propagate and nothing leaks.
 
-    `on_failure` holds callbacks that run once, with the exception, when the
-    run first fails; a shared process registers one for each critical
-    section the run holds, so a client that ends without releasing fails
-    the shared process.
+    `tasks` holds only the run's live tasks, in spawn order; each is
+    dropped when it finishes. `on_failure` holds callbacks that run once,
+    with the exception, when the run first fails; a shared process
+    registers one for each critical section the run holds, so a client
+    that ends without releasing fails the shared process.
     """
 
     def __init__(self):
-        self.tasks: list[asyncio.Task] = []
+        self.tasks: dict[asyncio.Task, None] = {}
         self.failure: BaseException | None = None
         self.on_failure: set = set()
 
     def _on_done(self, task: asyncio.Task) -> None:
+        del self.tasks[task]
         if task.cancelled():
             return
         exc = task.exception()
@@ -136,7 +138,7 @@ class RunContext:
             self.fail(exc)
 
     def add(self, task: asyncio.Task) -> None:
-        self.tasks.append(task)
+        self.tasks[task] = None
         task.add_done_callback(self._on_done)
 
     def fail(self, exc: BaseException) -> None:
@@ -148,19 +150,13 @@ class RunContext:
             for hook in hooks:
                 hook(exc)
         for task in self.tasks:
-            if not task.done():
-                task.cancel()
+            task.cancel()
 
     async def drain(self) -> None:
-        if self.tasks:
-            results = await asyncio.gather(*self.tasks, return_exceptions=True)
-            if self.failure is None:
-                for result in results:
-                    if isinstance(result, BaseException) and not isinstance(
-                        result, asyncio.CancelledError
-                    ):
-                        self.fail(result)
-                        break
+        # Each task's `_on_done` runs before gather's own callback, so any
+        # failure is recorded by the time gather returns.
+        while self.tasks:
+            await asyncio.gather(*self.tasks, return_exceptions=True)
         if self.failure is not None:
             raise self.failure
 

@@ -35,8 +35,10 @@ which the client's release step unbinds. Failures reach every party:
   the client's exception, and stops.
 
 Neither depends on garbage collection. An acquirer cancelled while queued
-is skipped. Dropping every `SharedChannel` clone lets the loop exit once no
-acquire is pending.
+is skipped. A critical section runs under its client's run: the tasks it
+spawns belong to that run, and an acquire it makes binds that run. A
+`SharedChannel` clone is the channel itself, and the process stops once no
+reference to it is left and no acquire is pending.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .errors import (
 from .instrument import record_event
 from .protocols import Protocol, SharedProtocol, _End, check_protocol
 from .recursion import Fix, substitute
-from .runtime import ACK, channel, current_run
+from .runtime import ACK, channel, current_run, reset_run, set_run
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,7 @@ def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
         exec_p = premise._resolve(ctx + (shared.protocol.unroll(),), offer)
 
         async def execute(endpoints, offer_chan):
-            linear = await shared._request(current_run())
+            linear = await shared._state.request(current_run())
             record_event("ACQ")
             return exec_p, endpoints + (linear,), offer_chan
 
@@ -352,66 +354,56 @@ class _SharedState:
     def __init__(self, protocol: LinearToShared):
         self.protocol = protocol
         self.requests: deque = deque()
-        self.live_clones = 0
         self.loop = asyncio.get_running_loop()
+        self.wake = asyncio.Event()
+        self.closed = False
         self.stopped = asyncio.Event()
         self.failure: BaseException | None = None
         self.task: asyncio.Task | None = None
-        self._waiter: asyncio.Future | None = None
 
-    def _wake(self):
-        if self._waiter is not None and not self._waiter.done():
-            self._waiter.set_result(None)
-
-    def push_request(self, run) -> asyncio.Future:
+    def request(self, run) -> asyncio.Future:
+        """Queue an acquire by `run`; the future resolves to the linear
+        channel, or fails if the shared process fails first."""
+        if self.failure is not None:
+            raise RuntimeViolation("shared process already failed") from self.failure
         response = self.loop.create_future()
         self.requests.append((response, run))
-        self._wake()
+        self.wake.set()
         return response
 
-    def clone_created(self):
-        self.live_clones += 1
-
-    def clone_dropped(self):
-        # May run from a GC finalizer; only schedule, never touch the loop.
-        self.live_clones -= 1
-        if self.live_clones <= 0:
-            try:
-                self.loop.call_soon_threadsafe(self._wake)
-            except RuntimeError:
-                pass
-
-    async def next_request(self):
-        while True:
-            if self.requests:
-                return self.requests.popleft()
-            if self.live_clones <= 0:
-                return None
-            waiter = self.loop.create_future()
-            self._waiter = waiter
-            # Re-check after publishing the waiter: a clone may have died
-            # between the check above and now.
-            if (self.requests or self.live_clones <= 0) and not waiter.done():
-                waiter.set_result(None)
-            await waiter
-            self._waiter = None
+    def close(self):
+        # The channel's finalizer, maybe run by the garbage collector: only
+        # schedule the wake-up, never touch the loop.
+        self.closed = True
+        try:
+            self.loop.call_soon_threadsafe(self.wake.set)
+        except RuntimeError:
+            pass  # event loop already closed
 
 
 async def _serve(state: _SharedState, executor):
     section = None
     try:
         while True:
-            request = await state.next_request()
-            if request is None:
-                break
-            response, run = request
+            while not state.requests:
+                if state.closed:
+                    return
+                state.wake.clear()
+                await state.wake.wait()
+            response, run = state.requests.popleft()
             if response.done():
                 continue  # the acquirer was cancelled while queued
             section = _Section(state, run)
             linear_sender, linear_receiver = channel()
             response.set_result(linear_receiver)
-            # The critical section runs here, on the shared process's task.
-            await drive(executor, (section,), linear_sender)
+            # The critical section runs here, on the shared process's task,
+            # under its client's run: tasks that it spawns and acquires that
+            # it makes belong to that run.
+            token = set_run(run)
+            try:
+                await drive(executor, (section,), linear_sender)
+            finally:
+                reset_run(token)
             executor = section.following
             if executor is None:
                 raise RuntimeViolation(
@@ -442,38 +434,28 @@ async def _serve(state: _SharedState, executor):
 
 
 class SharedChannel:
-    """Clonable alias to a running shared process, used on its event loop.
+    """Alias to a running shared process, used on its event loop.
 
-    Clones are interchangeable; once every clone is gone and no acquire is
-    pending, the background process stops. A failure of the shared process
-    fails the client run inside its critical section and every queued
-    acquirer; a client run that ends inside its critical section without
-    releasing fails the shared process, which then stops.
+    A clone is the channel itself. Once no reference to it is left and no
+    acquire is pending, the background process stops. A failure of the
+    shared process fails the client run inside its critical section and
+    every queued acquirer; a client run that ends inside its critical
+    section without releasing fails the shared process, which then stops.
     """
 
     def __init__(self, state: _SharedState):
         self._state = state
-        state.clone_created()
-        self._finalizer = weakref.finalize(self, state.clone_dropped)
+        weakref.finalize(self, state.close)
 
     @property
     def protocol(self) -> LinearToShared:
         return self._state.protocol
 
     def clone(self) -> SharedChannel:
-        return SharedChannel(self._state)
+        return self
 
     def __copy__(self):
-        return self.clone()
-
-    def _request(self, run) -> asyncio.Future:
-        """Queue an acquire by `run`; the future resolves to the linear
-        channel, or fails if the shared process fails first."""
-        if self._state.failure is not None:
-            raise RuntimeViolation(
-                "shared process already failed"
-            ) from self._state.failure
-        return self._state.push_request(run)
+        return self
 
     def __repr__(self):
         return f"<SharedChannel {self._state.protocol}>"

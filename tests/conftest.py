@@ -1,4 +1,5 @@
 import asyncio
+import gc
 import itertools
 
 from hypothesis import settings
@@ -32,3 +33,12 @@ def run(coro, timeout=10.0):
         return await asyncio.wait_for(coro, timeout)
 
     return asyncio.run(guarded())
+
+
+def run_without_gc(coro):
+    """Run like `run`, with the cyclic garbage collector switched off."""
+    gc.disable()
+    try:
+        return run(coro)
+    finally:
+        gc.enable()

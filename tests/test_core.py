@@ -1,4 +1,6 @@
 import asyncio
+import gc
+import warnings
 
 import pytest
 
@@ -11,6 +13,7 @@ from sessia import (
     ReceiveChannel,
     ReceiveValue,
     RuntimeViolation,
+    SendChannel,
     SendValue,
     Z,
     apply_channel,
@@ -19,11 +22,13 @@ from sessia import (
     include_session,
     nat,
     receive_channel,
+    receive_channel_from,
     receive_value,
     receive_value_from,
     record_event,
     recording,
     run_session,
+    send_channel_from,
     send_value,
     send_value_to,
     session,
@@ -181,6 +186,63 @@ def test_include_session_requires_checked_session():
 def test_include_then_wait_completes():
     body = include_session(end_provider(), lambda x: wait(x, terminate()))
     run(run_session(session(End, body)))
+
+
+def test_a_run_forgets_finished_tasks():
+    live = []
+
+    def include_next(left):
+        def received(p):
+            def then(v):
+                if left > 1:
+                    return wait(p, include_next(left - 1))
+                live.append(len(sessia.runtime.current_run().tasks))
+                return wait(p, terminate())
+
+            return receive_value_from(p, then)
+
+        return include_session(int_provider(left), received)
+
+    run(run_session(session(End, include_next(1_000))))
+    assert len(live) == 1 and live[0] <= 3
+
+
+# -- a rejected async continuation leaves only the ProtocolError --------------
+
+
+def channel_provider():
+    """Offers SendChannel(End, End): hands over an included End channel."""
+    return session(
+        SendChannel(End, End),
+        include_session(end_provider(), lambda e: send_channel_from(e, terminate())),
+    )
+
+
+WITH_CONTINUATION = {
+    "include_session": lambda cont: session(End, include_session(end_provider(), cont)),
+    "receive_channel": lambda cont: session(
+        ReceiveChannel(End, End), receive_channel(cont)
+    ),
+    "receive_channel_from": lambda cont: session(
+        End,
+        include_session(channel_provider(), lambda p: receive_channel_from(p, cont)),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(WITH_CONTINUATION))
+def test_an_async_continuation_is_rejected_without_a_warning(rule):
+    async def cont(lens):
+        return terminate()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(
+            ProtocolError, match=f"{rule} continuation: expected a session program"
+        ):
+            WITH_CONTINUATION[rule](cont)
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
 
 
 # -- forward ----------------------------------------------------------------

@@ -3,7 +3,7 @@ import gc
 
 import pytest
 
-from conftest import run
+from conftest import run, run_without_gc
 from sessia import (
     End,
     ExternalChoice,
@@ -360,15 +360,6 @@ def test_shared_process_failure_propagates_to_acquirers():
 # -- failures reach every party without garbage collection ---------------------
 
 
-def run_without_gc(coro):
-    """Run like `run`, with the cyclic garbage collector switched off."""
-    gc.disable()
-    try:
-        return run(coro)
-    finally:
-        gc.enable()
-
-
 def counting_client(chan, seen, after_release=None):
     """Acquire once, note the count, release, then continue with
     `after_release` (default: terminate)."""
@@ -548,6 +539,91 @@ def test_outside_cancellation_mid_section_stops_shared_process():
     run_without_gc(main())
 
 
+# -- a critical section runs under its client's run ----------------------------
+
+
+def test_a_section_provider_failure_reaches_every_party_without_gc():
+    boom = ValueError("section provider exploded")
+    gate = asyncio.Event()
+
+    def exploding():
+        async def produce():
+            await gate.wait()
+            raise boom
+
+        return session(SendValue(int, End), send_value_async(produce))
+
+    def relaying_provider():
+        # each section includes a provider and relays its value to the client
+        def relay(p):
+            return receive_value_from(
+                p,
+                lambda v: wait(
+                    p, send_value(v, detach_shared_session(shared_counter_provider(0)))
+                ),
+            )
+
+        return shared_session(
+            SharedCounter, accept_shared_session(include_session(exploding(), relay))
+        )
+
+    async def main():
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context)
+        )
+        chan = run_shared_session(relaying_provider())
+        state = chan._state
+        first = asyncio.ensure_future(run_session(counting_client(chan, [])))
+        queued = asyncio.ensure_future(run_session(counting_client(chan, [])))
+        while not state.requests:
+            await asyncio.sleep(0)
+        gate.set()
+        with pytest.raises(ValueError, match="section provider exploded"):
+            await asyncio.wait_for(first, 1)
+        await asyncio.wait_for(state.stopped.wait(), 1)
+        assert isinstance(state.failure, RuntimeViolation)
+        assert state.failure.__cause__ is boom
+        with pytest.raises(
+            RuntimeViolation, match="failed before this acquire was served"
+        ):
+            await asyncio.wait_for(queued, 1)
+        del first, queued
+        gc.collect()
+        assert reported == []
+
+    run_without_gc(main())
+
+
+def test_a_section_failing_while_it_holds_another_shared_process_stops_it_without_gc():
+    boom = ValueError("outer section exploded")
+
+    async def main():
+        inner = run_shared_session(shared_counter_provider(0))
+        inner_state = inner._state
+
+        def holds_inner(c):
+            def on_value(v):
+                raise boom
+
+            return receive_value_from(c, on_value)
+
+        outer = run_shared_session(
+            shared_session(
+                SharedCounter,
+                accept_shared_session(acquire_shared_session(inner, holds_inner)),
+            )
+        )
+        with pytest.raises(ValueError, match="outer section exploded"):
+            await asyncio.wait_for(run_session(counting_client(outer, [])), 1)
+        await asyncio.wait_for(inner_state.stopped.wait(), 1)
+        assert isinstance(inner_state.failure, RuntimeViolation)
+        assert inner_state.failure.__cause__ is boom
+        assert outer._state.failure is boom
+
+    run_without_gc(main())
+
+
 # -- a checked shared program is consumed when it is linked --------------------
 
 
@@ -630,14 +706,12 @@ def test_an_async_acquire_continuation_is_rejected_when_checked():
 
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        # the rejected continuation's coroutine is dropped unawaited
-        with pytest.warns(RuntimeWarning, match="never awaited"):
-            with pytest.raises(
-                ProtocolError,
-                match="acquire_shared_session continuation: expected a session program",
-            ):
-                session(End, acquire_shared_session(chan, body))
-            gc.collect()
+        with pytest.raises(
+            ProtocolError,
+            match="acquire_shared_session continuation: expected a session program",
+        ):
+            session(End, acquire_shared_session(chan, body))
+        gc.collect()
 
     run(main())
 

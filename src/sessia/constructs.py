@@ -34,7 +34,7 @@ from .protocols import (
     _End,
     type_name,
 )
-from .runtime import END, LEFT, RIGHT, Branch, channel
+from .runtime import END, LEFT, RIGHT, answer, ask, emit
 
 
 def _expect_offer(rule: str, offer, cls):
@@ -121,9 +121,7 @@ def receive_value(cont) -> PartialSession:
         after = offer.cont
 
         async def execute(endpoints, offer_chan):
-            sender, receiver = channel()
-            offer_chan.send(sender)
-            value, next_offer = await receiver.recv()
+            value, next_offer = await ask(offer_chan)
             premise = await force(once(value))
             exec_p = resolve_deferred(premise, ctx, after, "receive_value continuation")
             return exec_p, endpoints, next_offer
@@ -144,9 +142,7 @@ def send_value_to(n, value, cont) -> PartialSession:
         exec_cont = cont._resolve(put(ctx, level, slot.cont), offer)
 
         async def execute(endpoints, offer_chan):
-            outbound = await endpoints[level].recv()
-            sender, receiver = channel()
-            outbound.send((value, sender))
+            receiver = answer(await endpoints[level].recv(), value)
             return exec_cont, put(endpoints, level, receiver), offer_chan
 
         return execute
@@ -167,9 +163,7 @@ def send_value(value, cont) -> PartialSession:
         exec_cont = cont._resolve(ctx, offer.cont)
 
         async def execute(endpoints, offer_chan):
-            sender, receiver = channel()
-            offer_chan.send((value, receiver))
-            return exec_cont, endpoints, sender
+            return exec_cont, endpoints, emit(offer_chan, value)
 
         return execute
 
@@ -192,9 +186,7 @@ def send_value_async(produce) -> PartialSession:
             value, premise = await force(once())
             _check_value("send_value_async", value, value_type)
             exec_p = resolve_deferred(premise, ctx, after, "send_value_async producer")
-            sender, receiver = channel()
-            offer_chan.send((value, receiver))
-            return exec_p, endpoints, sender
+            return exec_p, endpoints, emit(offer_chan, value)
 
         return execute
 
@@ -238,9 +230,7 @@ def receive_channel(cont) -> PartialSession:
         exec_p = premise._resolve(ctx + (offer.carried,), offer.cont)
 
         async def execute(endpoints, offer_chan):
-            sender, receiver = channel()
-            offer_chan.send(sender)
-            carried_endpoint, next_offer = await receiver.recv()
+            carried_endpoint, next_offer = await ask(offer_chan)
             return exec_p, endpoints + (carried_endpoint,), next_offer
 
         return execute
@@ -271,9 +261,7 @@ def send_channel_to(n1, n2, cont) -> PartialSession:
         exec_cont = cont._resolve(put(mid, level1, slot.cont), offer)
 
         async def execute(endpoints, offer_chan):
-            outbound = await endpoints[level1].recv()
-            sender, receiver = channel()
-            outbound.send((endpoints[level2], sender))
+            receiver = answer(await endpoints[level1].recv(), endpoints[level2])
             endpoints = put(endpoints, level2, ())
             return exec_cont, put(endpoints, level1, receiver), offer_chan
 
@@ -298,8 +286,7 @@ def send_channel_from(n, cont) -> PartialSession:
         exec_cont = cont._resolve(put(ctx, level, Empty), offer.cont)
 
         async def execute(endpoints, offer_chan):
-            sender, receiver = channel()
-            offer_chan.send((endpoints[level], receiver))
+            sender = emit(offer_chan, endpoints[level])
             return exec_cont, put(endpoints, level, ()), sender
 
         return execute
@@ -345,11 +332,9 @@ def offer_choice(left, right) -> PartialSession:
         exec_right = right._resolve(ctx, offer.right)
 
         async def execute(endpoints, offer_chan):
-            sender, receiver = channel()
-            offer_chan.send(sender)
-            branch = await receiver.recv()
-            chosen = exec_left if branch.side == LEFT else exec_right
-            return chosen, endpoints, branch.endpoint
+            side, next_offer = await ask(offer_chan)
+            chosen = exec_left if side == LEFT else exec_right
+            return chosen, endpoints, next_offer
 
         return execute
 
@@ -369,9 +354,7 @@ def choose(side: str, n, cont) -> PartialSession:
         exec_cont = cont._resolve(put(ctx, level, chosen), offer)
 
         async def execute(endpoints, offer_chan):
-            outbound = await endpoints[level].recv()
-            sender, receiver = channel()
-            outbound.send(Branch(side, sender))
+            receiver = answer(await endpoints[level].recv(), side)
             return exec_cont, put(endpoints, level, receiver), offer_chan
 
         return execute
@@ -399,9 +382,7 @@ def offer(side: str, cont) -> PartialSession:
         exec_cont = cont._resolve(ctx, chosen)
 
         async def execute(endpoints, offer_chan):
-            sender, receiver = channel()
-            offer_chan.send(Branch(side, receiver))
-            return exec_cont, endpoints, sender
+            return exec_cont, endpoints, emit(offer_chan, side)
 
         return execute
 
@@ -417,7 +398,7 @@ def offer_right(cont) -> PartialSession:
 
 
 def case(n, left, right) -> PartialSession:
-    """Branch on the tag announced by the provider at slot `n`. Both branch
+    """Take the branch whose tag the provider at slot `n` announces. Both branch
     programs must offer the same protocol; their contexts differ only at
     slot `n`, so eliminating either branch empties the same slot."""
     expect_program(left, "case")
@@ -430,10 +411,9 @@ def case(n, left, right) -> PartialSession:
         exec_right = right._resolve(put(ctx, level, slot.right), offer)
 
         async def execute(endpoints, offer_chan):
-            branch = await endpoints[level].recv()
-            chosen = exec_left if branch.side == LEFT else exec_right
-            endpoints = put(endpoints, level, branch.endpoint)
-            return chosen, endpoints, offer_chan
+            side, next_endpoint = await endpoints[level].recv()
+            chosen = exec_left if side == LEFT else exec_right
+            return chosen, put(endpoints, level, next_endpoint), offer_chan
 
         return execute
 

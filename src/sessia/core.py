@@ -138,9 +138,7 @@ class PartialSession:
         return content
 
     def _resolve(self, ctx, offer):
-        resolve_fn = self._take(self._rule)
-        check_protocol(offer, self._rule)
-        execute = resolve_fn(ctx, offer)
+        execute = self._take(self._rule)(ctx, offer)
         # Rolling and unrolling exchange nothing: they pass on the executor
         # of their premise instead of adding a step.
         if isinstance(execute, Executor):
@@ -289,6 +287,8 @@ def cut(cont1, cont2, *, provider_protocol=None, provider_context=None) -> Parti
     """
     expect_program(cont1, "cut")
     expect_program(cont2, "cut")
+    if provider_protocol is not None:
+        check_protocol(provider_protocol, "cut")
 
     def resolve(ctx, offer):
         c2 = ()

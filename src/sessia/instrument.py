@@ -84,7 +84,7 @@ class Counters:
 
 
 class Recorder:
-    """Collects one transcript plus counters; thread-tolerant appends."""
+    """Collects one transcript plus counters."""
 
     def __init__(self):
         self.transcript = Transcript()

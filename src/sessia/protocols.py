@@ -21,9 +21,9 @@ is derived from them by `Protocol`:
 
 The dataclass fields are the carried field followed by the continuation
 fields. From the declaration come validation at formation, printing
-(`Name(field, ...)`), and the payload layout: the carried part, a branch
-tag when there are two continuations, and exactly one continuation
-endpoint.
+(`Name(field, ...)`), and `payload_layout`, which describes what the step
+helpers `emit`, `ask` and `answer` of `runtime` send: the carried part, a
+branch tag when there are two continuations, and one continuation endpoint.
 
 Value types carried by `ReceiveValue`/`SendValue` must be transferable
 between tasks; they are given as a Python type (or tuple of types) and are

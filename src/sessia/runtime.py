@@ -1,13 +1,17 @@
-"""Execution primitives: one-shot channels, wire signals, task spawning.
+"""Execution primitives: one-shot channels, step messages, task spawning.
 
 Every protocol step communicates over a fresh one-shot channel with
 capacity one: the send never blocks, the channel carries at most one
 payload, and each endpoint may be used once. A channel is one future; each
 endpoint holds it in one slot and empties the slot when it is used, so an
-empty slot marks a used endpoint. The sending endpoint of a
-freshly created step channel belongs to the provider and the receiving
-endpoint to the client; reversal, where needed, is done by nesting a fresh
-sender inside a payload, never by handing a provider a receiver.
+empty slot marks a used endpoint. The sending endpoint of a fresh step
+channel belongs to the provider and the receiving endpoint to the client.
+
+A step message, as `protocols.payload_of` describes it, is a bare signal
+or a pair `(carried, continuation)`: a value, channel or branch tag, and
+the peer's end of the next step channel. The typing rules send every such
+pair through `emit`, `ask` and `answer`. In a reversed step the provider
+sends a fresh sender, never holding a receiver, and the client answers.
 
 Task spawning is funneled through `spawn()` so an alternate scheduler can
 be swapped in one place. A spawned task joins the ambient `RunContext`; the
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-from dataclasses import dataclass
 
 from .errors import RuntimeViolation
 from .instrument import active_recorder
@@ -45,14 +48,6 @@ _DROPPED = Signal("endpoint dropped")
 
 LEFT = "left"
 RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class Branch:
-    """Wire tag for a binary choice, paired with a continuation endpoint."""
-
-    side: str
-    endpoint: object = None
 
 
 class Sender:
@@ -112,6 +107,27 @@ def channel() -> tuple[Sender, Receiver]:
     if rec is not None:
         rec.channel_created()
     return Sender(future), Receiver(future)
+
+
+def emit(offer: Sender, carried) -> Sender:
+    """Provider side of a direct step; returns the next step's sender."""
+    sender, receiver = channel()
+    offer.send((carried, receiver))
+    return sender
+
+
+def ask(offer: Sender):
+    """Provider side of a reversed step; returns the awaitable reply pair."""
+    sender, receiver = channel()
+    offer.send(sender)
+    return receiver.recv()
+
+
+def answer(outbound: Sender, carried) -> Receiver:
+    """Client side of a reversed step; returns the next step's receiver."""
+    sender, receiver = channel()
+    outbound.send((carried, sender))
+    return receiver
 
 
 class RunContext:

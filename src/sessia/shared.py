@@ -247,8 +247,7 @@ def detach_shared_session(cont: SharedSession) -> PartialSession:
 
         async def execute(endpoints, offer_chan):
             section = endpoints[0]
-            sender, receiver = channel()
-            section.ack = sender
+            section.ack, receiver = channel()
             # The client's release step acknowledges through the section.
             offer_chan.send(section)
             await receiver.recv()
@@ -396,9 +395,8 @@ async def _serve(state: _SharedState, executor):
             section = _Section(state, run)
             linear_sender, linear_receiver = channel()
             response.set_result(linear_receiver)
-            # The critical section runs here, on the shared process's task,
-            # under its client's run: tasks that it spawns and acquires that
-            # it makes belong to that run.
+            # The section runs on this task under its client's run, so the
+            # tasks it spawns and the acquires it makes belong to that run.
             token = set_run(run)
             try:
                 await drive(executor, (section,), linear_sender)
@@ -410,25 +408,25 @@ async def _serve(state: _SharedState, executor):
                     "shared process: a critical section ended without a detach"
                 )
     except BaseException as exc:
-        failure = exc
+        state.failure = exc
         if section is not None and section.abandoned is not None:
-            failure = RuntimeViolation(
+            state.failure = RuntimeViolation(
                 "shared process: a client run ended inside its critical "
                 "section without releasing it"
             )
-            failure.__cause__ = section.abandoned
+            state.failure.__cause__ = section.abandoned
         elif section is not None and section.run is not None:
             section.unbind().fail(exc)
-        state.failure = failure
         while state.requests:
             response, _ = state.requests.popleft()
             if not response.done():
                 lost = RuntimeViolation(
                     "shared process failed before this acquire was served"
                 )
-                lost.__cause__ = failure
+                lost.__cause__ = state.failure
                 response.set_exception(lost)
-        raise failure
+        if not isinstance(state.failure, Exception):
+            raise  # a cancel from outside or an interrupt propagates
     finally:
         state.stopped.set()
 
@@ -470,11 +468,5 @@ def run_shared_session(s: SharedSession) -> SharedChannel:
             f"(build one with shared_session(S, ...)), got {s!r}"
         )
     state = _SharedState(s.protocol)
-    executor = s._take_executor()
-    state.task = asyncio.get_running_loop().create_task(_serve(state, executor))
-    # the failure is reported through failed acquires / the bound run;
-    # retrieve it here so the loop task never warns about it
-    state.task.add_done_callback(
-        lambda t: t.exception() if not t.cancelled() else None
-    )
+    state.task = state.loop.create_task(_serve(state, s._take_executor()))
     return SharedChannel(state)

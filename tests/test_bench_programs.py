@@ -1,0 +1,79 @@
+"""One tiny op of each benchmark workload, built as `perfbench/run.py` does.
+
+The benchmark imports its program builders from `perfbench/programs.py` and
+`channel`/`spawn` from `sessia.runtime`; a change that breaks either fails
+here, in the unit tests, instead of in a benchmark run.
+"""
+
+import asyncio
+import sys
+from pathlib import Path
+
+from conftest import run
+from sessia import (
+    End,
+    apply_channel,
+    nat,
+    run_session,
+    run_shared_session,
+    session,
+    shared_session,
+)
+from sessia.runtime import channel, spawn
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import programs  # noqa: E402
+
+
+def test_stream_op():
+    seen, rechecks = [], []
+    producer = programs.stream_producer(10, rechecks)
+    client = programs.stream_client(5, seen)
+    linked = apply_channel(
+        session(programs.StreamClient, client),
+        session(programs.CounterStream, producer),
+    )
+    run(run_session(linked))
+    assert [value for _, value in seen] == [10, 11, 12, 13, 14]
+    assert len(rechecks) == 5
+
+
+def test_fanout_op():
+    seen = []
+    values, order = [7, 8, 9, 10], [2, 0, 3, 1]
+    providers = [
+        session(programs.FanoutProvider, programs.fanout_provider(v)) for v in values
+    ]
+    lenses = [nat(k) for k in range(len(values))]
+    client = programs.fanout_client(providers, order, lenses, seen)
+    run(run_session(session(End, client)))
+    assert [value for _, value in seen] == [values[k] for k in order]
+
+
+def test_shared_op():
+    async def main():
+        seen, rechecks = [], []
+        checked = shared_session(
+            programs.SharedCounter, programs.shared_counter(20, rechecks)
+        )
+        before = asyncio.all_tasks()
+        chan = run_shared_session(checked)
+        serve_tasks = asyncio.all_tasks() - before
+        clients = [session(End, programs.shared_client(chan, seen)) for _ in range(2)]
+        await asyncio.gather(*(run_session(c) for c in clients))
+        assert sorted(value for _, value in seen) == [20, 21]
+        del chan, clients
+        await asyncio.wait_for(asyncio.gather(*serve_tasks), 1.0)
+
+    run(main())
+
+
+def test_runtime_probe_calls():
+    async def main():
+        tx, rx = channel()
+        tx.send(1)
+        assert await rx.recv() == 1
+        task = spawn(asyncio.sleep(0, "done"))
+        assert await task == "done"
+
+    run(main())

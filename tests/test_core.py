@@ -493,6 +493,31 @@ def fanout_client(width):
     return include(0)
 
 
+@pytest.mark.parametrize("protocol", ["End", 5])
+def test_cut_validates_a_user_supplied_provider_protocol(protocol):
+    with pytest.raises(ProtocolError) as raised:
+        session(End, cut(wait(Z, terminate()), terminate(), provider_protocol=protocol))
+    assert str(raised.value) == f"cut: expected a session type, got {protocol!r}"
+
+
+def test_offered_protocols_are_not_validated_again_per_construct(monkeypatch):
+    calls = []
+    check = sessia.core.check_protocol
+
+    def counting(p, who):
+        calls.append(who)
+        check(p, who)
+
+    monkeypatch.setattr(sessia.core, "check_protocol", counting)
+    checked = session(End, fanout_client(64))
+    # Only `session` validates, the protocol its caller hands it: once for
+    # the client and once for each of the 64 providers.
+    assert calls == ["session"] * 65
+    with recording() as rec:
+        run(run_session(checked))
+    assert rec.conservation_ok() and rec.one_shot_ok()
+
+
 def test_library_built_contexts_are_not_validated_again(monkeypatch):
     calls = []
     validate = sessia.core.validate_context

@@ -624,6 +624,33 @@ def test_a_section_failing_while_it_holds_another_shared_process_stops_it_withou
     run_without_gc(main())
 
 
+def test_a_shared_process_reports_its_failure_once_and_keeps_an_outside_cancel():
+    boom = ValueError("shared process exploded")
+
+    async def produce():
+        raise boom
+
+    async def main():
+        failing = run_shared_session(
+            shared_session(
+                SharedCounter, accept_shared_session(send_value_async(produce))
+            )
+        )
+        with pytest.raises(ValueError, match="shared process exploded"):
+            await asyncio.wait_for(run_session(counting_client(failing, [])), 1)
+        # Reported to the client; the process's own task ends without it.
+        assert await asyncio.wait_for(failing._state.task, 1) is None
+        assert failing._state.failure is boom
+
+        idle = run_shared_session(shared_counter_provider(0))
+        await asyncio.sleep(0)
+        idle._state.task.cancel()
+        await asyncio.wait_for(idle._state.stopped.wait(), 1)
+        assert idle._state.task.cancelled()
+
+    run_without_gc(main())
+
+
 # -- a checked shared program is consumed when it is linked --------------------
 
 

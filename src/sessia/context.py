@@ -29,30 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LinearityError, ProtocolError
-from .protocols import Protocol
+from .protocols import Protocol, Unique
 
 
-class _Empty:
+class _Empty(Unique):
     """A consumed channel position; never communicates."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __str__(self):
-        return "Empty"
-
-    def __repr__(self):
-        return "Empty"
-
-    def __eq__(self, other):
-        return isinstance(other, _Empty)
-
-    def __hash__(self):
-        return hash("Empty")
 
 
 Empty = _Empty()
@@ -74,27 +55,15 @@ class Nat:
         return str(self)
 
 
-class _Z(Nat, Protocol):
+class _Z(Unique, Nat, Protocol):
     # Z is both lens level zero and the recursion point of Fix bodies.
     level = 0
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def payload_layout(self):
         raise ProtocolError(
             "Z is a recursion marker, not a wire protocol; "
             "apply it to a concrete session type first"
         )
-
-    def __eq__(self, other):
-        return isinstance(other, _Z)
-
-    def __hash__(self):
-        return hash("Z")
 
 
 Z = _Z()

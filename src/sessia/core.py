@@ -1,9 +1,9 @@
 """Session programs: the judgment carrier, the runner, and structural rules.
 
 A `PartialSession` is an inert program that, *given* a linear context C and
-an offered protocol A, checks itself against that judgment and yields a
-one-shot executor. Nothing communicates until `run_session` is awaited;
-checking happens strictly before execution:
+an offered protocol A, checks itself against that judgment; the checked
+program is then the one-shot step that runs. Nothing communicates until
+`run_session` is awaited; checking happens strictly before execution:
 
 * `session(A, program)` imposes the closed judgment (empty context,
   offering A) and returns a checked `Session` — the analogue of a typed
@@ -15,19 +15,20 @@ checking happens strictly before execution:
   still before that subtree executes.
 
 Program values are linear: every `PartialSession`/`Session` is consumed by
-the construct that links it, and every executor and user continuation runs
-at most once. Each such resource sits in one slot that is emptied when it is
-used (a program's content, an executor's `execute`, a continuation's
-function), and an empty slot is the one mark of "already used".
+the construct that links it, and every checked program and user
+continuation runs at most once. Each such resource sits in one slot that is
+emptied when it is used (a program's content, a checked program's
+`execute`, a continuation's function), and an empty slot is the one mark of
+"already used".
 
-A run executes as a trampoline. Each executor performs its construct's one
-protocol step and returns the next step, `(executor, endpoints, offer)`,
-or None once its task is done; it never awaits another executor. One
-driver loop per task, `drive`, runs the steps one after another and holds
-the one-shot and polarity checks, so a task's stack and the cost of a step
-stay the same however many steps came before. `run_session`'s main task,
-every provider that `cut` and `include_session` spawn, and every critical
-section of a shared process run under `drive`.
+A run executes as a trampoline. Each checked program performs its
+construct's one protocol step and returns the next step, `(program,
+endpoints, offer)`, or None once its task is done; it never awaits another
+program. One driver loop per task, `drive`, runs the steps one after
+another and holds the one-shot and polarity checks, so a task's stack and
+the cost of a step stay the same however many steps came before.
+`run_session`'s main task, every provider that `cut` and `include_session`
+spawn, and every critical section of a shared process run under `drive`.
 """
 
 from __future__ import annotations
@@ -62,33 +63,22 @@ from .runtime import (
 _tokens = itertools.count()
 
 
-class Executor:
-    """The checked, one-shot step of one construct, run only by `drive`."""
-
-    __slots__ = ("rule", "execute", "token")
-
-    def __init__(self, rule: str, execute):
-        self.rule = rule
-        self.execute = execute
-        self.token = next(_tokens)
-
-
-async def drive(executor: Executor, endpoints, offer) -> None:
-    """Run one task's steps until an executor returns None."""
-    step = (executor, endpoints, offer)
+async def drive(program: PartialSession, endpoints, offer) -> None:
+    """Run one task's checked programs until a step returns None."""
+    step = (program, endpoints, offer)
     while step is not None:
-        executor, endpoints, offer = step
-        execute, executor.execute = executor.execute, None
+        program, endpoints, offer = step
+        execute, program.execute = program.execute, None
         if execute is None:
-            raise RuntimeViolation(f"{executor.rule}: executor invoked twice")
+            raise RuntimeViolation(f"{program._rule}: executor invoked twice")
         rec = active_recorder()
         if rec is not None:
-            rec.executor_ran(executor.token)
+            rec.executor_ran(program.token)
         if not isinstance(offer, Sender):
             if rec is not None:
                 rec.polarity_violation()
             raise RuntimeViolation(
-                f"{executor.rule}: executor needs the provider-side sending endpoint"
+                f"{program._rule}: executor needs the provider-side sending endpoint"
             )
         step = await execute(endpoints, offer)
 
@@ -119,14 +109,20 @@ class PartialSession:
     """A suspended program offering some protocol over some linear context.
 
     Instances come from the term constructors and are consumed exactly once
-    by the construct (or the `session` annotation) that uses them.
+    by the construct (or the `session` annotation) that uses them. A program
+    is in one of three states: unchecked, with the rule's resolve function
+    in `_content`; checked, with the step that `drive` runs in `execute`;
+    and spent, with both slots empty.
     """
+
+    __slots__ = ("_rule", "_content", "_synth", "execute", "token")
 
     def __init__(self, rule: str, content, synth_protocol: Protocol | None = None):
         self._rule = rule
-        # The rule's resolve function, or a checked Session's executor.
+        # The rule's resolve function, or a checked Session's program.
         self._content = content
         self._synth = synth_protocol
+        self.execute = None
 
     def _take(self, what: str):
         """Empty the content slot; an empty slot means already consumed."""
@@ -139,11 +135,13 @@ class PartialSession:
 
     def _resolve(self, ctx, offer):
         execute = self._take(self._rule)(ctx, offer)
-        # Rolling and unrolling exchange nothing: they pass on the executor
-        # of their premise instead of adding a step.
-        if isinstance(execute, Executor):
+        # Rolling and unrolling exchange nothing: they pass on their checked
+        # premise instead of adding a step.
+        if isinstance(execute, PartialSession):
             return execute
-        return Executor(self._rule, execute)
+        self.execute = execute
+        self.token = next(_tokens)
+        return self
 
     def __repr__(self):
         return f"<PartialSession {self._rule}>"
@@ -162,8 +160,10 @@ def expect_program(p, rule: str) -> PartialSession:
 class Session(PartialSession):
     """A checked closed program: no free linear channels, offers `protocol`."""
 
-    def __init__(self, protocol: Protocol, executor):
-        super().__init__("session", executor)
+    __slots__ = ("_protocol",)
+
+    def __init__(self, protocol: Protocol, program: PartialSession):
+        super().__init__("session", program)
         self._protocol = protocol
 
     @property
@@ -171,7 +171,7 @@ class Session(PartialSession):
         return self._protocol
 
     def _resolve(self, ctx, offer):
-        executor = self._take("session")
+        program = self._take("session")
         if ctx:
             raise LinearityError(
                 f"a closed session cannot run in the non-empty context "
@@ -182,7 +182,7 @@ class Session(PartialSession):
                 f"session offers {self._protocol}, "
                 f"but the expected protocol here is {offer}"
             )
-        return executor
+        return program
 
     def __repr__(self):
         return f"<Session {self._protocol}>"
@@ -211,7 +211,7 @@ def run_session(s: Session):
         raise ProtocolError(
             f"run_session requires a Session(End); got Session({s.protocol})"
         )
-    executor = s._resolve((), End)
+    program = s._resolve((), End)
 
     async def run():
         run_ctx = RunContext()
@@ -220,7 +220,7 @@ def run_session(s: Session):
             sender, receiver = channel()
 
             async def main():
-                await drive(executor, (), sender)
+                await drive(program, (), sender)
                 signal = await receiver.recv()
                 if signal is not END:
                     raise RuntimeViolation(

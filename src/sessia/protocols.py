@@ -104,6 +104,25 @@ class Protocol:
         return str(self)
 
 
+class Unique:
+    """Base of a class with one instance, printed as its class's name.
+
+    The first call makes the instance and every later call returns it.
+    `copy`, `deepcopy` and unpickling go back through `__new__` too, so
+    equality and hashing are identity.
+    """
+
+    def __new__(cls):
+        if "_unique" not in cls.__dict__:
+            cls._unique = super().__new__(cls)
+        return cls._unique
+
+    def __str__(self):
+        return type(self).__name__.lstrip("_")
+
+    __repr__ = __str__
+
+
 class SharedProtocol:
     """Marker base class for shared session types."""
 
@@ -155,24 +174,8 @@ def check_protocol(p, who: str) -> None:
         raise ProtocolError(f"{who}: expected a session type, got {p!r}")
 
 
-class _End(Protocol):
+class _End(Unique, Protocol):
     """Terminated session: one termination signal, no continuation."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __str__(self):
-        return "End"
-
-    def __eq__(self, other):
-        return isinstance(other, _End)
-
-    def __hash__(self):
-        return hash("End")
 
 
 End = _End()

@@ -20,9 +20,10 @@ process back to the loop.
 A shared *channel* may be aliased, but the checked shared program behind it
 is linear. A `SharedSession` is consumed when it is linked, as a checked
 `Session` is: by `run_shared_session`, or when the `detach_shared_session`
-that continues with it is checked. Its executor sits in one slot that
-linking empties, and an empty slot is the one-shot mark, so a reuse fails
-with `LinearityError` where it is linked, never inside the running process.
+that continues with it is checked. Its checked critical-section program
+sits in one slot that linking empties, and an empty slot is the one-shot
+mark, so a reuse fails with `LinearityError` where it is linked, never
+inside the running process.
 
 Each acquire request carries the client's run, which the shared process
 binds to the critical section before it hands over the linear channel and
@@ -160,24 +161,25 @@ class SharedSessionBuilder:
 class SharedSession:
     """A checked shared program; inert until linked, and linked once.
 
+    It holds the checked program of its first critical section.
     `run_shared_session`, or the check of a `detach_shared_session` that
-    continues with it, empties its executor slot; a second link finds the
-    slot empty and raises `LinearityError`.
+    continues with it, empties that slot; a second link finds the slot
+    empty and raises `LinearityError`.
     """
 
-    def __init__(self, protocol: LinearToShared, executor):
+    def __init__(self, protocol: LinearToShared, program: PartialSession):
         self._protocol = protocol
-        self._executor = executor
+        self._program = program
 
     @property
     def protocol(self) -> LinearToShared:
         return self._protocol
 
-    def _take_executor(self):
-        if self._executor is None:
+    def _take_program(self) -> PartialSession:
+        if self._program is None:
             raise LinearityError("shared session program already consumed")
-        executor, self._executor = self._executor, None
-        return executor
+        program, self._program = self._program, None
+        return program
 
     def __repr__(self):
         return f"<SharedSession {self._protocol}>"
@@ -189,13 +191,6 @@ def shared_session(protocol: LinearToShared, program) -> SharedSession:
         raise SharedTypeError(
             f"shared_session: expected a LinearToShared protocol, got {protocol!r}"
         )
-    if isinstance(program, SharedSession):
-        if program.protocol != protocol:
-            raise ProtocolError(
-                f"shared session offers {program.protocol}, "
-                f"but the expected protocol here is {protocol}"
-            )
-        return program
     if not isinstance(program, SharedSessionBuilder):
         raise ProtocolError(
             f"shared_session: expected a shared program "
@@ -243,7 +238,7 @@ def detach_shared_session(cont: SharedSession) -> PartialSession:
                 f"detach_shared_session: continuation offers {cont.protocol}, "
                 f"expected {expected}"
             )
-        following = cont._take_executor()
+        following = cont._take_program()
 
         async def execute(endpoints, offer_chan):
             section = endpoints[0]
@@ -318,8 +313,8 @@ class _Section:
     While `run` is set, the client run that acquired the section is bound
     to it: the run's failure fails the shared process. The client's release
     step sends its acknowledgement through the section, which unbinds the
-    run before it wakes `detach`; `detach` then leaves the executor of the
-    shared process's next section in `following`.
+    run before it wakes `detach`; `detach` then leaves the checked program
+    of the shared process's next section in `following`.
     """
 
     __slots__ = ("state", "run", "ack", "following", "abandoned")
@@ -380,7 +375,7 @@ class _SharedState:
             pass  # event loop already closed
 
 
-async def _serve(state: _SharedState, executor):
+async def _serve(state: _SharedState, program: PartialSession):
     section = None
     try:
         while True:
@@ -399,11 +394,11 @@ async def _serve(state: _SharedState, executor):
             # tasks it spawns and the acquires it makes belong to that run.
             token = set_run(run)
             try:
-                await drive(executor, (section,), linear_sender)
+                await drive(program, (section,), linear_sender)
             finally:
                 reset_run(token)
-            executor = section.following
-            if executor is None:
+            program = section.following
+            if program is None:
                 raise RuntimeViolation(
                     "shared process: a critical section ended without a detach"
                 )
@@ -468,5 +463,5 @@ def run_shared_session(s: SharedSession) -> SharedChannel:
             f"(build one with shared_session(S, ...)), got {s!r}"
         )
     state = _SharedState(s.protocol)
-    state.task = state.loop.create_task(_serve(state, s._take_executor()))
+    state.task = state.loop.create_task(_serve(state, s._take_program()))
     return SharedChannel(state)

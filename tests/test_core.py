@@ -18,9 +18,11 @@ from sessia import (
     Z,
     apply_channel,
     cut,
+    fix_session,
     forward,
     include_session,
     nat,
+    offer_choice,
     receive_channel,
     receive_channel_from,
     receive_value,
@@ -30,6 +32,7 @@ from sessia import (
     run_session,
     send_channel_from,
     send_value,
+    send_value_async,
     send_value_to,
     session,
     terminate,
@@ -37,7 +40,12 @@ from sessia import (
 )
 import sessia.core
 from sessia.core import drive
-from sessia.demos import apply_channel_via_cut, hello_pair
+from sessia.demos import (
+    CounterStream,
+    apply_channel_via_cut,
+    hello_pair,
+    stream_producer,
+)
 from sessia.runtime import END, channel
 
 
@@ -351,6 +359,18 @@ def test_every_executor_and_continuation_ran_once():
         run(run_session(session(End, body)))
     assert rec.one_shot_ok()
     assert all(n == 1 for n in rec.counters.executors.values())
+
+
+def test_a_checked_program_is_its_own_step():
+    p = terminate()
+    assert p._resolve((), End) is p
+
+    async def produce():
+        return 0, stream_producer(1)
+
+    # rolling adds no step: the checked premise is the step
+    body = offer_choice(send_value_async(produce), terminate())
+    assert fix_session(body)._resolve((), CounterStream) is body
 
 
 def test_driver_runs_an_executor_once_and_only_with_a_sender():

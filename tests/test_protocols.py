@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from sessia import (
+    Empty,
     End,
     ExternalChoice,
     Fix,
@@ -13,6 +17,7 @@ from sessia import (
     SendValue,
     SharedToLinear,
     Z,
+    nat,
     payload_of,
 )
 
@@ -186,3 +191,18 @@ def test_recursion_marker_has_no_payload():
 def test_payload_of_rejects_non_protocols():
     with pytest.raises(ProtocolError):
         payload_of("hello")
+
+
+@pytest.mark.parametrize("unique", [End, Z, Empty], ids=str)
+def test_unique_values_copy_and_unpickle_as_themselves(unique):
+    assert copy.copy(unique) is unique
+    assert copy.deepcopy(unique) is unique
+    assert pickle.loads(pickle.dumps(unique)) is unique
+
+
+def test_unique_values_compare_by_identity():
+    assert Z == nat(0)
+    assert End != Empty
+    p = SendValue(int, End)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)

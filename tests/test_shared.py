@@ -92,6 +92,13 @@ def test_accept_body_that_never_detaches_is_rejected():
         )
 
 
+def test_shared_session_takes_only_an_unchecked_shared_program():
+    # an already checked SharedSession is not a shared program to check
+    with pytest.raises(ProtocolError) as raised:
+        shared_session(SharedCounter, shared_counter_provider(0))
+    assert str(raised.value).startswith("shared_session: expected a shared program")
+
+
 def test_accept_with_out_of_range_lens_is_rejected():
     with pytest.raises(Exception, match="out of range"):
         shared_session(

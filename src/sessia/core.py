@@ -23,17 +23,17 @@ emptied when it is used (a program's content, a checked program's
 
 A run executes as a trampoline. Each checked program performs its
 construct's one protocol step and returns the next step, `(program,
-endpoints, offer)`, or None once its task is done; it never awaits another
-program. One driver loop per task, `drive`, runs the steps one after
-another and holds the one-shot and polarity checks, so a task's stack and
-the cost of a step stay the same however many steps came before.
-`run_session`'s main task, every provider that `cut` and `include_session`
-spawn, and every critical section of a shared process run under `drive`.
+endpoints, offer)`, or None once its driver is done; it never awaits
+another program. The driver loop, `drive`, runs the steps one after another
+and holds the one-shot and polarity checks, so a driver's stack and the
+cost of a step stay the same however many steps came before. The run's
+scheduler (`runtime.RunContext`) steps `run_session`'s main driver and every
+provider that `cut` and `include_session` spawn on the task awaiting it; a
+shared process runs each critical section under `drive` on its own task.
 """
 
 from __future__ import annotations
 
-import asyncio
 import inspect
 import itertools
 
@@ -64,7 +64,7 @@ _tokens = itertools.count()
 
 
 async def drive(program: PartialSession, endpoints, offer) -> None:
-    """Run one task's checked programs until a step returns None."""
+    """Run one driver's checked programs until a step returns None."""
     step = (program, endpoints, offer)
     while step is not None:
         program, endpoints, offer = step
@@ -200,7 +200,7 @@ def run_session(s: Session):
 
     Returns an awaitable. All channels created during the run are consumed
     by the time it finishes; exceptions raised by embedded user code
-    propagate and fail the whole run.
+    propagate and fail the whole run, and cancelling it cancels every driver.
     """
     if not isinstance(s, Session):
         raise ProtocolError(
@@ -218,29 +218,13 @@ def run_session(s: Session):
         token = set_run(run_ctx)
         try:
             sender, receiver = channel()
-
-            async def main():
-                await drive(program, (), sender)
-                signal = await receiver.recv()
-                if signal is not END:
-                    raise RuntimeViolation(
-                        f"run_session: expected termination, got {signal!r}"
-                    )
-
-            task = spawn(main())
-            try:
-                await task
-            except asyncio.CancelledError as exc:
-                if run_ctx.failure is None:
-                    # Cancelled from outside the run: end its other tasks,
-                    # and any critical section it holds, as a failure would.
-                    run_ctx.fail(exc)
-                    raise
-            except BaseException:
-                pass  # reported below, after every task settled
+            spawn(drive(program, (), sender))
             await run_ctx.drain()
         finally:
             reset_run(token)
+        signal = await receiver.recv()  # sent by the time every driver ended
+        if signal is not END:
+            raise RuntimeViolation(f"run_session: expected termination, got {signal!r}")
 
     return run()
 

@@ -1,11 +1,12 @@
-"""Execution primitives: one-shot channels, step messages, task spawning.
+"""Execution primitives: one-shot channels, step messages, the run scheduler.
 
 Every protocol step communicates over a fresh one-shot channel with
 capacity one: the send never blocks, the channel carries at most one
-payload, and each endpoint may be used once. A channel is one future; each
-endpoint holds it in one slot and empties the slot when it is used, so an
-empty slot marks a used endpoint. The sending endpoint of a fresh step
-channel belongs to the provider and the receiving endpoint to the client.
+payload, and each endpoint may be used once. A channel is one slot holding
+the payload and the receiver parked on it; each endpoint holds the slot in
+one field and empties it when it is used, so an empty field marks a used
+endpoint. The sending endpoint of a fresh step channel belongs to the
+provider and the receiving endpoint to the client.
 
 A step message, as `protocols.payload_of` describes it, is a bare signal
 or a pair `(carried, continuation)`: a value, channel or branch tag, and
@@ -13,18 +14,27 @@ the peer's end of the next step channel. The typing rules send every such
 pair through `emit`, `ask` and `answer`. In a reversed step the provider
 sends a fresh sender, never holding a receiver, and the client answers.
 
-Task spawning is funneled through `spawn()` so an alternate scheduler can
-be swapped in one place. A spawned task joins the ambient `RunContext`; the
-first exception in any task of a run cancels the whole run.
+A run is a scheduler: `RunContext` steps the `drive` coroutines that
+`run_session`, `cut` and `include_session` start, all on the task awaiting
+the run. A receive on an empty slot parks its driver there; the send that
+fills the slot readies it with no event-loop iteration. A driver awaiting
+a foreign future (a sleep, an acquire) parks on its done callback. Outside
+any run a receive awaits a future, and `spawn` starts an asyncio task.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+from collections import deque
+from functools import partial
 
 from .errors import RuntimeViolation
 from .instrument import active_recorder
+
+# Steps a run takes before it gives the event loop a turn. A count, not a
+# time, so the run yields as often on a slow host as on a fast one.
+STEPS_PER_TURN = 100
 
 
 class Signal:
@@ -49,30 +59,68 @@ _DROPPED = Signal("endpoint dropped")
 LEFT = "left"
 RIGHT = "right"
 
+# A slot's payload before the send (None is a payload), and what a driver
+# that parks in a slot yields to its scheduler.
+_EMPTY, _PARK = object(), object()
+
+_stepping: _Driver | None = None  # the driver whose step is running
+
+
+def current_driver() -> _Driver | None:
+    return _stepping
+
+
+class _Slot:
+    """A channel: its payload, and the driver or future parked on it."""
+
+    __slots__ = ("payload", "waiter")
+
+    def __init__(self):
+        self.payload = _EMPTY
+        self.waiter = None
+
+    def fill(self, payload) -> None:
+        self.payload = payload
+        waiter = self.waiter
+        if type(waiter) is _Driver:
+            waiter.run._resume(waiter, self)
+        elif waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def __await__(self):
+        driver = _stepping
+        if driver is None:
+            self.waiter = future = asyncio.get_running_loop().create_future()
+            yield from future
+        else:
+            self.waiter = driver
+            driver.waiting = self
+            yield _PARK
+
 
 class Sender:
     """Provider-held endpoint of a one-shot step channel."""
 
-    __slots__ = ("_future",)
+    __slots__ = ("_slot",)
 
-    def __init__(self, future: asyncio.Future):
-        self._future = future
+    def __init__(self, slot: _Slot):
+        self._slot = slot
 
     def send(self, payload) -> None:
-        future, self._future = self._future, None
-        if future is None:
+        slot, self._slot = self._slot, None
+        if slot is None:
             raise RuntimeViolation("one-shot channel endpoint used twice (send)")
-        future.set_result(payload)
+        slot.fill(payload)
         rec = active_recorder()
         if rec is not None:
             rec.endpoint_consumed()
 
     def __del__(self):
         # Dropped unused: wake the receiver instead of leaving it blocked.
-        future = getattr(self, "_future", None)
-        if future is not None and not future.done():
+        slot = getattr(self, "_slot", None)
+        if slot is not None:
             try:
-                future.set_result(_DROPPED)
+                slot.fill(_DROPPED)
             except RuntimeError:
                 pass  # event loop already closed
 
@@ -80,16 +128,18 @@ class Sender:
 class Receiver:
     """Client-held endpoint of a one-shot step channel."""
 
-    __slots__ = ("_future",)
+    __slots__ = ("_slot",)
 
-    def __init__(self, future: asyncio.Future):
-        self._future = future
+    def __init__(self, slot: _Slot):
+        self._slot = slot
 
     async def recv(self):
-        future, self._future = self._future, None
-        if future is None:
+        slot, self._slot = self._slot, None
+        if slot is None:
             raise RuntimeViolation("one-shot channel endpoint used twice (recv)")
-        payload = await future
+        if slot.payload is _EMPTY:
+            await slot
+        payload = slot.payload
         if payload is _DROPPED:
             raise RuntimeViolation(
                 "the sending endpoint of this channel was dropped unused"
@@ -101,12 +151,12 @@ class Receiver:
 
 
 def channel() -> tuple[Sender, Receiver]:
-    """A fresh one-shot channel: one future, held by both endpoints."""
-    future = asyncio.get_running_loop().create_future()
+    """A fresh one-shot channel: one slot, held by both endpoints."""
+    slot = _Slot()
     rec = active_recorder()
     if rec is not None:
         rec.channel_created()
-    return Sender(future), Receiver(future)
+    return Sender(slot), Receiver(slot)
 
 
 def emit(offer: Sender, carried) -> Sender:
@@ -130,10 +180,24 @@ def answer(outbound: Sender, carried) -> Receiver:
     return receiver
 
 
-class RunContext:
-    """Tracks the tasks of one run so failures propagate and nothing leaks.
+class _Driver:
+    """A coroutine of a run, stepped in its own context as a task would be;
+    `waiting` holds what it is parked on, None while it is ready."""
 
-    `tasks` holds only the run's live tasks, in spawn order; each is
+    __slots__ = ("coro", "run", "context", "waiting", "exc", "__weakref__")
+
+    def __init__(self, coro, run: RunContext):
+        self.coro = coro
+        self.run = run
+        self.context = contextvars.copy_context()
+        self.waiting = None
+        self.exc: BaseException | None = None
+
+
+class RunContext:
+    """The scheduler of one run: its drivers, and how the run fails.
+
+    `tasks` holds only the run's live drivers, in spawn order; each is
     dropped when it finishes. `on_failure` holds callbacks that run once,
     with the exception, when the run first fails; a shared process
     registers one for each critical section the run holds, so a client
@@ -141,40 +205,86 @@ class RunContext:
     """
 
     def __init__(self):
-        self.tasks: dict[asyncio.Task, None] = {}
+        self.tasks: dict[_Driver, None] = {}
         self.failure: BaseException | None = None
         self.on_failure: set = set()
+        self.ready: deque[_Driver] = deque()
+        self._waker: asyncio.Future | None = None
 
-    def _on_done(self, task: asyncio.Task) -> None:
-        del self.tasks[task]
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is not None and self.failure is None:
-            self.fail(exc)
+    def _resume(self, driver: _Driver, parked_on) -> None:
+        # A stale wake-up, for a driver that has moved on, is dropped.
+        if driver.waiting is parked_on:
+            driver.waiting = None
+            self.ready.append(driver)
+            waker, self._waker = self._waker, None
+            if waker is not None and not waker.done():
+                waker.set_result(None)
 
-    def add(self, task: asyncio.Task) -> None:
-        self.tasks[task] = None
-        task.add_done_callback(self._on_done)
+    def _step_ready(self) -> None:
+        """Step ready drivers until none is ready or the turn is spent."""
+        global _stepping
+        ready, outer = self.ready, _stepping
+        try:
+            for _ in range(STEPS_PER_TURN):
+                if not ready:
+                    return
+                driver = _stepping = ready.popleft()
+                exc, driver.exc = driver.exc, None
+                step = driver.coro.send if exc is None else driver.coro.throw
+                try:
+                    yielded = driver.context.run(step, exc)
+                except BaseException as exc:
+                    del self.tasks[driver]
+                    if self.failure is None and not isinstance(exc, StopIteration):
+                        self.fail(exc)
+                    continue
+                if yielded is None:  # a bare yield, as in asyncio.sleep(0)
+                    ready.append(driver)
+                    return  # the rest of the event loop goes first
+                if getattr(yielded, "_asyncio_future_blocking", False):
+                    yielded._asyncio_future_blocking = False
+                    driver.waiting = yielded
+                    yielded.add_done_callback(partial(self._resume, driver))
+                elif yielded is not _PARK:
+                    driver.exc = RuntimeError(f"a session driver yielded {yielded!r}")
+                    ready.append(driver)
+        finally:
+            _stepping = outer
 
     def fail(self, exc: BaseException) -> None:
         """Abort the run: record its first failure, run the failure hooks and
-        cancel every task still running."""
+        cancel every driver still running, and any future one awaits."""
         if self.failure is None:
             self.failure = exc
             hooks, self.on_failure = self.on_failure, set()
             for hook in hooks:
                 hook(exc)
-        for task in self.tasks:
-            task.cancel()
+        for driver in self.tasks:
+            driver.exc = asyncio.CancelledError()
+            parked_on = driver.waiting
+            if asyncio.isfuture(parked_on):
+                parked_on.cancel()  # its late done callback is dropped as stale
+            if parked_on is not None:
+                self._resume(driver, parked_on)
 
     async def drain(self) -> None:
-        # Each task's `_on_done` runs before gather's own callback, so any
-        # failure is recorded by the time gather returns.
+        """Step the drivers until all have ended, then raise the run's
+        failure; a cancel from outside fails the run and is raised last."""
+        cancelled = None
         while self.tasks:
-            await asyncio.gather(*self.tasks, return_exceptions=True)
-        if self.failure is not None:
-            raise self.failure
+            try:
+                if not self.ready:
+                    self._waker = asyncio.get_running_loop().create_future()
+                    await self._waker
+                self._step_ready()
+                if self.ready:
+                    await asyncio.sleep(0)  # the event loop's turn
+            except asyncio.CancelledError as exc:
+                cancelled = exc
+                self.fail(exc)
+        failure = cancelled or self.failure
+        if failure is not None:
+            raise failure
 
 
 _run_context: contextvars.ContextVar[RunContext | None] = contextvars.ContextVar(
@@ -194,10 +304,13 @@ def reset_run(token) -> None:
     _run_context.reset(token)
 
 
-def spawn(coro) -> asyncio.Task:
-    """Start a concurrent provider task under the ambient run context."""
-    task = asyncio.get_running_loop().create_task(coro)
-    ctx = _run_context.get()
-    if ctx is not None:
-        ctx.add(task)
-    return task
+def spawn(coro):
+    """Start a concurrent provider: a driver of the ambient run, or an
+    asyncio task outside any run."""
+    run = _run_context.get()
+    if run is None:
+        return asyncio.get_running_loop().create_task(coro)
+    driver = _Driver(coro, run)
+    run.tasks[driver] = None
+    run._resume(driver, None)  # a new driver waits on nothing
+    return driver

@@ -3,10 +3,10 @@ at most once, and a second use raises the same error it always has."""
 
 import pytest
 
-from conftest import run
+from conftest import run, run_without_gc
 from sessia import End, ProtocolError, RuntimeViolation, include_session, recording
 from sessia import session, terminate
-from sessia.runtime import channel
+from sessia.runtime import RunContext, channel, current_driver, reset_run, set_run, spawn
 
 
 # -- the texts a second use raises ---------------------------------------------
@@ -58,3 +58,67 @@ def test_a_continuation_must_be_callable():
     with pytest.raises(ProtocolError) as raised:
         include_session(session(End, terminate()), 42)
     assert str(raised.value) == "include_session: continuation must be callable, got 42"
+
+
+# -- the same texts inside a run, where a receive parks its driver -------------
+
+
+async def in_run(*coros):
+    """Run each coroutine as a driver of one run, in order, until all end."""
+    run_ctx = RunContext()
+    token = set_run(run_ctx)
+    try:
+        for coro in coros:
+            spawn(coro)
+        await run_ctx.drain()
+    finally:
+        reset_run(token)
+
+
+def test_a_dropped_sender_wakes_a_driver_parked_on_it():
+    held, parked, texts = [], [], []
+
+    async def receiving():
+        sender, receiver = channel()
+        held.append(sender)
+        del sender
+        parked.append(current_driver())
+        try:
+            await receiver.recv()
+        except RuntimeViolation as exc:
+            texts.append(str(exc))
+
+    async def dropping():
+        assert parked[0].waiting is not None  # the receiver is parked
+        held.clear()  # the last reference: the sender is dropped unused
+
+    run_without_gc(in_run(receiving(), dropping()))
+    assert texts == ["the sending endpoint of this channel was dropped unused"]
+
+
+def test_a_second_use_inside_a_run_raises_the_same_texts():
+    held, texts = [], []
+
+    async def receiving():
+        sender, receiver = channel()
+        held.append(sender)
+        assert await receiver.recv() == "x"  # parks until the peer sends
+        with pytest.raises(RuntimeViolation) as raised:
+            await receiver.recv()
+        texts.append(str(raised.value))
+
+    async def sending():
+        sender = held.pop()
+        sender.send("x")
+        with pytest.raises(RuntimeViolation) as raised:
+            sender.send("y")
+        texts.append(str(raised.value))
+
+    with recording() as rec:
+        run(in_run(receiving(), sending()))
+    assert texts == [
+        "one-shot channel endpoint used twice (send)",
+        "one-shot channel endpoint used twice (recv)",
+    ]
+    assert rec.counters.endpoints_created == 2
+    assert rec.conservation_ok()

@@ -200,7 +200,8 @@ def run_session(s: Session):
 
     Returns an awaitable. All channels created during the run are consumed
     by the time it finishes; exceptions raised by embedded user code
-    propagate and fail the whole run, and cancelling it cancels every driver.
+    propagate and fail the whole run. Cancelling it cancels every driver and
+    raises once all have ended, so a driver that ignores its cancel delays it.
     """
     if not isinstance(s, Session):
         raise ProtocolError(

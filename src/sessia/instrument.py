@@ -90,20 +90,18 @@ class Recorder:
         self.transcript = Transcript()
         self.counters = Counters()
         self._seq = itertools.count()
-        # Keyed by the run's driver being stepped, else by the asyncio task:
-        # CPython reuses the id of a finished one.
+        # Keyed by the task object: CPython reuses the id of a finished task.
         self._task_ids: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._task_seq = itertools.count(1)
 
     # -- transcript ------------------------------------------------------
 
     def _task_name(self) -> str:
-        from .runtime import current_driver  # runtime imports this module
-
         try:
-            key = current_driver() or asyncio.current_task() or _NO_TASK
-        except RuntimeError:  # no running event loop
-            key = _NO_TASK
+            task = asyncio.current_task()
+        except RuntimeError:
+            task = None
+        key = task if task is not None else _NO_TASK
         name = self._task_ids.get(key)
         if name is None:
             # Stable per-run ids in first-seen order, so transcripts are

@@ -15,17 +15,19 @@ pair through `emit`, `ask` and `answer`. In a reversed step the provider
 sends a fresh sender, never holding a receiver, and the client answers.
 
 A run is a scheduler: `RunContext` steps the `drive` coroutines that
-`run_session`, `cut` and `include_session` start, all on the task awaiting
-the run. A receive on an empty slot parks its driver there; the send that
-fills the slot readies it with no event-loop iteration. A driver awaiting
-a foreign future (a sleep, an acquire) parks on its done callback. Outside
-any run a receive awaits a future, and `spawn` starts an asyncio task.
+`run_session`, `cut` and `include_session` start on the task awaiting the
+run, each as the loop's current task. A receive on an empty slot parks its
+driver there; the send that fills the slot readies it with no event-loop
+iteration. A driver awaiting a foreign future (a sleep, an acquire) parks
+on its done callback. Outside any run a receive awaits a future, and
+`spawn` starts an asyncio task.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+from asyncio.tasks import _enter_task, _leave_task
 from collections import deque
 from functools import partial
 
@@ -63,12 +65,6 @@ RIGHT = "right"
 # that parks in a slot yields to its scheduler.
 _EMPTY, _PARK = object(), object()
 
-_stepping: _Driver | None = None  # the driver whose step is running
-
-
-def current_driver() -> _Driver | None:
-    return _stepping
-
 
 class _Slot:
     """A channel: its payload, and the driver or future parked on it."""
@@ -88,14 +84,14 @@ class _Slot:
             waiter.set_result(None)
 
     def __await__(self):
-        driver = _stepping
-        if driver is None:
-            self.waiter = future = asyncio.get_running_loop().create_future()
-            yield from future
-        else:
+        driver = asyncio.current_task()
+        if type(driver) is _Driver:
             self.waiter = driver
             driver.waiting = self
             yield _PARK
+        else:
+            self.waiter = future = asyncio.get_running_loop().create_future()
+            yield from future
 
 
 class Sender:
@@ -181,10 +177,12 @@ def answer(outbound: Sender, carried) -> Receiver:
 
 
 class _Driver:
-    """A coroutine of a run, stepped in its own context as a task would be;
-    `waiting` holds what it is parked on, None while it is ready."""
+    """A coroutine of a run, stepped in its own context and as the current
+    task, so it cancels and counts cancel requests as an `asyncio.Task` does,
+    for `asyncio.timeout` and `TaskGroup`; `waiting` holds what it is parked
+    on, None while it is ready."""
 
-    __slots__ = ("coro", "run", "context", "waiting", "exc", "__weakref__")
+    __slots__ = ("coro", "run", "context", "waiting", "exc", "cancels", "__weakref__")
 
     def __init__(self, coro, run: RunContext):
         self.coro = coro
@@ -192,6 +190,29 @@ class _Driver:
         self.context = contextvars.copy_context()
         self.waiting = None
         self.exc: BaseException | None = None
+        self.cancels = 0
+
+    def done(self) -> bool:
+        return self not in self.run.tasks
+
+    def cancel(self, msg=None) -> bool:
+        if self.done():
+            return False
+        self.cancels += 1
+        waiting = self.waiting
+        if asyncio.isfuture(waiting) and waiting.cancel(msg):
+            return True  # its done callback readies the driver
+        self.exc = asyncio.CancelledError(*(() if msg is None else (msg,)))
+        if waiting is not None:
+            self.run._resume(self, waiting)
+        return True
+
+    def cancelling(self) -> int:
+        return self.cancels
+
+    def uncancel(self) -> int:
+        self.cancels = max(self.cancels - 1, 0)
+        return self.cancels
 
 
 class RunContext:
@@ -222,50 +243,56 @@ class RunContext:
 
     def _step_ready(self) -> None:
         """Step ready drivers until none is ready or the turn is spent."""
-        global _stepping
-        ready, outer = self.ready, _stepping
+        ready, loop = self.ready, asyncio.get_running_loop()
+        outer = asyncio.current_task(loop)
+        _leave_task(loop, outer)
         try:
             for _ in range(STEPS_PER_TURN):
                 if not ready:
                     return
-                driver = _stepping = ready.popleft()
+                driver = ready.popleft()
                 exc, driver.exc = driver.exc, None
                 step = driver.coro.send if exc is None else driver.coro.throw
+                _enter_task(loop, driver)
                 try:
                     yielded = driver.context.run(step, exc)
                 except BaseException as exc:
                     del self.tasks[driver]
                     if self.failure is None and not isinstance(exc, StopIteration):
                         self.fail(exc)
+                    if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                        raise  # at once, as from an asyncio task
                     continue
-                if yielded is None:  # a bare yield, as in asyncio.sleep(0)
-                    ready.append(driver)
-                    return  # the rest of the event loop goes first
-                if getattr(yielded, "_asyncio_future_blocking", False):
+                finally:
+                    _leave_task(loop, driver)
+                if yielded is _PARK:
+                    if driver.exc is not None:  # cancelled in its own step
+                        self._resume(driver, driver.waiting)
+                elif getattr(yielded, "_asyncio_future_blocking", False):
                     yielded._asyncio_future_blocking = False
                     driver.waiting = yielded
                     yielded.add_done_callback(partial(self._resume, driver))
-                elif yielded is not _PARK:
+                    if driver.exc is not None:  # cancelled in its own step
+                        yielded.cancel()
+                elif yielded is None:  # a bare yield, as in asyncio.sleep(0)
+                    ready.append(driver)
+                    return  # the rest of the event loop goes first
+                else:
                     driver.exc = RuntimeError(f"a session driver yielded {yielded!r}")
                     ready.append(driver)
         finally:
-            _stepping = outer
+            _enter_task(loop, outer)
 
     def fail(self, exc: BaseException) -> None:
         """Abort the run: record its first failure, run the failure hooks and
-        cancel every driver still running, and any future one awaits."""
+        cancel every driver still running, as `Task.cancel` would."""
         if self.failure is None:
             self.failure = exc
             hooks, self.on_failure = self.on_failure, set()
             for hook in hooks:
                 hook(exc)
         for driver in self.tasks:
-            driver.exc = asyncio.CancelledError()
-            parked_on = driver.waiting
-            if asyncio.isfuture(parked_on):
-                parked_on.cancel()  # its late done callback is dropped as stale
-            if parked_on is not None:
-                self._resume(driver, parked_on)
+            driver.cancel()
 
     async def drain(self) -> None:
         """Step the drivers until all have ended, then raise the run's

@@ -1,12 +1,14 @@
 """One-shot resources: every channel end, continuation and program is used
 at most once, and a second use raises the same error it always has."""
 
+import asyncio
+
 import pytest
 
 from conftest import run, run_without_gc
 from sessia import End, ProtocolError, RuntimeViolation, include_session, recording
 from sessia import session, terminate
-from sessia.runtime import RunContext, channel, current_driver, reset_run, set_run, spawn
+from sessia.runtime import RunContext, channel, reset_run, set_run, spawn
 
 
 # -- the texts a second use raises ---------------------------------------------
@@ -82,7 +84,7 @@ def test_a_dropped_sender_wakes_a_driver_parked_on_it():
         sender, receiver = channel()
         held.append(sender)
         del sender
-        parked.append(current_driver())
+        parked.append(asyncio.current_task())
         try:
             await receiver.recv()
         except RuntimeViolation as exc:

@@ -4,6 +4,8 @@ to the event loop after a fixed number of steps, and cancels every parked
 driver when the run fails or is cancelled."""
 
 import asyncio
+import sys
+import threading
 
 import pytest
 
@@ -25,12 +27,27 @@ from sessia import (
     unfix_session_for,
     wait,
 )
-from sessia.demos import CounterStream, counter_pair, stream_producer
+from sessia.demos import CounterStream, counter_demo, counter_pair, stream_producer
 from sessia.runtime import channel, current_run
 
 
 def int_provider(value):
     return session(SendValue(int, End), send_value(value, terminate()))
+
+
+def taking_one_from(produce, received: list):
+    """A run that includes a `send_value_async(produce)` provider and takes
+    its one value."""
+    provider = session(SendValue(int, End), send_value_async(produce))
+
+    def take(value, x):
+        received.append(value)
+        return wait(x, terminate())
+
+    return session(
+        End,
+        include_session(provider, lambda x: receive_value_from(x, lambda v: take(v, x))),
+    )
 
 
 class CountingLoop(asyncio.SelectorEventLoop):
@@ -255,3 +272,164 @@ def test_a_driver_that_yields_a_non_future_fails_the_run():
     )
     with pytest.raises(RuntimeError, match="a session driver yielded 42"):
         run(run_session(program))
+
+
+# -- a driver is the current task while it is stepped ---------------------------
+
+
+needs_3_11 = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="asyncio.timeout and TaskGroup are new in 3.11"
+)
+
+
+@needs_3_11
+def test_a_timeout_in_a_producer_cancels_only_its_driver():
+    events, received = [], []
+
+    async def produce():
+        try:
+            async with asyncio.timeout(0):
+                await asyncio.sleep(3600)
+        except TimeoutError:
+            events.append("timed out")
+        try:
+            await asyncio.wait_for(asyncio.sleep(3600), 0)
+        except TimeoutError:
+            events.append("wait_for timed out")
+        return 1, terminate()
+
+    run(run_session(taking_one_from(produce, received)))
+    assert events == ["timed out", "wait_for timed out"]
+    assert received == [1]
+
+
+@needs_3_11
+def test_a_task_group_in_a_producer_cancels_only_its_driver():
+    events, received = [], []
+
+    async def fail_soon():
+        raise ValueError("child")
+
+    async def produce():
+        assert asyncio.current_task().cancelling() == 0
+        try:
+            async with asyncio.TaskGroup() as group:
+                group.create_task(fail_soon())
+                group.create_task(asyncio.sleep(3600))
+                await asyncio.sleep(3600)  # the group cancels this
+        except ExceptionGroup as failed:
+            events.extend(str(exc) for exc in failed.exceptions)
+        assert asyncio.current_task().cancelling() == 0
+        return 2, terminate()
+
+    async def main():
+        before = asyncio.all_tasks()
+        await run_session(taking_one_from(produce, received))
+        assert asyncio.all_tasks() == before
+
+    run(main())
+    assert events == ["child"]
+    assert received == [2]
+
+
+def test_a_driver_that_cancels_itself_is_cancelled_at_its_next_wait():
+    events, received, kept = [], [], []
+
+    async def produce():
+        sender, receiver = channel()
+        kept.append(sender)  # never sent on, never dropped
+        for waiting in (asyncio.sleep(3600), receiver.recv()):
+            asyncio.current_task().cancel()
+            try:
+                await waiting
+            except asyncio.CancelledError:
+                events.append(asyncio.current_task().uncancel())
+        return 3, terminate()
+
+    run(run_session(taking_one_from(produce, received)))
+    assert events == [0, 0]
+    assert received == [3]
+
+
+def test_runs_on_two_threads_keep_their_own_drivers():
+    # asyncio keeps the current task per event loop, so a thread switch in
+    # the middle of a step cannot hand one run's driver to the other.
+    results, interval = {}, sys.getswitchinterval()
+
+    def take(name):
+        results[name] = counter_demo(0, 500).values("RECV")
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=take, args=(n,), daemon=True) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)  # a deadlock guard: a lost driver hangs its run
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [str(value) for value in range(500)]
+    assert results == {"a": expected, "b": expected}
+
+
+# -- what reaches the task awaiting the run ---------------------------------------
+
+
+def test_an_outside_cancel_waits_for_a_provider_that_ignores_it():
+    events, runs = [], []
+
+    async def produce():
+        runs.append(current_run())
+        try:
+            await asyncio.sleep(3600)
+        except asyncio.CancelledError:
+            events.append("ignored")
+        for _ in range(3):
+            await asyncio.sleep(0)
+        events.append("finished")
+        return 1, terminate()
+
+    async def main():
+        task = asyncio.ensure_future(run_session(taking_one_from(produce, [])))
+        while not runs:
+            await asyncio.sleep(0)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        assert events == ["ignored", "finished"]
+        assert not runs[0].tasks
+
+    run_without_gc(main())
+
+
+def test_system_exit_in_a_driver_leaves_the_run_at_once():
+    events = []
+
+    async def hold():
+        try:
+            await asyncio.sleep(3600)
+        finally:
+            events.append("sibling stepped")
+        return 1, terminate()
+
+    async def leave():
+        raise SystemExit(3)
+
+    held = session(SendValue(int, End), send_value_async(hold))
+    leaving = session(SendValue(int, End), send_value_async(leave))
+    program = session(
+        End,
+        include_session(
+            held,
+            lambda x: include_session(
+                leaving, lambda y: receive_value_from(y, lambda v: wait(y, terminate()))
+            ),
+        ),
+    )
+
+    async def main():
+        with pytest.raises(SystemExit):
+            await run_session(program)
+        assert events == []  # raised before the cancelled sibling ran again
+
+    run(main())

@@ -27,9 +27,10 @@ endpoints, offer)`, or None once its driver is done; it never awaits
 another program. The driver loop, `drive`, runs the steps one after another
 and holds the one-shot and polarity checks, so a driver's stack and the
 cost of a step stay the same however many steps came before. The run's
-scheduler (`runtime.RunContext`) steps `run_session`'s main driver and every
-provider that `cut` and `include_session` spawn on the task awaiting it; a
-shared process runs each critical section under `drive` on its own task.
+scheduler (`runtime.RunContext`) steps `run_session`'s main driver, every
+provider that `cut` and `include_session` spawn and every critical section
+the run acquires on the task awaiting it; a shared process has no task of
+its own.
 """
 
 from __future__ import annotations
@@ -202,6 +203,8 @@ def run_session(s: Session):
     by the time it finishes; exceptions raised by embedded user code
     propagate and fail the whole run. Cancelling it cancels every driver and
     raises once all have ended, so a driver that ignores its cancel delays it.
+    A run that never waited gives the event loop exactly one turn before it
+    returns, so short runs awaited in a loop do not starve other tasks.
     """
     if not isinstance(s, Session):
         raise ProtocolError(

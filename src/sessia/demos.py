@@ -236,17 +236,11 @@ def shared_counter_demo(clients: int = 2) -> Transcript:
         raise ValueError("clients must be non-negative")
 
     async def main():
-        chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
-        tasks = [
-            asyncio.ensure_future(run_session(shared_counter_client(chan.clone())))
-            for _ in range(clients)
-        ]
-        del chan
-        if tasks:
-            await asyncio.gather(*tasks)
-        del tasks
-        await asyncio.wait_for(state.stopped.wait(), timeout=5)
+        async with run_shared_session(shared_counter_provider(0)) as chan:
+            runs = [
+                run_session(shared_counter_client(chan.clone())) for _ in range(clients)
+            ]
+            await asyncio.gather(*runs)
 
     transcript, _ = _run_demo(main)
     return transcript
@@ -360,22 +354,13 @@ def canvas_demo() -> Transcript:
     """Two clients each create a canvas, draw on it, and close it."""
 
     async def main():
-        chan = run_shared_session(constellation_provider(1))
-        state = chan._state
         plans = [
             (Size2D(100, 80), [MoveTo(0, 0), LineTo(10, 0), LineTo(10, 10)]),
             (Size2D(64, 64), [MoveTo(5, 5), LineTo(6, 7)]),
         ]
-        tasks = [
-            asyncio.ensure_future(
-                run_session(canvas_client(chan.clone(), size, messages))
-            )
-            for size, messages in plans
-        ]
-        del chan
-        await asyncio.gather(*tasks)
-        del tasks
-        await asyncio.wait_for(state.stopped.wait(), timeout=5)
+        async with run_shared_session(constellation_provider(1)) as chan:
+            runs = [run_session(canvas_client(chan.clone(), *plan)) for plan in plans]
+            await asyncio.gather(*runs)
 
     transcript, _ = _run_demo(main)
     return transcript

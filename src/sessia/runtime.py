@@ -15,12 +15,14 @@ pair through `emit`, `ask` and `answer`. In a reversed step the provider
 sends a fresh sender, never holding a receiver, and the client answers.
 
 A run is a scheduler: `RunContext` steps the `drive` coroutines that
-`run_session`, `cut` and `include_session` start on the task awaiting the
-run, each as the loop's current task. A receive on an empty slot parks its
+`run_session`, `cut`, `include_session` and each acquire of a shared
+process start on the task awaiting the run, each as the loop's current
+task. A shared process has no task of its own: its critical sections are
+drivers of the runs that acquire it. A receive on an empty slot parks its
 driver there; the send that fills the slot readies it with no event-loop
-iteration. A driver awaiting a foreign future (a sleep, an acquire) parks
-on its done callback. Outside any run a receive awaits a future, and
-`spawn` starts an asyncio task.
+iteration. A driver awaiting a foreign future (a sleep, a contended
+acquire) parks on its done callback. Outside any run a receive awaits a
+future, and `spawn` starts an asyncio task.
 """
 
 from __future__ import annotations
@@ -219,16 +221,14 @@ class RunContext:
     """The scheduler of one run: its drivers, and how the run fails.
 
     `tasks` holds only the run's live drivers, in spawn order; each is
-    dropped when it finishes. `on_failure` holds callbacks that run once,
-    with the exception, when the run first fails; a shared process
-    registers one for each critical section the run holds, so a client
-    that ends without releasing fails the shared process.
+    dropped when it finishes. The run's first failure, kept in `failure`,
+    cancels every other driver, the critical sections it holds among them,
+    and a section cancelled that way fails its shared process.
     """
 
     def __init__(self):
         self.tasks: dict[_Driver, None] = {}
         self.failure: BaseException | None = None
-        self.on_failure: set = set()
         self.ready: deque[_Driver] = deque()
         self._waker: asyncio.Future | None = None
 
@@ -284,31 +284,35 @@ class RunContext:
             _enter_task(loop, outer)
 
     def fail(self, exc: BaseException) -> None:
-        """Abort the run: record its first failure, run the failure hooks and
-        cancel every driver still running, as `Task.cancel` would."""
+        """Abort the run: record its first failure and cancel every driver
+        still running, as `Task.cancel` would."""
         if self.failure is None:
             self.failure = exc
-            hooks, self.on_failure = self.on_failure, set()
-            for hook in hooks:
-                hook(exc)
         for driver in self.tasks:
             driver.cancel()
 
     async def drain(self) -> None:
         """Step the drivers until all have ended, then raise the run's
-        failure; a cancel from outside fails the run and is raised last."""
-        cancelled = None
+        failure; a cancel from outside fails the run and is raised last.
+
+        A run gives the event loop at least one turn, so a task that awaits
+        many short runs in a row does not starve the rest of the loop."""
+        cancelled, turned = None, False
         while self.tasks:
             try:
                 if not self.ready:
+                    turned = True
                     self._waker = asyncio.get_running_loop().create_future()
                     await self._waker
                 self._step_ready()
                 if self.ready:
+                    turned = True
                     await asyncio.sleep(0)  # the event loop's turn
             except asyncio.CancelledError as exc:
                 cancelled = exc
                 self.fail(exc)
+        if not turned:
+            await asyncio.sleep(0)
         failure = cancelled or self.failure
         if failure is not None:
             raise failure

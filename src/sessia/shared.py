@@ -1,4 +1,4 @@
-"""Shared session types: acquire/release with a background shared process.
+"""Shared session types: acquire and release of a shared process.
 
 A shared protocol `LinearToShared(body)` is inherently recursive: every
 client that acquires it gets the same linear critical section, and the
@@ -9,13 +9,14 @@ but treats every leaf other than `Z` as an error. A body with an `End`, a
 nested `Fix` or a release step of its own at the end of some path has a
 path that never releases back to the shared type, and cannot form one.
 
-At runtime one background task owns the shared process. It serves acquire
-requests strictly FIFO, runs each critical section on that task, and only
-moves to the next request after the releasing client has acknowledged the
-release — so critical sections never overlap. The `Lock` slot is the
-runtime witness of being inside a critical section: `accept` plants it at
-slot 0 and `detach` consumes it to hand the continuation of the shared
-process back to the loop.
+A shared process has no task of its own. Between critical sections it is
+its suspended checked program, waiting at its accept. An acquire takes
+that program, after the acquirers already waiting in FIFO order, and runs
+the section as a driver of the acquiring run; an uncontended acquire never
+suspends. The client's release acknowledgement hands the program of the
+next section to the next waiter at once, so sections never overlap. The
+`Lock` slot is the runtime witness of being inside a critical section:
+`accept` plants it at slot 0 and `detach` consumes it.
 
 A shared *channel* may be aliased, but the checked shared program behind it
 is linear. A `SharedSession` is consumed when it is linked, as a checked
@@ -25,21 +26,14 @@ sits in one slot that linking empties, and an empty slot is the one-shot
 mark, so a reuse fails with `LinearityError` where it is linked, never
 inside the running process.
 
-Each acquire request carries the client's run, which the shared process
-binds to the critical section before it hands over the linear channel and
-which the client's release step unbinds. Failures reach every party:
+Failures travel through the acquiring run, with no garbage collection:
 
-* if the shared process fails, the run bound to it fails with the same
-  exception, and every queued acquirer fails with a `RuntimeViolation`;
-* if the bound run ends without releasing, by a failure or by being
-  cancelled, the shared process fails with a `RuntimeViolation` caused by
-  the client's exception, and stops.
-
-Neither depends on garbage collection. An acquirer cancelled while queued
-is skipped. A critical section runs under its client's run: the tasks it
-spawns belong to that run, and an acquire it makes binds that run. A
-`SharedChannel` clone is the channel itself, and the process stops once no
-reference to it is left and no acquire is pending.
+* a failing section fails its run and every queued acquirer;
+* a run that fails or is cancelled inside its critical section cancels the
+  section, and the process fails with a `RuntimeViolation` caused by the
+  run's failure;
+* a run that fails after its release leaves the process serving, and an
+  acquirer cancelled while queued is skipped.
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ from .errors import (
 from .instrument import record_event
 from .protocols import Protocol, SharedProtocol, _End, check_protocol
 from .recursion import Fix, substitute
-from .runtime import ACK, channel, current_run, reset_run, set_run
+from .runtime import ACK, channel, current_run, spawn
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,8 @@ def accept_shared_session(cont) -> SharedSessionBuilder:
 
 
 def detach_shared_session(cont: SharedSession) -> PartialSession:
-    """End the critical section: acknowledge the client's release and hand
-    the continuation of the shared process back to its loop."""
+    """End the critical section: on the client's release, hand `cont`, the
+    shared process's next section, to the next acquirer."""
     if not isinstance(cont, SharedSession):
         raise ProtocolError(
             f"detach_shared_session expects a checked SharedSession "
@@ -232,21 +226,21 @@ def detach_shared_session(cont: SharedSession) -> PartialSession:
                 f"detach_shared_session requires all other channels consumed; "
                 f"slot {live[0] + 1} still holds {live[1]}"
             )
-        expected = LinearToShared(offer.body)
-        if cont.protocol != expected:
+        # Compared by body: forming LinearToShared(offer.body) would unroll it.
+        if cont.protocol.body != offer.body:
             raise ProtocolError(
                 f"detach_shared_session: continuation offers {cont.protocol}, "
-                f"expected {expected}"
+                f"expected LinearToShared({offer.body})"
             )
         following = cont._take_program()
 
         async def execute(endpoints, offer_chan):
             section = endpoints[0]
+            section.following = following
             section.ack, receiver = channel()
             # The client's release step acknowledges through the section.
             offer_chan.send(section)
             await receiver.recv()
-            section.following = following
 
         return execute
 
@@ -269,7 +263,7 @@ def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
         exec_p = premise._resolve(ctx + (shared.protocol.unroll(),), offer)
 
         async def execute(endpoints, offer_chan):
-            linear = await shared._state.request(current_run())
+            linear = await shared._state.acquire()
             record_event("ACQ")
             return exec_p, endpoints + (linear,), offer_chan
 
@@ -310,139 +304,140 @@ def release_shared_session(n, cont) -> PartialSession:
 class _Section:
     """Endpoint at the `Lock` slot of one critical section.
 
-    While `run` is set, the client run that acquired the section is bound
-    to it: the run's failure fails the shared process. The client's release
-    step sends its acknowledgement through the section, which unbinds the
-    run before it wakes `detach`; `detach` then leaves the checked program
-    of the shared process's next section in `following`.
+    `detach` leaves the checked program of the process's next section in
+    `following` and parks until the client's release step acknowledges
+    through the section; that acknowledgement hands `following` on at once,
+    before it wakes `detach`.
     """
 
-    __slots__ = ("state", "run", "ack", "following", "abandoned")
+    __slots__ = ("state", "ack", "following", "released")
 
-    def __init__(self, state: _SharedState, run):
+    def __init__(self, state: _SharedState):
         self.state = state
-        self.run = run
         self.ack = None
         self.following = None
-        self.abandoned: BaseException | None = None
-        if run is not None:
-            run.on_failure.add(self._client_failed)
-
-    def unbind(self):
-        run, self.run = self.run, None
-        if run is not None:
-            run.on_failure.discard(self._client_failed)
-        return run
+        self.released = False
 
     def send(self, signal) -> None:
-        self.unbind()
+        self.released = True
+        self.state.release(self.following)
         self.ack.send(signal)
 
-    def _client_failed(self, exc: BaseException) -> None:
-        self.run = None
-        self.abandoned = exc
-        self.state.task.cancel()
-
-
-class _SharedState:
-    def __init__(self, protocol: LinearToShared):
-        self.protocol = protocol
-        self.requests: deque = deque()
-        self.loop = asyncio.get_running_loop()
-        self.wake = asyncio.Event()
-        self.closed = False
-        self.stopped = asyncio.Event()
-        self.failure: BaseException | None = None
-        self.task: asyncio.Task | None = None
-
-    def request(self, run) -> asyncio.Future:
-        """Queue an acquire by `run`; the future resolves to the linear
-        channel, or fails if the shared process fails first."""
-        if self.failure is not None:
-            raise RuntimeViolation("shared process already failed") from self.failure
-        response = self.loop.create_future()
-        self.requests.append((response, run))
-        self.wake.set()
-        return response
-
-    def close(self):
-        # The channel's finalizer, maybe run by the garbage collector: only
-        # schedule the wake-up, never touch the loop.
-        self.closed = True
+    async def run(self, program: PartialSession, offer) -> None:
+        """Drive the section as a driver of the acquiring run; a failure
+        before the release fails the shared process."""
         try:
-            self.loop.call_soon_threadsafe(self.wake.set)
-        except RuntimeError:
-            pass  # event loop already closed
-
-
-async def _serve(state: _SharedState, program: PartialSession):
-    section = None
-    try:
-        while True:
-            while not state.requests:
-                if state.closed:
-                    return
-                state.wake.clear()
-                await state.wake.wait()
-            response, run = state.requests.popleft()
-            if response.done():
-                continue  # the acquirer was cancelled while queued
-            section = _Section(state, run)
-            linear_sender, linear_receiver = channel()
-            response.set_result(linear_receiver)
-            # The section runs on this task under its client's run, so the
-            # tasks it spawns and the acquires it makes belong to that run.
-            token = set_run(run)
-            try:
-                await drive(program, (section,), linear_sender)
-            finally:
-                reset_run(token)
-            program = section.following
-            if program is None:
+            await drive(program, (self,), offer)
+            if not self.released:
                 raise RuntimeViolation(
                     "shared process: a critical section ended without a detach"
                 )
-    except BaseException as exc:
-        state.failure = exc
-        if section is not None and section.abandoned is not None:
-            state.failure = RuntimeViolation(
-                "shared process: a client run ended inside its critical "
-                "section without releasing it"
-            )
-            state.failure.__cause__ = section.abandoned
-        elif section is not None and section.run is not None:
-            section.unbind().fail(exc)
-        while state.requests:
-            response, _ = state.requests.popleft()
-            if not response.done():
-                lost = RuntimeViolation(
-                    "shared process failed before this acquire was served"
-                )
-                lost.__cause__ = state.failure
-                response.set_exception(lost)
-        if not isinstance(state.failure, Exception):
-            raise  # a cancel from outside or an interrupt propagates
-    finally:
-        state.stopped.set()
+        except BaseException as exc:
+            if not self.released:
+                failure, run = exc, current_run()
+                if isinstance(exc, asyncio.CancelledError) and run and run.failure:
+                    failure = RuntimeViolation(
+                        "shared process: a client run ended inside its critical "
+                        "section without releasing it"
+                    )
+                    failure.__cause__ = run.failure
+                self.state.fail(failure)
+            raise
+
+
+class _SharedState:
+    """A shared process: its suspended program while no section runs, and
+    the acquirers waiting, in FIFO order, while one does."""
+
+    def __init__(self, protocol: LinearToShared, program: PartialSession):
+        self.protocol = protocol
+        self.program: PartialSession | None = program
+        self.requests: deque[asyncio.Future] = deque()
+        self.accepting = True
+        self.failure: BaseException | None = None
+        self.stopped = asyncio.Event()
+
+    async def acquire(self):
+        """Take the process, after the acquirers queued before this one,
+        and start its section in the acquiring run; returns the linear
+        channel. An uncontended acquire never suspends."""
+        if self.failure is not None:
+            raise self._unserved()
+        if not self.accepting:
+            raise RuntimeViolation("shared channel closed: no further acquire")
+        program, self.program = self.program, None
+        if program is None:
+            turn = asyncio.get_running_loop().create_future()
+            self.requests.append(turn)
+            try:
+                program = await turn
+            except BaseException:
+                if turn.done() and not turn.cancelled() and turn.exception() is None:
+                    self.release(turn.result())  # woken, then cancelled
+                raise
+        sender, receiver = channel()
+        spawn(_Section(self).run(program, sender))
+        return receiver
+
+    def _waiters(self):
+        while self.requests:
+            turn = self.requests.popleft()
+            if not turn.done():  # an acquirer cancelled while queued is skipped
+                yield turn
+
+    def release(self, program: PartialSession) -> None:
+        """Hand the process to the first waiter, or suspend it."""
+        for turn in self._waiters():
+            turn.set_result(program)
+            return
+        self.program = program
+        if not self.accepting:
+            self.stopped.set()
+
+    def fail(self, exc: BaseException) -> None:
+        self.failure = exc
+        for turn in self._waiters():
+            turn.set_exception(self._unserved())
+        self.stopped.set()
+
+    def _unserved(self) -> RuntimeViolation:
+        # One error whether the acquire was queued or came after the failure.
+        unserved = RuntimeViolation(
+            "shared process already failed before this acquire was served"
+        )
+        unserved.__cause__ = self.failure
+        return unserved
+
+    def refuse(self) -> None:
+        """Refuse further acquires; the process stops once no section runs."""
+        self.accepting = False
+        if self.program is not None:
+            self.stopped.set()
 
 
 class SharedChannel:
-    """Alias to a running shared process, used on its event loop.
-
-    A clone is the channel itself. Once no reference to it is left and no
-    acquire is pending, the background process stops. A failure of the
-    shared process fails the client run inside its critical section and
-    every queued acquirer; a client run that ends inside its critical
-    section without releasing fails the shared process, which then stops.
-    """
+    """Alias to a shared process, which has no task of its own; a clone is
+    the channel itself. `close()`, the end of an `async with` block, or
+    dropping the last reference refuses further acquires; the process's
+    `stopped` event is set once no section runs."""
 
     def __init__(self, state: _SharedState):
         self._state = state
-        weakref.finalize(self, state.close)
+        # Dropping the last reference only refuses acquires: nothing runs.
+        self._refuse = weakref.finalize(self, state.refuse)
 
     @property
     def protocol(self) -> LinearToShared:
         return self._state.protocol
+
+    def close(self) -> None:
+        self._refuse()
+
+    async def __aenter__(self) -> SharedChannel:
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        self.close()
 
     def clone(self) -> SharedChannel:
         return self
@@ -455,13 +450,11 @@ class SharedChannel:
 
 
 def run_shared_session(s: SharedSession) -> SharedChannel:
-    """Start the shared process in the background; returns the channel that
-    clients use to acquire it. Must be called with an event loop running."""
+    """Link the shared process and return the channel that clients use to
+    acquire it. Nothing runs until the first acquire."""
     if not isinstance(s, SharedSession):
         raise ProtocolError(
             f"run_shared_session expects a checked SharedSession "
             f"(build one with shared_session(S, ...)), got {s!r}"
         )
-    state = _SharedState(s.protocol)
-    state.task = state.loop.create_task(_serve(state, s._take_program()))
-    return SharedChannel(state)
+    return SharedChannel(_SharedState(s.protocol, s._take_program()))

@@ -20,6 +20,7 @@ from sessia import (
     receive_channel,
     receive_value_from,
     run_session,
+    run_shared_session,
     send_value,
     send_value_async,
     session,
@@ -27,7 +28,14 @@ from sessia import (
     unfix_session_for,
     wait,
 )
-from sessia.demos import CounterStream, counter_demo, counter_pair, stream_producer
+from sessia.demos import (
+    CounterStream,
+    counter_demo,
+    counter_pair,
+    shared_counter_client,
+    shared_counter_provider,
+    stream_producer,
+)
 from sessia.runtime import channel, current_run
 
 
@@ -72,6 +80,53 @@ def test_a_stream_value_costs_no_event_loop_iteration():
     finally:
         loop.close()
     assert loop.call_soon_calls <= 2_500
+
+
+def test_an_uncontended_acquire_costs_no_event_loop_iteration():
+    # A shared process served on its own task costs three loop iterations
+    # an op, 30,000 `call_soon` calls here; what is left is each short
+    # run's one turn.
+    ops = 10_000
+
+    async def main():
+        before = asyncio.all_tasks()
+        async with run_shared_session(shared_counter_provider(0)) as chan:
+            assert asyncio.all_tasks() == before
+            for _ in range(ops):
+                await run_session(shared_counter_client(chan))
+                assert asyncio.all_tasks() == before
+
+    loop = CountingLoop()
+    try:
+        loop.run_until_complete(main())
+    finally:
+        loop.close()
+    assert loop.call_soon_calls <= 1.2 * ops
+
+
+def test_a_short_run_gives_the_event_loop_a_turn():
+    # Each run below ends inside its first round of steps. Unless every run
+    # gives the loop a turn, the task awaiting 1,000 of them holds the event
+    # loop until the last one ends.
+    done, seen = [], []
+
+    async def short_runs():
+        for value in range(1_000):
+
+            async def produce(value=value):
+                return value, terminate()
+
+            await run_session(taking_one_from(produce, done))
+
+    async def bystander():
+        seen.append(len(done))
+
+    async def main():
+        await asyncio.gather(short_runs(), bystander())
+
+    run(main())
+    assert done == list(range(1_000))
+    assert seen[0] <= 1
 
 
 def test_run_session_starts_no_task_per_provider():

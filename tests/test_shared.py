@@ -17,6 +17,7 @@ from sessia import (
     Z,
     accept_shared_session,
     acquire_shared_session,
+    cut,
     detach_shared_session,
     include_session,
     nat,
@@ -42,6 +43,7 @@ from sessia.demos import (
     shared_counter_demo,
     shared_counter_provider,
 )
+from sessia.runtime import current_run
 
 
 # -- shared type formation ---------------------------------------------------
@@ -645,15 +647,196 @@ def test_a_shared_process_reports_its_failure_once_and_keeps_an_outside_cancel()
         )
         with pytest.raises(ValueError, match="shared process exploded"):
             await asyncio.wait_for(run_session(counting_client(failing, [])), 1)
-        # Reported to the client; the process's own task ends without it.
-        assert await asyncio.wait_for(failing._state.task, 1) is None
+        # Reported to the client; the process records it and stops.
+        await asyncio.wait_for(failing._state.stopped.wait(), 1)
         assert failing._state.failure is boom
 
         idle = run_shared_session(shared_counter_provider(0))
-        await asyncio.sleep(0)
-        idle._state.task.cancel()
+        idle.close()
         await asyncio.wait_for(idle._state.stopped.wait(), 1)
-        assert idle._state.task.cancelled()
+        assert idle._state.failure is None
+
+    run_without_gc(main())
+
+
+# -- a contended acquire is handed over at the holder's release ----------------
+
+
+def gated_counter(value, gate, provider_runs):
+    """A shared counter whose sections take their count from a provider they
+    `cut` in. Each provider notes its run; the first waits for `gate`."""
+
+    async def produce():
+        provider_runs.append(current_run())
+        if value == 0:
+            await gate.wait()
+        return value, terminate()
+
+    def relay(v):
+        following = gated_counter(value + 1, gate, provider_runs)
+        return wait(nat(1), send_value(v, detach_shared_session(following)))
+
+    section = cut(
+        receive_value_from(nat(1), relay),
+        send_value_async(produce),
+        provider_protocol=SendValue(int, End),
+    )
+    return shared_session(SharedCounter, accept_shared_session(section))
+
+
+def noting_client(chan, seen, runs, body_after_acquire=None):
+    """Acquire once, note the count and the client's own run, release."""
+
+    def body(c):
+        def on_value(v):
+            seen.append(v)
+            runs.append(current_run())
+            return release_shared_session(c, terminate())
+
+        return receive_value_from(c, on_value)
+
+    return session(End, acquire_shared_session(chan, body_after_acquire or body))
+
+
+def test_a_contended_acquire_is_served_in_fifo_order_in_its_own_run():
+    async def main():
+        gate = asyncio.Event()
+        provider_runs, seen, client_runs = [], [], []
+        chan = run_shared_session(gated_counter(0, gate, provider_runs))
+        state = chan._state
+
+        def client():
+            return asyncio.ensure_future(
+                run_session(noting_client(chan, seen, client_runs))
+            )
+
+        first = client()
+        while not provider_runs:  # the first section waits at the gate
+            await asyncio.sleep(0)
+        queued = [client()]
+        while not state.requests:
+            await asyncio.sleep(0)
+        assert len(state.requests) == 1
+        queued.append(client())
+        while len(state.requests) < 2:
+            await asyncio.sleep(0)
+        gate.set()
+        await asyncio.wait_for(asyncio.gather(first, *queued), 1)
+        assert seen == [0, 1, 2]
+        assert len(set(map(id, client_runs))) == 3
+        # Each section's provider ran in the run of the client holding it.
+        assert provider_runs == client_runs
+        assert not state.requests and state.failure is None
+        chan.close()
+        assert state.stopped.is_set()
+
+    run_without_gc(main())
+
+
+def test_a_run_that_acquires_again_and_again_keeps_its_drivers_bounded():
+    drivers = []
+
+    def acquiring(chan, left):
+        def body(c):
+            def on_value(v):
+                drivers.append(len(current_run().tasks))
+                following = acquiring(chan, left - 1) if left > 1 else terminate()
+                return release_shared_session(c, following)
+
+            return receive_value_from(c, on_value)
+
+        return acquire_shared_session(chan, body)
+
+    async def main():
+        async with run_shared_session(shared_counter_provider(0)) as chan:
+            await run_session(session(End, acquiring(chan, 10_000)))
+
+    run_without_gc(main())
+    assert len(drivers) == 10_000 and max(drivers) <= 2
+
+
+def test_an_acquirer_cancelled_after_its_turn_came_passes_the_turn_on():
+    # The release hands the process to the queued acquirer's future; that
+    # acquirer is cancelled before it runs, so it must hand the process on.
+    async def main():
+        chan = run_shared_session(shared_counter_provider(0))
+        state = chan._state
+        seen, waiter = [], []
+        inside, leave = asyncio.Event(), asyncio.Event()
+
+        async def cancel_the_waiter():
+            waiter[0].cancel()
+            return 0, terminate()
+
+        canceller = session(SendValue(int, End), send_value_async(cancel_the_waiter))
+
+        def holder_body(c):
+            async def on_value(v):
+                seen.append(v)
+                inside.set()
+                await leave.wait()
+                return release_shared_session(c, include_then_finish(canceller))
+
+            return receive_value_from(c, on_value)
+
+        holder = asyncio.ensure_future(
+            run_session(session(End, acquire_shared_session(chan, holder_body)))
+        )
+        await inside.wait()
+        waiter.append(asyncio.ensure_future(run_session(counting_client(chan, seen))))
+        while not state.requests:
+            await asyncio.sleep(0)
+        leave.set()
+        await asyncio.wait_for(holder, 1)
+        with pytest.raises(asyncio.CancelledError):
+            await waiter[0]
+        await asyncio.wait_for(run_session(counting_client(chan, seen)), 1)
+        assert seen == [0, 1]
+        assert state.failure is None
+
+    run_without_gc(main())
+
+
+def test_a_holder_failing_at_the_gate_fails_the_queued_acquirer_without_gc():
+    boom = ValueError("holder exploded")
+
+    async def main():
+        gate, explode = asyncio.Event(), asyncio.Event()
+        provider_runs = []
+        chan = run_shared_session(gated_counter(0, gate, provider_runs))
+        state = chan._state
+
+        async def produce():
+            await explode.wait()
+            raise boom
+
+        exploding = session(SendValue(int, End), send_value_async(produce))
+
+        def exploding_body(c):
+            # The holder's run includes a provider that fails it while its
+            # section still waits at the gate.
+            return include_session(
+                exploding, lambda p: receive_value_from(p, lambda v: terminate())
+            )
+
+        holder = asyncio.ensure_future(
+            run_session(noting_client(chan, [], [], exploding_body))
+        )
+        while not provider_runs:
+            await asyncio.sleep(0)
+        queued = asyncio.ensure_future(run_session(noting_client(chan, [], [])))
+        while not state.requests:
+            await asyncio.sleep(0)
+        explode.set()
+        with pytest.raises(ValueError, match="holder exploded"):
+            await asyncio.wait_for(holder, 1)
+        await asyncio.wait_for(state.stopped.wait(), 1)
+        assert isinstance(state.failure, RuntimeViolation)
+        assert state.failure.__cause__ is boom
+        with pytest.raises(
+            RuntimeViolation, match="failed before this acquire was served"
+        ):
+            await asyncio.wait_for(queued, 1)
 
     run_without_gc(main())
 

@@ -327,6 +327,7 @@ class _Section:
         """Drive the section as a driver of the acquiring run; a failure
         before the release fails the shared process."""
         try:
+            await asyncio.sleep(0)  # `acquire` steps it to here, then spawns it
             await drive(program, (self,), offer)
             if not self.released:
                 raise RuntimeViolation(
@@ -351,6 +352,7 @@ class _SharedState:
 
     def __init__(self, protocol: LinearToShared, program: PartialSession):
         self.protocol = protocol
+        self.loop = asyncio.get_running_loop()
         self.program: PartialSession | None = program
         self.requests: deque[asyncio.Future] = deque()
         self.accepting = True
@@ -367,7 +369,7 @@ class _SharedState:
             raise RuntimeViolation("shared channel closed: no further acquire")
         program, self.program = self.program, None
         if program is None:
-            turn = asyncio.get_running_loop().create_future()
+            turn = self.loop.create_future()
             self.requests.append(turn)
             try:
                 program = await turn
@@ -376,7 +378,10 @@ class _SharedState:
                     self.release(turn.result())  # woken, then cancelled
                 raise
         sender, receiver = channel()
-        spawn(_Section(self).run(program, sender))
+        section = _Section(self).run(program, sender)
+        # Into its `try`, so a cancel before the run steps it fails the process.
+        section.send(None)
+        spawn(section)
         return receiver
 
     def _waiters(self):
@@ -409,10 +414,15 @@ class _SharedState:
         return unserved
 
     def refuse(self) -> None:
-        """Refuse further acquires; the process stops once no section runs."""
+        """Refuse further acquires; the process stops once no section runs.
+        The last channel's finalizer calls this too, maybe on another thread
+        or after the loop closed, so it only schedules setting `stopped`."""
         self.accepting = False
         if self.program is not None:
-            self.stopped.set()
+            try:
+                self.loop.call_soon_threadsafe(self.stopped.set)
+            except RuntimeError:
+                pass  # event loop already closed
 
 
 class SharedChannel:
@@ -423,7 +433,7 @@ class SharedChannel:
 
     def __init__(self, state: _SharedState):
         self._state = state
-        # Dropping the last reference only refuses acquires: nothing runs.
+        # Dropping the last reference refuses acquires; nothing is left to stop.
         self._refuse = weakref.finalize(self, state.refuse)
 
     @property
@@ -450,8 +460,8 @@ class SharedChannel:
 
 
 def run_shared_session(s: SharedSession) -> SharedChannel:
-    """Link the shared process and return the channel that clients use to
-    acquire it. Nothing runs until the first acquire."""
+    """Link the shared process on the running loop and return the channel
+    that clients use to acquire it. Nothing runs until the first acquire."""
     if not isinstance(s, SharedSession):
         raise ProtocolError(
             f"run_shared_session expects a checked SharedSession "

@@ -1,5 +1,6 @@
 import asyncio
 import gc
+import threading
 
 import pytest
 
@@ -728,7 +729,7 @@ def test_a_contended_acquire_is_served_in_fifo_order_in_its_own_run():
         assert provider_runs == client_runs
         assert not state.requests and state.failure is None
         chan.close()
-        assert state.stopped.is_set()
+        await asyncio.wait_for(state.stopped.wait(), 1)
 
     run_without_gc(main())
 
@@ -837,6 +838,101 @@ def test_a_holder_failing_at_the_gate_fails_the_queued_acquirer_without_gc():
             RuntimeViolation, match="failed before this acquire was served"
         ):
             await asyncio.wait_for(queued, 1)
+
+    run_without_gc(main())
+
+
+def including_acquirer(chan, provider):
+    """Include a SendValue(int, End) `provider`, then acquire in the same
+    step; the section driver is spawned right after the provider's."""
+
+    def after_include(p):
+        def body(c):
+            def on_value(v):
+                finish = receive_value_from(p, lambda w: wait(p, terminate()))
+                return release_shared_session(c, finish)
+
+            return receive_value_from(c, on_value)
+
+        return acquire_shared_session(chan, body)
+
+    return session(End, include_session(provider, after_include))
+
+
+def test_a_run_failing_before_its_section_first_steps_fails_the_process_without_gc():
+    boom = ValueError("provider exploded")
+
+    async def produce():
+        raise boom
+
+    exploding = session(SendValue(int, End), send_value_async(produce))
+
+    async def main():
+        chan = run_shared_session(shared_counter_provider(0))
+        state = chan._state
+        with pytest.raises(ValueError, match="provider exploded"):
+            await asyncio.wait_for(run_session(including_acquirer(chan, exploding)), 1)
+        await asyncio.wait_for(state.stopped.wait(), 1)
+        assert isinstance(state.failure, RuntimeViolation)
+        assert state.failure.__cause__ is boom
+        with pytest.raises(RuntimeViolation, match="already failed"):
+            await asyncio.wait_for(run_session(shared_counter_client(chan)), 1)
+
+    run_without_gc(main())
+
+
+def test_an_outside_cancel_before_the_section_first_steps_fails_the_process_without_gc():
+    outer = []
+
+    async def produce():
+        # The run's task is cancelled at its next loop turn, which the run
+        # takes while its section driver is still ready.
+        asyncio.get_running_loop().call_soon(outer[0].cancel)
+        await asyncio.sleep(0)
+        return 1
+
+    yielding = session(SendValue(int, End), send_value_async(produce))
+
+    async def main():
+        chan = run_shared_session(shared_counter_provider(0))
+        state = chan._state
+        client = asyncio.ensure_future(
+            run_session(including_acquirer(chan, yielding))
+        )
+        outer.append(client)
+        with pytest.raises(asyncio.CancelledError):
+            await asyncio.wait_for(client, 1)
+        await asyncio.wait_for(state.stopped.wait(), 1)
+        assert isinstance(state.failure, RuntimeViolation)
+        assert isinstance(state.failure.__cause__, asyncio.CancelledError)
+        with pytest.raises(RuntimeViolation, match="already failed"):
+            await asyncio.wait_for(run_session(shared_counter_client(chan)), 1)
+
+    run_without_gc(main())
+
+
+def test_a_channel_dropped_on_another_thread_wakes_the_stop_waiter_on_its_loop():
+    async def main():
+        loop = asyncio.get_running_loop()
+        loop.set_debug(True)  # a call_soon from another thread then raises
+        chan = run_shared_session(shared_counter_provider(0))
+        state = chan._state
+        # Step `stopped.wait()` by hand to its parked future: a task parked
+        # there would never finish if the finalizer's wake-up were lost.
+        waiting = state.stopped.wait()
+        parked = waiting.send(None)
+        woken = loop.create_future()
+        parked.add_done_callback(lambda _: woken.set_result(None))
+        holder = [chan]
+        del chan
+        dropper = threading.Thread(target=holder.clear)
+        dropper.start()
+        dropper.join()
+        try:
+            await asyncio.wait_for(woken, 1)
+        finally:
+            waiting.close()
+        assert state.failure is None and not state.accepting
 
     run_without_gc(main())
 

@@ -36,7 +36,6 @@ its own.
 from __future__ import annotations
 
 import inspect
-import itertools
 
 from .context import (
     Empty,
@@ -49,7 +48,7 @@ from .context import (
     validate_context,
 )
 from .errors import LinearityError, ProtocolError, RuntimeViolation
-from .instrument import active_recorder
+from .instrument import active_recorder, refuse_reuse
 from .protocols import End, Protocol, ReceiveChannel, check_protocol
 from .runtime import (
     END,
@@ -61,8 +60,6 @@ from .runtime import (
     spawn,
 )
 
-_tokens = itertools.count()
-
 
 async def drive(program: PartialSession, endpoints, offer) -> None:
     """Run one driver's checked programs until a step returns None."""
@@ -71,10 +68,10 @@ async def drive(program: PartialSession, endpoints, offer) -> None:
         program, endpoints, offer = step
         execute, program.execute = program.execute, None
         if execute is None:
-            raise RuntimeViolation(f"{program._rule}: executor invoked twice")
+            refuse_reuse(f"{program._rule}: executor invoked twice")
         rec = active_recorder()
         if rec is not None:
-            rec.executor_ran(program.token)
+            rec.executor_ran(program._rule)
         if not isinstance(offer, Sender):
             if rec is not None:
                 rec.polarity_violation()
@@ -87,22 +84,21 @@ async def drive(program: PartialSession, endpoints, offer) -> None:
 class OneShotContinuation:
     """Wraps a user continuation so it can be invoked exactly once."""
 
-    __slots__ = ("_rule", "_fn", "_token")
+    __slots__ = ("_rule", "_fn")
 
     def __init__(self, rule: str, fn):
         if not callable(fn):
             raise ProtocolError(f"{rule}: continuation must be callable, got {fn!r}")
         self._rule = rule
         self._fn = fn
-        self._token = next(_tokens)
 
     def __call__(self, *args):
         fn, self._fn = self._fn, None
         if fn is None:
-            raise RuntimeViolation(f"{self._rule}: continuation invoked twice")
+            refuse_reuse(f"{self._rule}: continuation invoked twice")
         rec = active_recorder()
         if rec is not None:
-            rec.continuation_ran(self._token)
+            rec.continuation_ran(self._rule)
         return fn(*args)
 
 
@@ -116,7 +112,7 @@ class PartialSession:
     and spent, with both slots empty.
     """
 
-    __slots__ = ("_rule", "_content", "_synth", "execute", "token")
+    __slots__ = ("_rule", "_content", "_synth", "execute")
 
     def __init__(self, rule: str, content, synth_protocol: Protocol | None = None):
         self._rule = rule
@@ -141,7 +137,6 @@ class PartialSession:
         if isinstance(execute, PartialSession):
             return execute
         self.execute = execute
-        self.token = next(_tokens)
         return self
 
     def __repr__(self):

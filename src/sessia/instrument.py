@@ -1,4 +1,4 @@
-"""Run instrumentation: transcripts, endpoint counters, invocation counters.
+"""Run instrumentation: transcripts, endpoint counters, step counters.
 
 A `Recorder` is installed with the `recording()` context manager and is
 visible to every task spawned underneath it (it travels through
@@ -7,11 +7,12 @@ visible to every task spawned underneath it (it travels through
 * transcript events (SEND / RECV / ACQ / REL / END) with stable per-run
   task ids, serializable as ``KIND<TAB>value`` lines;
 * endpoint accounting: every channel endpoint created and consumed;
-* one-shot accounting: how often each executor and each user continuation
-  was invoked.
+* step accounting: how many executors and user continuations each typing
+  rule ran, and how many second uses of a one-shot resource (an executor,
+  a continuation or a channel endpoint) the runtime refused.
 
 Demos and tests use the transcript; the conservation checks
-(`created == consumed`, all invocation counts == 1) back the library's
+(`created == consumed`, no refused second use) back the library's
 linearity claims.
 """
 
@@ -23,12 +24,16 @@ import contextvars
 import itertools
 import time
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NoReturn
+
+from .errors import RuntimeViolation
 
 EVENT_KINDS = ("SEND", "RECV", "ACQ", "REL", "END")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     seq: int
     timestamp: float
@@ -78,9 +83,11 @@ _NO_TASK = _NoTask()
 class Counters:
     endpoints_created: int = 0
     endpoints_consumed: int = 0
-    executors: dict[int, int] = field(default_factory=dict)
-    continuations: dict[int, int] = field(default_factory=dict)
+    # Steps and continuations run per rule name: bounded however long the run.
+    executors: Counter[str] = field(default_factory=Counter)
+    continuations: Counter[str] = field(default_factory=Counter)
     polarity_violations: int = 0
+    reuses: int = 0  # refused second uses of one-shot resources
 
 
 class Recorder:
@@ -135,17 +142,13 @@ class Recorder:
     def polarity_violation(self) -> None:
         self.counters.polarity_violations += 1
 
-    # -- one-shot accounting ----------------------------------------------
+    # -- step accounting ---------------------------------------------------
 
-    def executor_ran(self, token: int) -> int:
-        count = self.counters.executors.get(token, 0) + 1
-        self.counters.executors[token] = count
-        return count
+    def executor_ran(self, rule: str) -> None:
+        self.counters.executors[rule] += 1
 
-    def continuation_ran(self, token: int) -> int:
-        count = self.counters.continuations.get(token, 0) + 1
-        self.counters.continuations[token] = count
-        return count
+    def continuation_ran(self, rule: str) -> None:
+        self.counters.continuations[rule] += 1
 
     # -- checks ------------------------------------------------------------
 
@@ -153,9 +156,7 @@ class Recorder:
         return self.counters.endpoints_created == self.counters.endpoints_consumed
 
     def one_shot_ok(self) -> bool:
-        return all(n == 1 for n in self.counters.executors.values()) and all(
-            n == 1 for n in self.counters.continuations.values()
-        )
+        return self.counters.reuses == 0
 
 
 _active: contextvars.ContextVar[Recorder | None] = contextvars.ContextVar(
@@ -171,6 +172,14 @@ def record_event(kind: str, value: object = "") -> None:
     rec = _active.get()
     if rec is not None:
         rec.record(kind, value)
+
+
+def refuse_reuse(message: str) -> NoReturn:
+    """Refuse a one-shot resource's second use; the active Recorder counts it."""
+    rec = _active.get()
+    if rec is not None:
+        rec.counters.reuses += 1
+    raise RuntimeViolation(message)
 
 
 @contextlib.contextmanager

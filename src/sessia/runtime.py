@@ -34,7 +34,7 @@ from collections import deque
 from functools import partial
 
 from .errors import RuntimeViolation
-from .instrument import active_recorder
+from .instrument import active_recorder, refuse_reuse
 
 # Steps a run takes before it gives the event loop a turn. A count, not a
 # time, so the run yields as often on a slow host as on a fast one.
@@ -107,7 +107,7 @@ class Sender:
     def send(self, payload) -> None:
         slot, self._slot = self._slot, None
         if slot is None:
-            raise RuntimeViolation("one-shot channel endpoint used twice (send)")
+            refuse_reuse("one-shot channel endpoint used twice (send)")
         slot.fill(payload)
         rec = active_recorder()
         if rec is not None:
@@ -134,7 +134,7 @@ class Receiver:
     async def recv(self):
         slot, self._slot = self._slot, None
         if slot is None:
-            raise RuntimeViolation("one-shot channel endpoint used twice (recv)")
+            refuse_reuse("one-shot channel endpoint used twice (recv)")
         if slot.payload is _EMPTY:
             await slot
         payload = slot.payload

@@ -18,6 +18,10 @@ next section to the next waiter at once, so sections never overlap. The
 `Lock` slot is the runtime witness of being inside a critical section:
 `accept` plants it at slot 0 and `detach` consumes it.
 
+`SharedChannel.close()`, or the end of an `async with` block, is the one
+way to end a shared process. Between sections it is only a suspended
+program, so a channel dropped unclosed leaves nothing running.
+
 A shared *channel* may be aliased, but the checked shared program behind it
 is linear. A `SharedSession` is consumed when it is linked, as a checked
 `Session` is: by `run_shared_session`, or when the `detach_shared_session`
@@ -39,7 +43,6 @@ Failures travel through the acquiring run, with no garbage collection:
 from __future__ import annotations
 
 import asyncio
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -352,7 +355,6 @@ class _SharedState:
 
     def __init__(self, protocol: LinearToShared, program: PartialSession):
         self.protocol = protocol
-        self.loop = asyncio.get_running_loop()
         self.program: PartialSession | None = program
         self.requests: deque[asyncio.Future] = deque()
         self.accepting = True
@@ -369,7 +371,7 @@ class _SharedState:
             raise RuntimeViolation("shared channel closed: no further acquire")
         program, self.program = self.program, None
         if program is None:
-            turn = self.loop.create_future()
+            turn = asyncio.get_running_loop().create_future()
             self.requests.append(turn)
             try:
                 program = await turn
@@ -413,35 +415,28 @@ class _SharedState:
         unserved.__cause__ = self.failure
         return unserved
 
-    def refuse(self) -> None:
-        """Refuse further acquires; the process stops once no section runs.
-        The last channel's finalizer calls this too, maybe on another thread
-        or after the loop closed, so it only schedules setting `stopped`."""
+    def close(self) -> None:
+        """Refuse further acquires; the process stops once no section runs."""
         self.accepting = False
         if self.program is not None:
-            try:
-                self.loop.call_soon_threadsafe(self.stopped.set)
-            except RuntimeError:
-                pass  # event loop already closed
+            self.stopped.set()
 
 
 class SharedChannel:
-    """Alias to a shared process, which has no task of its own; a clone is
-    the channel itself. `close()`, the end of an `async with` block, or
-    dropping the last reference refuses further acquires; the process's
-    `stopped` event is set once no section runs."""
+    """Alias to a shared process; a clone is the channel itself. `close()`,
+    or the end of an `async with` block, refuses further acquires and sets
+    the process's `stopped` once no section runs. The process has no task,
+    so a channel dropped unclosed leaves nothing running."""
 
     def __init__(self, state: _SharedState):
         self._state = state
-        # Dropping the last reference refuses acquires; nothing is left to stop.
-        self._refuse = weakref.finalize(self, state.refuse)
 
     @property
     def protocol(self) -> LinearToShared:
         return self._state.protocol
 
     def close(self) -> None:
-        self._refuse()
+        self._state.close()
 
     async def __aenter__(self) -> SharedChannel:
         return self
@@ -460,8 +455,8 @@ class SharedChannel:
 
 
 def run_shared_session(s: SharedSession) -> SharedChannel:
-    """Link the shared process on the running loop and return the channel
-    that clients use to acquire it. Nothing runs until the first acquire."""
+    """Link the shared process and return the channel that clients use to
+    acquire it. Nothing runs until the first acquire."""
     if not isinstance(s, SharedSession):
         raise ProtocolError(
             f"run_shared_session expects a checked SharedSession "

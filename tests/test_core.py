@@ -358,7 +358,14 @@ def test_every_executor_and_continuation_ran_once():
         body = include_session(int_provider(9), _consume_and_close)
         run(run_session(session(End, body)))
     assert rec.one_shot_ok()
-    assert all(n == 1 for n in rec.counters.executors.values())
+    assert rec.counters.executors == {
+        "include_session": 1,
+        "receive_value_from": 1,
+        "send_value": 1,
+        "terminate": 2,
+        "wait": 1,
+    }
+    assert rec.counters.continuations == {"include_session": 1, "receive_value_from": 1}
 
 
 def test_a_checked_program_is_its_own_step():

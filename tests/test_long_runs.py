@@ -40,6 +40,10 @@ def test_counter_stream_of_ten_thousand_values():
     assert [int(v) for v in rec.transcript.values("RECV")] == list(range(10_000))
     assert rec.conservation_ok()
     assert rec.one_shot_ok()
+    # One counter entry per rule, however long the run.
+    assert len(rec.counters.executors) == 11
+    assert sum(rec.counters.executors.values()) == 40_010
+    assert sum(rec.counters.continuations.values()) == 20_003
 
 
 def _frame_depth() -> int:

@@ -8,6 +8,7 @@ import pytest
 from conftest import run, run_without_gc
 from sessia import End, ProtocolError, RuntimeViolation, include_session, recording
 from sessia import session, terminate
+from sessia.core import OneShotContinuation, drive
 from sessia.runtime import RunContext, channel, reset_run, set_run, spawn
 
 
@@ -60,6 +61,52 @@ def test_a_continuation_must_be_callable():
     with pytest.raises(ProtocolError) as raised:
         include_session(session(End, terminate()), 42)
     assert str(raised.value) == "include_session: continuation must be callable, got 42"
+
+
+# -- a refused second use fails the Recorder's one-shot check ------------------
+
+
+async def drive_twice():
+    program = terminate()._resolve((), End)
+    await drive(program, (), channel()[0])
+    await drive(program, (), channel()[0])
+
+
+async def call_twice():
+    once = OneShotContinuation("include_session", lambda lens: lens)
+    once(0)
+    once(0)
+
+
+async def send_twice():
+    sender, _ = channel()
+    sender.send(1)
+    sender.send(2)
+
+
+async def recv_twice():
+    sender, receiver = channel()
+    sender.send(1)
+    await receiver.recv()
+    await receiver.recv()
+
+
+@pytest.mark.parametrize(
+    ("second_use", "text"),
+    [
+        (drive_twice, "terminate: executor invoked twice"),
+        (call_twice, "include_session: continuation invoked twice"),
+        (send_twice, "one-shot channel endpoint used twice (send)"),
+        (recv_twice, "one-shot channel endpoint used twice (recv)"),
+    ],
+)
+def test_a_refused_second_use_fails_the_one_shot_check(second_use, text):
+    with recording() as rec:
+        with pytest.raises(RuntimeViolation) as raised:
+            run(second_use())
+    assert str(raised.value) == text
+    assert not rec.one_shot_ok()
+    assert rec.counters.reuses == 1
 
 
 # -- the same texts inside a run, where a receive parks its driver -------------

@@ -1,6 +1,5 @@
 import asyncio
 import gc
-import threading
 
 import pytest
 
@@ -143,8 +142,7 @@ def test_detach_requires_matching_shared_continuation():
         state = chan._state
         with pytest.raises(ProtocolError, match="continuation offers"):
             await run_session(shared_counter_client(chan.clone()))
-        del chan
-        gc.collect()
+        chan.close()
         await asyncio.wait_for(state.stopped.wait(), 5)
         assert state.failure is not None
 
@@ -179,8 +177,7 @@ def test_release_before_release_point_is_rejected():
                 )
         finally:
             state = chan._state
-            del chan
-            gc.collect()
+            chan.close()
             await asyncio.wait_for(state.stopped.wait(), 5)
 
     run(main())
@@ -202,10 +199,9 @@ def test_released_slot_cannot_be_reused():
             return receive_value_from(c, on_value)
 
         prog = session(End, acquire_shared_session(chan.clone(), body))
-        del chan
         with pytest.raises(ProtocolError, match="not reached its release point"):
             await run_session(prog)
-        gc.collect()
+        chan.close()
         await asyncio.wait_for(state.stopped.wait(), 5)
 
     run(main())
@@ -251,10 +247,8 @@ def test_clone_then_drop_original_still_works():
         state = chan._state
         clone = chan.clone()
         del chan
-        gc.collect()
         await run_session(shared_counter_client(clone))
-        del clone
-        gc.collect()
+        clone.close()
         await asyncio.wait_for(state.stopped.wait(), 5)
 
     with recording() as rec:
@@ -266,8 +260,8 @@ def test_zero_clients_process_stops_cleanly():
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
         state = chan._state
-        del chan
-        gc.collect()
+        chan.close()
+        assert state.stopped.is_set()
         await asyncio.wait_for(state.stopped.wait(), 5)
         assert state.failure is None
 
@@ -300,8 +294,7 @@ def test_two_sequential_acquires_from_one_client_program():
         chan = run_shared_session(shared_counter_provider(10))
         state = chan._state
         await run_session(client(chan.clone()))
-        del chan
-        gc.collect()
+        chan.close()
         await asyncio.wait_for(state.stopped.wait(), 5)
 
     with recording() as rec:
@@ -337,8 +330,7 @@ def test_second_acquire_lens_accounts_for_consumed_slot():
         chan = run_shared_session(shared_counter_provider(0))
         state = chan._state
         await run_session(client(chan.clone()))
-        del chan
-        gc.collect()
+        chan.close()
         await asyncio.wait_for(state.stopped.wait(), 5)
 
     run(main())
@@ -359,8 +351,7 @@ def test_shared_process_failure_propagates_to_acquirers():
         state = chan._state
         with pytest.raises(RuntimeError, match="provider exploded"):
             await run_session(shared_counter_client(chan.clone()))
-        del chan
-        gc.collect()
+        chan.close()
         await asyncio.wait_for(state.stopped.wait(), 5)
         assert state.failure is not None
 
@@ -907,32 +898,6 @@ def test_an_outside_cancel_before_the_section_first_steps_fails_the_process_with
         assert isinstance(state.failure.__cause__, asyncio.CancelledError)
         with pytest.raises(RuntimeViolation, match="already failed"):
             await asyncio.wait_for(run_session(shared_counter_client(chan)), 1)
-
-    run_without_gc(main())
-
-
-def test_a_channel_dropped_on_another_thread_wakes_the_stop_waiter_on_its_loop():
-    async def main():
-        loop = asyncio.get_running_loop()
-        loop.set_debug(True)  # a call_soon from another thread then raises
-        chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
-        # Step `stopped.wait()` by hand to its parked future: a task parked
-        # there would never finish if the finalizer's wake-up were lost.
-        waiting = state.stopped.wait()
-        parked = waiting.send(None)
-        woken = loop.create_future()
-        parked.add_done_callback(lambda _: woken.set_result(None))
-        holder = [chan]
-        del chan
-        dropper = threading.Thread(target=holder.clear)
-        dropper.start()
-        dropper.join()
-        try:
-            await asyncio.wait_for(woken, 1)
-        finally:
-            waiting.close()
-        assert state.failure is None and not state.accepting
 
     run_without_gc(main())
 

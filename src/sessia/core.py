@@ -52,12 +52,10 @@ from .instrument import active_recorder, refuse_reuse
 from .protocols import End, Protocol, ReceiveChannel, check_protocol
 from .runtime import (
     END,
-    RunContext,
     Sender,
     channel,
-    reset_run,
-    set_run,
     spawn,
+    start,
 )
 
 
@@ -213,14 +211,8 @@ def run_session(s: Session):
     program = s._resolve((), End)
 
     async def run():
-        run_ctx = RunContext()
-        token = set_run(run_ctx)
-        try:
-            sender, receiver = channel()
-            spawn(drive(program, (), sender))
-            await run_ctx.drain()
-        finally:
-            reset_run(token)
+        sender, receiver = channel()
+        await start(drive(program, (), sender))
         signal = await receiver.recv()  # sent by the time every driver ended
         if signal is not END:
             raise RuntimeViolation(f"run_session: expected termination, got {signal!r}")

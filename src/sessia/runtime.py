@@ -21,8 +21,9 @@ task. A shared process has no task of its own: its critical sections are
 drivers of the runs that acquire it. A receive on an empty slot parks its
 driver there; the send that fills the slot readies it with no event-loop
 iteration. A driver awaiting a foreign future (a sleep, a contended
-acquire) parks on its done callback. Outside any run a receive awaits a
-future, and `spawn` starts an asyncio task.
+acquire) parks on its done callback. Only a driver can park: a receive on
+an empty slot outside any run raises `RuntimeViolation`, and a failure
+reaches every parked driver through `RunContext.fail`.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ class Signal:
 END = Signal("end")
 ACK = Signal("ack")
 
-# Sentinel delivered when a sending endpoint is dropped without ever being
-# used; the paired receive raises instead of blocking forever.
-_DROPPED = Signal("endpoint dropped")
-
 LEFT = "left"
 RIGHT = "right"
 
@@ -69,31 +66,30 @@ _EMPTY, _PARK = object(), object()
 
 
 class _Slot:
-    """A channel: its payload, and the driver or future parked on it."""
+    """A channel: its payload, and the driver parked on it."""
 
     __slots__ = ("payload", "waiter")
 
     def __init__(self):
         self.payload = _EMPTY
-        self.waiter = None
+        self.waiter: _Driver | None = None
 
     def fill(self, payload) -> None:
         self.payload = payload
         waiter = self.waiter
-        if type(waiter) is _Driver:
+        if waiter is not None:
             waiter.run._resume(waiter, self)
-        elif waiter is not None and not waiter.done():
-            waiter.set_result(None)
 
     def __await__(self):
         driver = asyncio.current_task()
-        if type(driver) is _Driver:
-            self.waiter = driver
-            driver.waiting = self
-            yield _PARK
-        else:
-            self.waiter = future = asyncio.get_running_loop().create_future()
-            yield from future
+        if type(driver) is not _Driver:
+            raise RuntimeViolation(
+                "receive on an empty channel outside any run: only a driver of "
+                "a run can wait for its peer (start one with sessia.runtime.start)"
+            )
+        self.waiter = driver
+        driver.waiting = self
+        yield _PARK
 
 
 class Sender:
@@ -113,15 +109,6 @@ class Sender:
         if rec is not None:
             rec.endpoint_consumed()
 
-    def __del__(self):
-        # Dropped unused: wake the receiver instead of leaving it blocked.
-        slot = getattr(self, "_slot", None)
-        if slot is not None:
-            try:
-                slot.fill(_DROPPED)
-            except RuntimeError:
-                pass  # event loop already closed
-
 
 class Receiver:
     """Client-held endpoint of a one-shot step channel."""
@@ -137,15 +124,10 @@ class Receiver:
             refuse_reuse("one-shot channel endpoint used twice (recv)")
         if slot.payload is _EMPTY:
             await slot
-        payload = slot.payload
-        if payload is _DROPPED:
-            raise RuntimeViolation(
-                "the sending endpoint of this channel was dropped unused"
-            )
         rec = active_recorder()
         if rec is not None:
             rec.endpoint_consumed()
-        return payload
+        return slot.payload
 
 
 def channel() -> tuple[Sender, Receiver]:
@@ -327,20 +309,25 @@ def current_run() -> RunContext | None:
     return _run_context.get()
 
 
-def set_run(ctx: RunContext):
-    return _run_context.set(ctx)
-
-
-def reset_run(token) -> None:
-    _run_context.reset(token)
+async def start(*coros) -> None:
+    """Run the coroutines, in order, as the drivers of one fresh run until
+    all have ended; raise the run's failure."""
+    run = RunContext()
+    token = _run_context.set(run)
+    try:
+        for coro in coros:
+            spawn(coro)
+        await run.drain()
+    finally:
+        _run_context.reset(token)
 
 
 def spawn(coro):
-    """Start a concurrent provider: a driver of the ambient run, or an
-    asyncio task outside any run."""
+    """Start a concurrent provider as a driver of the ambient run. Outside
+    any run, return `start(coro)`, a run of its own for the caller to await."""
     run = _run_context.get()
     if run is None:
-        return asyncio.get_running_loop().create_task(coro)
+        return start(coro)
     driver = _Driver(coro, run)
     run.tasks[driver] = None
     run._resume(driver, None)  # a new driver waits on nothing

@@ -266,7 +266,7 @@ def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
         exec_p = premise._resolve(ctx + (shared.protocol.unroll(),), offer)
 
         async def execute(endpoints, offer_chan):
-            linear = await shared._state.acquire()
+            linear = await shared.acquire()
             record_event("ACQ")
             return exec_p, endpoints + (linear,), offer_chan
 
@@ -313,17 +313,17 @@ class _Section:
     before it wakes `detach`.
     """
 
-    __slots__ = ("state", "ack", "following", "released")
+    __slots__ = ("shared", "ack", "following", "released")
 
-    def __init__(self, state: _SharedState):
-        self.state = state
+    def __init__(self, shared: SharedChannel):
+        self.shared = shared
         self.ack = None
         self.following = None
         self.released = False
 
     def send(self, signal) -> None:
         self.released = True
-        self.state.release(self.following)
+        self.shared.release(self.following)
         self.ack.send(signal)
 
     async def run(self, program: PartialSession, offer) -> None:
@@ -345,13 +345,17 @@ class _Section:
                         "section without releasing it"
                     )
                     failure.__cause__ = run.failure
-                self.state.fail(failure)
+                self.shared.fail(failure)
             raise
 
 
-class _SharedState:
-    """A shared process: its suspended program while no section runs, and
-    the acquirers waiting, in FIFO order, while one does."""
+class SharedChannel:
+    """A shared process, and the channel its clients acquire it through: its
+    suspended program while no section runs, and the acquirers waiting, in
+    FIFO order, while one does. A clone is the channel itself. `close()`,
+    or the end of an `async with` block, refuses further acquires and sets
+    `stopped` once no section runs. The process has no task, so a channel
+    dropped unclosed leaves nothing running."""
 
     def __init__(self, protocol: LinearToShared, program: PartialSession):
         self.protocol = protocol
@@ -421,23 +425,6 @@ class _SharedState:
         if self.program is not None:
             self.stopped.set()
 
-
-class SharedChannel:
-    """Alias to a shared process; a clone is the channel itself. `close()`,
-    or the end of an `async with` block, refuses further acquires and sets
-    the process's `stopped` once no section runs. The process has no task,
-    so a channel dropped unclosed leaves nothing running."""
-
-    def __init__(self, state: _SharedState):
-        self._state = state
-
-    @property
-    def protocol(self) -> LinearToShared:
-        return self._state.protocol
-
-    def close(self) -> None:
-        self._state.close()
-
     async def __aenter__(self) -> SharedChannel:
         return self
 
@@ -451,7 +438,7 @@ class SharedChannel:
         return self
 
     def __repr__(self):
-        return f"<SharedChannel {self._state.protocol}>"
+        return f"<SharedChannel {self.protocol}>"
 
 
 def run_shared_session(s: SharedSession) -> SharedChannel:
@@ -462,4 +449,4 @@ def run_shared_session(s: SharedSession) -> SharedChannel:
             f"run_shared_session expects a checked SharedSession "
             f"(build one with shared_session(S, ...)), got {s!r}"
         )
-    return SharedChannel(_SharedState(s.protocol, s._take_program()))
+    return SharedChannel(s.protocol, s._take_program())

@@ -1,4 +1,5 @@
 import asyncio
+import contextlib
 import gc
 import itertools
 
@@ -35,10 +36,20 @@ def run(coro, timeout=10.0):
     return asyncio.run(guarded())
 
 
-def run_without_gc(coro):
-    """Run like `run`, with the cyclic garbage collector switched off."""
+@contextlib.contextmanager
+def gc_off():
+    """Switch the cyclic garbage collector off, and back on afterwards only
+    if it was on, so a whole test session run with it off stays so."""
+    enabled = gc.isenabled()
     gc.disable()
     try:
-        return run(coro)
+        yield
     finally:
-        gc.enable()
+        if enabled:
+            gc.enable()
+
+
+def run_without_gc(coro):
+    """Run like `run`, with the cyclic garbage collector switched off."""
+    with gc_off():
+        return run(coro)

@@ -77,8 +77,8 @@ def test_shared_op():
         await asyncio.gather(*(run_session(c) for c in clients))
         assert sorted(value for _, value in seen) == [20, 21]
         chan.close()
-        await asyncio.wait_for(chan._state.stopped.wait(), 1.0)
-        assert chan._state.failure is None
+        await asyncio.wait_for(chan.stopped.wait(), 1.0)
+        assert chan.failure is None
 
     with recording() as rec:
         run(main())
@@ -86,11 +86,30 @@ def test_shared_op():
 
 
 def test_runtime_probe_calls():
+    # `hop_s`'s calls: a ping-pong of two `spawn`s outside any run, each a
+    # run of its own, joined by `asyncio.gather`.
+    rounds, replies = 3, []
+
+    async def pong(rx):
+        while (msg := await rx.recv()) is not None:
+            reply, rx = msg
+            reply.send(None)
+
+    async def ping(tx):
+        for _ in range(rounds):
+            reply_tx, reply_rx = channel()
+            next_tx, next_rx = channel()
+            tx.send((reply_tx, next_rx))
+            tx = next_tx
+            replies.append(await reply_rx.recv())
+        tx.send(None)
+
     async def main():
         tx, rx = channel()
         tx.send(1)
         assert await rx.recv() == 1
-        task = spawn(asyncio.sleep(0, "done"))
-        assert await task == "done"
+        tx, rx = channel()
+        await asyncio.gather(spawn(pong(rx)), spawn(ping(tx)))
 
     run(main())
+    assert replies == [None] * rounds

@@ -1,15 +1,13 @@
 """One-shot resources: every channel end, continuation and program is used
 at most once, and a second use raises the same error it always has."""
 
-import asyncio
-
 import pytest
 
-from conftest import run, run_without_gc
+from conftest import run
 from sessia import End, ProtocolError, RuntimeViolation, include_session, recording
 from sessia import session, terminate
 from sessia.core import OneShotContinuation, drive
-from sessia.runtime import RunContext, channel, reset_run, set_run, spawn
+from sessia.runtime import channel, start
 
 
 # -- the texts a second use raises ---------------------------------------------
@@ -44,14 +42,14 @@ def test_receiving_twice_on_one_endpoint_is_rejected():
     assert rec.conservation_ok()
 
 
-def test_a_dropped_unsent_sender_wakes_its_receiver():
+def test_a_receive_outside_any_run_fails_at_once():
     async def main():
-        sender, receiver = channel()
-        del sender
+        _, receiver = channel()
         with pytest.raises(RuntimeViolation) as raised:
             await receiver.recv()
         assert str(raised.value) == (
-            "the sending endpoint of this channel was dropped unused"
+            "receive on an empty channel outside any run: only a driver of "
+            "a run can wait for its peer (start one with sessia.runtime.start)"
         )
 
     run(main())
@@ -112,39 +110,6 @@ def test_a_refused_second_use_fails_the_one_shot_check(second_use, text):
 # -- the same texts inside a run, where a receive parks its driver -------------
 
 
-async def in_run(*coros):
-    """Run each coroutine as a driver of one run, in order, until all end."""
-    run_ctx = RunContext()
-    token = set_run(run_ctx)
-    try:
-        for coro in coros:
-            spawn(coro)
-        await run_ctx.drain()
-    finally:
-        reset_run(token)
-
-
-def test_a_dropped_sender_wakes_a_driver_parked_on_it():
-    held, parked, texts = [], [], []
-
-    async def receiving():
-        sender, receiver = channel()
-        held.append(sender)
-        del sender
-        parked.append(asyncio.current_task())
-        try:
-            await receiver.recv()
-        except RuntimeViolation as exc:
-            texts.append(str(exc))
-
-    async def dropping():
-        assert parked[0].waiting is not None  # the receiver is parked
-        held.clear()  # the last reference: the sender is dropped unused
-
-    run_without_gc(in_run(receiving(), dropping()))
-    assert texts == ["the sending endpoint of this channel was dropped unused"]
-
-
 def test_a_second_use_inside_a_run_raises_the_same_texts():
     held, texts = [], []
 
@@ -164,7 +129,7 @@ def test_a_second_use_inside_a_run_raises_the_same_texts():
         texts.append(str(raised.value))
 
     with recording() as rec:
-        run(in_run(receiving(), sending()))
+        run(start(receiving(), sending()))
     assert texts == [
         "one-shot channel endpoint used twice (send)",
         "one-shot channel endpoint used twice (recv)",

@@ -256,12 +256,26 @@ def test_a_failing_continuation_cancels_a_sibling_parked_on_a_channel():
         ),
     )
 
+    # The failing continuation is the provider whose offer the client is
+    # parked on: only the run's failure wakes the client.
+    parked = []
+
+    async def produce_failing():
+        run = current_run()
+        runs.append(run)
+        parked.extend(driver for driver in run.tasks if driver.waiting is not None)
+        raise ValueError("boom")
+
     async def main():
         before = asyncio.all_tasks()
         with pytest.raises(ValueError, match="boom"):
             await run_session(program)
         assert events == ["cancelled"]
         assert not runs[0].tasks
+        with pytest.raises(ValueError, match="boom"):
+            await run_session(taking_one_from(produce_failing, []))
+        assert len(parked) == 1
+        assert not runs[1].tasks
         assert asyncio.all_tasks() == before
 
     run_without_gc(main())

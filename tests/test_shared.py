@@ -3,7 +3,7 @@ import gc
 
 import pytest
 
-from conftest import run, run_without_gc
+from conftest import gc_off, run, run_without_gc
 from sessia import (
     End,
     ExternalChoice,
@@ -139,12 +139,11 @@ def test_detach_requires_matching_shared_continuation():
 
     async def main():
         chan = run_shared_session(mismatched_provider())
-        state = chan._state
         with pytest.raises(ProtocolError, match="continuation offers"):
             await run_session(shared_counter_client(chan.clone()))
         chan.close()
-        await asyncio.wait_for(state.stopped.wait(), 5)
-        assert state.failure is not None
+        await asyncio.wait_for(chan.stopped.wait(), 5)
+        assert chan.failure is not None
 
     run(main())
 
@@ -176,9 +175,8 @@ def test_release_before_release_point_is_rejected():
                     ),
                 )
         finally:
-            state = chan._state
             chan.close()
-            await asyncio.wait_for(state.stopped.wait(), 5)
+            await asyncio.wait_for(chan.stopped.wait(), 5)
 
     run(main())
 
@@ -188,7 +186,6 @@ def test_released_slot_cannot_be_reused():
     # abandoned critical section then collapses the shared process too
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
 
         def body(c):
             def on_value(v):
@@ -202,7 +199,7 @@ def test_released_slot_cannot_be_reused():
         with pytest.raises(ProtocolError, match="not reached its release point"):
             await run_session(prog)
         chan.close()
-        await asyncio.wait_for(state.stopped.wait(), 5)
+        await asyncio.wait_for(chan.stopped.wait(), 5)
 
     run(main())
 
@@ -244,12 +241,11 @@ def test_transcripts_reproducible_across_runs():
 def test_clone_then_drop_original_still_works():
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         clone = chan.clone()
         del chan
         await run_session(shared_counter_client(clone))
         clone.close()
-        await asyncio.wait_for(state.stopped.wait(), 5)
+        await asyncio.wait_for(clone.stopped.wait(), 5)
 
     with recording() as rec:
         run(main())
@@ -259,11 +255,10 @@ def test_clone_then_drop_original_still_works():
 def test_zero_clients_process_stops_cleanly():
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         chan.close()
-        assert state.stopped.is_set()
-        await asyncio.wait_for(state.stopped.wait(), 5)
-        assert state.failure is None
+        assert chan.stopped.is_set()
+        await asyncio.wait_for(chan.stopped.wait(), 5)
+        assert chan.failure is None
 
     run(main())
 
@@ -292,10 +287,9 @@ def test_two_sequential_acquires_from_one_client_program():
 
     async def main():
         chan = run_shared_session(shared_counter_provider(10))
-        state = chan._state
         await run_session(client(chan.clone()))
         chan.close()
-        await asyncio.wait_for(state.stopped.wait(), 5)
+        await asyncio.wait_for(chan.stopped.wait(), 5)
 
     with recording() as rec:
         run(main())
@@ -328,10 +322,9 @@ def test_second_acquire_lens_accounts_for_consumed_slot():
 
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         await run_session(client(chan.clone()))
         chan.close()
-        await asyncio.wait_for(state.stopped.wait(), 5)
+        await asyncio.wait_for(chan.stopped.wait(), 5)
 
     run(main())
     assert seen == [1]
@@ -348,12 +341,11 @@ def test_shared_process_failure_propagates_to_acquirers():
 
     async def main():
         chan = run_shared_session(bad_provider())
-        state = chan._state
         with pytest.raises(RuntimeError, match="provider exploded"):
             await run_session(shared_counter_client(chan.clone()))
         chan.close()
-        await asyncio.wait_for(state.stopped.wait(), 5)
-        assert state.failure is not None
+        await asyncio.wait_for(chan.stopped.wait(), 5)
+        assert chan.failure is not None
 
     run(main())
 
@@ -397,14 +389,13 @@ def test_client_failure_in_section_stops_shared_process_without_gc():
 
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         first = asyncio.ensure_future(run_session(failing_client(chan.clone())))
         queued = asyncio.ensure_future(run_session(shared_counter_client(chan.clone())))
         with pytest.raises(ValueError, match="client exploded"):
             await first
-        await asyncio.wait_for(state.stopped.wait(), 1)
-        assert isinstance(state.failure, RuntimeViolation)
-        assert state.failure.__cause__ is boom
+        await asyncio.wait_for(chan.stopped.wait(), 1)
+        assert isinstance(chan.failure, RuntimeViolation)
+        assert chan.failure.__cause__ is boom
         with pytest.raises(
             RuntimeViolation, match="failed before this acquire was served"
         ):
@@ -436,7 +427,6 @@ def test_binding_ends_at_release():
 
     async def client_fails_after_release():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         seen = []
         failing = counting_client(
             chan.clone(), seen, lambda: include_then_finish(explodes_when_run())
@@ -445,11 +435,10 @@ def test_binding_ends_at_release():
             await run_session(failing)
         await asyncio.wait_for(run_session(counting_client(chan.clone(), seen)), 1)
         assert seen == [0, 1]
-        assert not state.stopped.is_set() and state.failure is None
+        assert not chan.stopped.is_set() and chan.failure is None
 
     async def shared_process_fails_after_release():
         chan = run_shared_session(fails_on_second_section())
-        state = chan._state
         seen = []
         gate = asyncio.Event()
 
@@ -469,7 +458,7 @@ def test_binding_ends_at_release():
             await asyncio.sleep(0)
         with pytest.raises(RuntimeError, match="provider exploded"):
             await asyncio.wait_for(run_session(counting_client(chan.clone(), seen)), 1)
-        await asyncio.wait_for(state.stopped.wait(), 1)
+        await asyncio.wait_for(chan.stopped.wait(), 1)
         gate.set()
         await asyncio.wait_for(holder, 1)  # the holder's run is not failed
         assert seen == [0]
@@ -484,7 +473,6 @@ def test_binding_ends_at_release():
 def test_cancelled_queued_acquirer_is_skipped():
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         seen = []
         inside, leave = asyncio.Event(), asyncio.Event()
 
@@ -502,7 +490,7 @@ def test_cancelled_queued_acquirer_is_skipped():
         )
         await inside.wait()
         queued = asyncio.ensure_future(run_session(counting_client(chan.clone(), seen)))
-        while not state.requests:
+        while not chan.requests:
             await asyncio.sleep(0)
         queued.cancel()
         with pytest.raises(asyncio.CancelledError):
@@ -511,7 +499,7 @@ def test_cancelled_queued_acquirer_is_skipped():
         await asyncio.wait_for(holder, 1)
         await asyncio.wait_for(run_session(counting_client(chan.clone(), seen)), 1)
         assert seen == [0, 1]
-        assert state.failure is None
+        assert chan.failure is None
 
     run_without_gc(main())
 
@@ -519,7 +507,6 @@ def test_cancelled_queued_acquirer_is_skipped():
 def test_outside_cancellation_mid_section_stops_shared_process():
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         never = asyncio.Event()
 
         def body(c):
@@ -532,8 +519,8 @@ def test_outside_cancellation_mid_section_stops_shared_process():
         client = session(End, acquire_shared_session(chan.clone(), body))
         with pytest.raises(asyncio.TimeoutError):
             await asyncio.wait_for(run_session(client), 0.2)
-        await asyncio.wait_for(state.stopped.wait(), 1)
-        assert isinstance(state.failure.__cause__, asyncio.CancelledError)
+        await asyncio.wait_for(chan.stopped.wait(), 1)
+        assert isinstance(chan.failure.__cause__, asyncio.CancelledError)
         with pytest.raises(RuntimeViolation, match="already failed"):
             await run_session(shared_counter_client(chan.clone()))
 
@@ -574,17 +561,16 @@ def test_a_section_provider_failure_reaches_every_party_without_gc():
             lambda loop, context: reported.append(context)
         )
         chan = run_shared_session(relaying_provider())
-        state = chan._state
         first = asyncio.ensure_future(run_session(counting_client(chan, [])))
         queued = asyncio.ensure_future(run_session(counting_client(chan, [])))
-        while not state.requests:
+        while not chan.requests:
             await asyncio.sleep(0)
         gate.set()
         with pytest.raises(ValueError, match="section provider exploded"):
             await asyncio.wait_for(first, 1)
-        await asyncio.wait_for(state.stopped.wait(), 1)
-        assert isinstance(state.failure, RuntimeViolation)
-        assert state.failure.__cause__ is boom
+        await asyncio.wait_for(chan.stopped.wait(), 1)
+        assert isinstance(chan.failure, RuntimeViolation)
+        assert chan.failure.__cause__ is boom
         with pytest.raises(
             RuntimeViolation, match="failed before this acquire was served"
         ):
@@ -601,7 +587,6 @@ def test_a_section_failing_while_it_holds_another_shared_process_stops_it_withou
 
     async def main():
         inner = run_shared_session(shared_counter_provider(0))
-        inner_state = inner._state
 
         def holds_inner(c):
             def on_value(v):
@@ -617,10 +602,10 @@ def test_a_section_failing_while_it_holds_another_shared_process_stops_it_withou
         )
         with pytest.raises(ValueError, match="outer section exploded"):
             await asyncio.wait_for(run_session(counting_client(outer, [])), 1)
-        await asyncio.wait_for(inner_state.stopped.wait(), 1)
-        assert isinstance(inner_state.failure, RuntimeViolation)
-        assert inner_state.failure.__cause__ is boom
-        assert outer._state.failure is boom
+        await asyncio.wait_for(inner.stopped.wait(), 1)
+        assert isinstance(inner.failure, RuntimeViolation)
+        assert inner.failure.__cause__ is boom
+        assert outer.failure is boom
 
     run_without_gc(main())
 
@@ -640,13 +625,13 @@ def test_a_shared_process_reports_its_failure_once_and_keeps_an_outside_cancel()
         with pytest.raises(ValueError, match="shared process exploded"):
             await asyncio.wait_for(run_session(counting_client(failing, [])), 1)
         # Reported to the client; the process records it and stops.
-        await asyncio.wait_for(failing._state.stopped.wait(), 1)
-        assert failing._state.failure is boom
+        await asyncio.wait_for(failing.stopped.wait(), 1)
+        assert failing.failure is boom
 
         idle = run_shared_session(shared_counter_provider(0))
         idle.close()
-        await asyncio.wait_for(idle._state.stopped.wait(), 1)
-        assert idle._state.failure is None
+        await asyncio.wait_for(idle.stopped.wait(), 1)
+        assert idle.failure is None
 
     run_without_gc(main())
 
@@ -695,7 +680,6 @@ def test_a_contended_acquire_is_served_in_fifo_order_in_its_own_run():
         gate = asyncio.Event()
         provider_runs, seen, client_runs = [], [], []
         chan = run_shared_session(gated_counter(0, gate, provider_runs))
-        state = chan._state
 
         def client():
             return asyncio.ensure_future(
@@ -706,11 +690,11 @@ def test_a_contended_acquire_is_served_in_fifo_order_in_its_own_run():
         while not provider_runs:  # the first section waits at the gate
             await asyncio.sleep(0)
         queued = [client()]
-        while not state.requests:
+        while not chan.requests:
             await asyncio.sleep(0)
-        assert len(state.requests) == 1
+        assert len(chan.requests) == 1
         queued.append(client())
-        while len(state.requests) < 2:
+        while len(chan.requests) < 2:
             await asyncio.sleep(0)
         gate.set()
         await asyncio.wait_for(asyncio.gather(first, *queued), 1)
@@ -718,9 +702,9 @@ def test_a_contended_acquire_is_served_in_fifo_order_in_its_own_run():
         assert len(set(map(id, client_runs))) == 3
         # Each section's provider ran in the run of the client holding it.
         assert provider_runs == client_runs
-        assert not state.requests and state.failure is None
+        assert not chan.requests and chan.failure is None
         chan.close()
-        await asyncio.wait_for(state.stopped.wait(), 1)
+        await asyncio.wait_for(chan.stopped.wait(), 1)
 
     run_without_gc(main())
 
@@ -752,7 +736,6 @@ def test_an_acquirer_cancelled_after_its_turn_came_passes_the_turn_on():
     # acquirer is cancelled before it runs, so it must hand the process on.
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         seen, waiter = [], []
         inside, leave = asyncio.Event(), asyncio.Event()
 
@@ -776,7 +759,7 @@ def test_an_acquirer_cancelled_after_its_turn_came_passes_the_turn_on():
         )
         await inside.wait()
         waiter.append(asyncio.ensure_future(run_session(counting_client(chan, seen))))
-        while not state.requests:
+        while not chan.requests:
             await asyncio.sleep(0)
         leave.set()
         await asyncio.wait_for(holder, 1)
@@ -784,7 +767,7 @@ def test_an_acquirer_cancelled_after_its_turn_came_passes_the_turn_on():
             await waiter[0]
         await asyncio.wait_for(run_session(counting_client(chan, seen)), 1)
         assert seen == [0, 1]
-        assert state.failure is None
+        assert chan.failure is None
 
     run_without_gc(main())
 
@@ -796,7 +779,6 @@ def test_a_holder_failing_at_the_gate_fails_the_queued_acquirer_without_gc():
         gate, explode = asyncio.Event(), asyncio.Event()
         provider_runs = []
         chan = run_shared_session(gated_counter(0, gate, provider_runs))
-        state = chan._state
 
         async def produce():
             await explode.wait()
@@ -817,14 +799,14 @@ def test_a_holder_failing_at_the_gate_fails_the_queued_acquirer_without_gc():
         while not provider_runs:
             await asyncio.sleep(0)
         queued = asyncio.ensure_future(run_session(noting_client(chan, [], [])))
-        while not state.requests:
+        while not chan.requests:
             await asyncio.sleep(0)
         explode.set()
         with pytest.raises(ValueError, match="holder exploded"):
             await asyncio.wait_for(holder, 1)
-        await asyncio.wait_for(state.stopped.wait(), 1)
-        assert isinstance(state.failure, RuntimeViolation)
-        assert state.failure.__cause__ is boom
+        await asyncio.wait_for(chan.stopped.wait(), 1)
+        assert isinstance(chan.failure, RuntimeViolation)
+        assert chan.failure.__cause__ is boom
         with pytest.raises(
             RuntimeViolation, match="failed before this acquire was served"
         ):
@@ -860,12 +842,11 @@ def test_a_run_failing_before_its_section_first_steps_fails_the_process_without_
 
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         with pytest.raises(ValueError, match="provider exploded"):
             await asyncio.wait_for(run_session(including_acquirer(chan, exploding)), 1)
-        await asyncio.wait_for(state.stopped.wait(), 1)
-        assert isinstance(state.failure, RuntimeViolation)
-        assert state.failure.__cause__ is boom
+        await asyncio.wait_for(chan.stopped.wait(), 1)
+        assert isinstance(chan.failure, RuntimeViolation)
+        assert chan.failure.__cause__ is boom
         with pytest.raises(RuntimeViolation, match="already failed"):
             await asyncio.wait_for(run_session(shared_counter_client(chan)), 1)
 
@@ -886,16 +867,15 @@ def test_an_outside_cancel_before_the_section_first_steps_fails_the_process_with
 
     async def main():
         chan = run_shared_session(shared_counter_provider(0))
-        state = chan._state
         client = asyncio.ensure_future(
             run_session(including_acquirer(chan, yielding))
         )
         outer.append(client)
         with pytest.raises(asyncio.CancelledError):
             await asyncio.wait_for(client, 1)
-        await asyncio.wait_for(state.stopped.wait(), 1)
-        assert isinstance(state.failure, RuntimeViolation)
-        assert isinstance(state.failure.__cause__, asyncio.CancelledError)
+        await asyncio.wait_for(chan.stopped.wait(), 1)
+        assert isinstance(chan.failure, RuntimeViolation)
+        assert isinstance(chan.failure.__cause__, asyncio.CancelledError)
         with pytest.raises(RuntimeViolation, match="already failed"):
             await asyncio.wait_for(run_session(shared_counter_client(chan)), 1)
 
@@ -932,17 +912,16 @@ def test_a_detach_that_reuses_the_running_shared_session_fails_its_client():
             SharedCounter, accept_shared_session(send_value_async(produce))
         )
         chan = run_shared_session(provider)
-        state = chan._state
         first = asyncio.ensure_future(run_session(counting_client(chan.clone(), [])))
         queued = asyncio.ensure_future(run_session(counting_client(chan.clone(), [])))
         await asyncio.wait_for(entered.wait(), 1)
-        while not state.requests:
+        while not chan.requests:
             await asyncio.sleep(0)
         gate.set()
         with pytest.raises(LinearityError, match="already consumed"):
             await asyncio.wait_for(first, 1)
-        await asyncio.wait_for(state.stopped.wait(), 1)
-        assert isinstance(state.failure, LinearityError)
+        await asyncio.wait_for(chan.stopped.wait(), 1)
+        assert isinstance(chan.failure, LinearityError)
         with pytest.raises(
             RuntimeViolation, match="failed before this acquire was served"
         ):
@@ -999,8 +978,7 @@ def test_demos_stop_their_shared_process_without_gc(monkeypatch):
         raise AssertionError("gc.collect() called")
 
     monkeypatch.setattr(gc, "collect", no_collect)
-    gc.disable()
-    try:
+    with gc_off():
         for clients in range(9):
             assert len(shared_counter_demo(clients).values("RECV")) == clients
         assert sorted(canvas_demo().values("RECV")) == [
@@ -1012,5 +990,3 @@ def test_demos_stop_their_shared_process_without_gc(monkeypatch):
             "id 1",
             "id 2",
         ]
-    finally:
-        gc.enable()

@@ -1,12 +1,11 @@
 """The message of one provider step, checked against `payload_of`.
 
-Each case drives one provider rule on a hand-held channel and reads its
-first message. A direct step sends `(carried, Receiver)`; a reversed step
-sends a `Sender` and runs on once the client replies `(carried, Sender)`;
-a signal step sends `END`.
+Each case drives one provider rule on a hand-held channel, as a driver of
+the client's run, and reads its first message. A direct step sends
+`(carried, Receiver)`; a reversed step sends a `Sender` and runs on once
+the client replies `(carried, Sender)`; a signal step sends `END`. The run
+ends once both have ended, and raises if the provider failed.
 """
-
-import asyncio
 
 import pytest
 
@@ -32,7 +31,7 @@ from sessia import (
     wait,
 )
 from sessia.core import drive
-from sessia.runtime import END, Receiver, Sender, channel
+from sessia.runtime import END, Receiver, Sender, channel, spawn, start
 
 
 def send_value_case():
@@ -87,9 +86,7 @@ def test_a_provider_step_sends_the_message_payload_of_declares(case):
         protocol, program, endpoints, carried = case()
         ctx = tuple(End for _ in endpoints)  # every held channel is End
         offer, client_end = channel()
-        provider = asyncio.ensure_future(
-            drive(program._resolve(ctx, protocol), endpoints, offer)
-        )
+        spawn(drive(program._resolve(ctx, protocol), endpoints, offer))
         message = await client_end.recv()
         kind = payload_of(protocol).kind
         if kind == "direct":
@@ -103,9 +100,8 @@ def test_a_provider_step_sends_the_message_payload_of_declares(case):
         else:
             assert kind == "signal" and message is END
             next_end = None
-        await provider
         if next_end is not None:
             # The continuation, End in every case, terminates.
             assert await next_end.recv() is END
 
-    run(main())
+    run(start(main()))

@@ -1,10 +1,11 @@
 """Term constructors for the linear typing rules.
 
-Each function maps premise programs to a conclusion program: the returned
-`PartialSession`, once its judgment is imposed, checks the premises against
-the judgments the rule dictates and wires up the executor that performs the
-construct's single protocol step and returns the continuation's step to the
-driver (`core.drive`).
+Each function maps premise programs to a conclusion program: one object of
+the rule's `PartialSession` subclass, holding the premises. Once its
+judgment is imposed, it checks the premises in place against the judgments
+the rule dictates and sets its step: a plain function that performs the
+construct's single protocol step and returns the continuation's step, or a
+wait for the peer, to the driver (`core.drive`).
 
 Provider-side rules act on the offer handle; client-side rules act on a
 context slot through a lens and leave the offered protocol alone. Value
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 from .context import Empty, focus, live_slot, nat, put
 from .core import (
+    UNCHECKED,
+    ContRule,
+    LensRule,
     OneShotContinuation,
     PartialSession,
     expect_program,
-    force,
     resolve_deferred,
 )
 from .errors import LinearityError, ProtocolError
@@ -69,10 +72,11 @@ def _check_value(rule: str, value, value_type):
 # -- termination -----------------------------------------------------------
 
 
-def terminate() -> PartialSession:
-    """Send the termination signal; every linear channel must be consumed."""
+class _Terminate(PartialSession):
+    __slots__ = ()
+    _rule = "terminate"
 
-    def resolve(ctx, offer):
+    def _check(self, ctx, offer):
         _expect_offer("terminate", offer, _End)
         live = live_slot(ctx)
         if live is not None:
@@ -81,176 +85,220 @@ def terminate() -> PartialSession:
                 f"slot {live[0]} still holds {live[1]}"
             )
 
-        async def execute(endpoints, offer_chan):
-            record_event("END")
-            offer_chan.send(END)
+    def _step(self, endpoints, offer):
+        record_event("END")
+        offer.send(END)
 
-        return execute
 
-    return PartialSession("terminate", resolve, synth_protocol=End)
+def terminate() -> PartialSession:
+    """Send the termination signal; every linear channel must be consumed."""
+    return _Terminate()
+
+
+class _Wait(LensRule):
+    __slots__ = ()
+    _rule = "wait"
+    _keeps_offer = True
+
+    def _check(self, ctx, offer):
+        # Waiting on anything but End reuses or drops a channel.
+        _expect_slot("wait", self.n, ctx, _End, LinearityError)
+        self.n = level = self.n.level
+        self.cont = self.cont._resolve(put(ctx, level, Empty), offer)
+
+    def _received(self, signal, endpoints, offer):
+        return self.cont, put(endpoints, self.n, ()), offer
 
 
 def wait(n, cont) -> PartialSession:
     """Block until the provider at slot `n` terminates, then continue."""
-    expect_program(cont, "wait")
-
-    def resolve(ctx, offer):
-        # Waiting on anything but End reuses or drops a channel.
-        _expect_slot("wait", n, ctx, _End, LinearityError)
-        level = n.level
-        exec_cont = cont._resolve(put(ctx, level, Empty), offer)
-
-        async def execute(endpoints, offer_chan):
-            await endpoints[level].recv()
-            return exec_cont, put(endpoints, level, ()), offer_chan
-
-        return execute
-
-    return PartialSession("wait", resolve, synth_protocol=cont._synth)
+    return _Wait(n, expect_program(cont, "wait"))
 
 
 # -- value input (provider receives) ----------------------------------------
 
 
+class _ReceiveValue(ContRule):
+    # The judgment after the step; the next offer, until the premise is checked.
+    __slots__ = ("ctx", "after", "next_offer")
+    _rule = "receive_value"
+
+    def _check(self, ctx, offer):
+        _expect_offer("receive_value", offer, ReceiveValue)
+        self.ctx, self.after = ctx, offer.cont
+
+    def _step(self, endpoints, offer):
+        return ask(offer), _ReceiveValue._received
+
+    def _received(self, message, endpoints, offer):
+        value, self.next_offer = message
+        return self.cont(value), _ReceiveValue._continued
+
+    def _continued(self, premise, endpoints, offer):
+        premise = resolve_deferred(
+            premise, self.ctx, self.after, "receive_value continuation"
+        )
+        return premise, endpoints, self.next_offer
+
+
 def receive_value(cont) -> PartialSession:
     """Offer to receive one value; it is passed to `cont` exactly once."""
-    once = OneShotContinuation("receive_value", cont)
+    return _ReceiveValue(OneShotContinuation("receive_value", cont))
 
-    def resolve(ctx, offer):
-        _expect_offer("receive_value", offer, ReceiveValue)
-        after = offer.cont
 
-        async def execute(endpoints, offer_chan):
-            value, next_offer = await ask(offer_chan)
-            premise = await force(once(value))
-            exec_p = resolve_deferred(premise, ctx, after, "receive_value continuation")
-            return exec_p, endpoints, next_offer
+class _SendValueTo(LensRule):
+    __slots__ = ("value",)
+    _rule = "send_value_to"
+    _keeps_offer = True
 
-        return execute
+    def __init__(self, n, value, cont):
+        self.execute = UNCHECKED
+        self.n = n
+        self.value = value
+        self.cont = cont
 
-    return PartialSession("receive_value", resolve)
+    def _check(self, ctx, offer):
+        slot = _expect_slot("send_value_to", self.n, ctx, ReceiveValue)
+        _check_value("send_value_to", self.value, slot.value_type)
+        self.n = level = self.n.level
+        self.cont = self.cont._resolve(put(ctx, level, slot.cont), offer)
+
+    def _received(self, outbound, endpoints, offer):
+        receiver = answer(outbound, self.value)
+        return self.cont, put(endpoints, self.n, receiver), offer
 
 
 def send_value_to(n, value, cont) -> PartialSession:
     """Deliver `value` to the receiving provider at slot `n`."""
-    expect_program(cont, "send_value_to")
-
-    def resolve(ctx, offer):
-        slot = _expect_slot("send_value_to", n, ctx, ReceiveValue)
-        _check_value("send_value_to", value, slot.value_type)
-        level = n.level
-        exec_cont = cont._resolve(put(ctx, level, slot.cont), offer)
-
-        async def execute(endpoints, offer_chan):
-            receiver = answer(await endpoints[level].recv(), value)
-            return exec_cont, put(endpoints, level, receiver), offer_chan
-
-        return execute
-
-    return PartialSession("send_value_to", resolve, synth_protocol=cont._synth)
+    return _SendValueTo(n, value, expect_program(cont, "send_value_to"))
 
 
 # -- value output (provider sends) -------------------------------------------
 
 
+class _SendValue(PartialSession):
+    __slots__ = ("value", "cont")
+    _rule = "send_value"
+
+    def __init__(self, value, cont):
+        self.execute = UNCHECKED
+        self.value = value
+        self.cont = cont
+
+    def _check(self, ctx, offer):
+        _expect_offer("send_value", offer, SendValue)
+        _check_value("send_value", self.value, offer.value_type)
+        self.cont = self.cont._resolve(ctx, offer.cont)
+
+    def _step(self, endpoints, offer):
+        return self.cont, endpoints, emit(offer, self.value)
+
+
 def send_value(value, cont) -> PartialSession:
     """Send `value` together with the continuation endpoint, then continue."""
-    expect_program(cont, "send_value")
+    return _SendValue(value, expect_program(cont, "send_value"))
 
-    def resolve(ctx, offer):
-        _expect_offer("send_value", offer, SendValue)
-        _check_value("send_value", value, offer.value_type)
-        exec_cont = cont._resolve(ctx, offer.cont)
 
-        async def execute(endpoints, offer_chan):
-            return exec_cont, endpoints, emit(offer_chan, value)
+class _SendValueAsync(ContRule):
+    # `cont` is the producer; the context, the value type and the protocol after it.
+    __slots__ = ("ctx", "value_type", "after")
+    _rule = "send_value_async"
 
-        return execute
+    def _check(self, ctx, offer):
+        _expect_offer("send_value_async", offer, SendValue)
+        self.ctx, self.value_type, self.after = ctx, offer.value_type, offer.cont
 
-    synth = None
-    if cont._synth is not None:
-        synth = SendValue(type(value), cont._synth)
-    return PartialSession("send_value", resolve, synth_protocol=synth)
+    def _step(self, endpoints, offer):
+        return self.cont(), _SendValueAsync._produced
+
+    def _produced(self, pair, endpoints, offer):
+        value, premise = pair
+        _check_value("send_value_async", value, self.value_type)
+        premise = resolve_deferred(
+            premise, self.ctx, self.after, "send_value_async producer"
+        )
+        return premise, endpoints, emit(offer, value)
 
 
 def send_value_async(produce) -> PartialSession:
     """Like send_value, but the pair (value, continuation program) is
     produced lazily by `produce` only when the program is already running."""
-    once = OneShotContinuation("send_value_async", produce)
+    return _SendValueAsync(OneShotContinuation("send_value_async", produce))
 
-    def resolve(ctx, offer):
-        _expect_offer("send_value_async", offer, SendValue)
-        value_type, after = offer.value_type, offer.cont
 
-        async def execute(endpoints, offer_chan):
-            value, premise = await force(once())
-            _check_value("send_value_async", value, value_type)
-            exec_p = resolve_deferred(premise, ctx, after, "send_value_async producer")
-            return exec_p, endpoints, emit(offer_chan, value)
+class _ReceiveValueFrom(LensRule):
+    # The judgment after the step; the next endpoint, until the premise is checked.
+    __slots__ = ("target", "offered", "next_endpoint")
+    _rule = "receive_value_from"
 
-        return execute
+    def _check(self, ctx, offer):
+        slot = _expect_slot("receive_value_from", self.n, ctx, SendValue)
+        self.n = level = self.n.level
+        self.target, self.offered = put(ctx, level, slot.cont), offer
 
-    return PartialSession("send_value_async", resolve)
+    def _received(self, message, endpoints, offer):
+        value, self.next_endpoint = message
+        return self.cont(value), _ReceiveValueFrom._continued
+
+    def _continued(self, premise, endpoints, offer):
+        premise = resolve_deferred(
+            premise, self.target, self.offered, "receive_value_from continuation"
+        )
+        return premise, put(endpoints, self.n, self.next_endpoint), offer
 
 
 def receive_value_from(n, cont) -> PartialSession:
     """Take the next value sent by the provider at slot `n`; `cont` may
     return its continuation program asynchronously."""
-    once = OneShotContinuation("receive_value_from", cont)
-
-    def resolve(ctx, offer):
-        slot = _expect_slot("receive_value_from", n, ctx, SendValue)
-        level = n.level
-        target = put(ctx, level, slot.cont)
-
-        async def execute(endpoints, offer_chan):
-            value, next_endpoint = await endpoints[level].recv()
-            premise = await force(once(value))
-            exec_p = resolve_deferred(
-                premise, target, offer, "receive_value_from continuation"
-            )
-            return exec_p, put(endpoints, level, next_endpoint), offer_chan
-
-        return execute
-
-    return PartialSession("receive_value_from", resolve)
+    return _ReceiveValueFrom(n, OneShotContinuation("receive_value_from", cont))
 
 
 # -- channel delegation -------------------------------------------------------
 
 
+class _ReceiveChannel(ContRule):
+    __slots__ = ()
+    _rule = "receive_channel"
+
+    def _check(self, ctx, offer):
+        _expect_offer("receive_channel", offer, ReceiveChannel)
+        premise = expect_program(self.cont(nat(len(ctx))), "receive_channel continuation")
+        self.cont = premise._resolve(ctx + (offer.carried,), offer.cont)
+
+    def _step(self, endpoints, offer):
+        return ask(offer), _ReceiveChannel._received
+
+    def _received(self, message, endpoints, offer):
+        carried_endpoint, next_offer = message
+        return self.cont, endpoints + (carried_endpoint,), next_offer
+
+
 def receive_channel(cont) -> PartialSession:
     """Offer to receive a channel; it is appended to the context and `cont`
     gets the lens for it (the current context length)."""
-    once = OneShotContinuation("receive_channel", cont)
-
-    def resolve(ctx, offer):
-        _expect_offer("receive_channel", offer, ReceiveChannel)
-        premise = expect_program(once(nat(len(ctx))), "receive_channel continuation")
-        exec_p = premise._resolve(ctx + (offer.carried,), offer.cont)
-
-        async def execute(endpoints, offer_chan):
-            carried_endpoint, next_offer = await ask(offer_chan)
-            return exec_p, endpoints + (carried_endpoint,), next_offer
-
-        return execute
-
-    return PartialSession("receive_channel", resolve)
+    return _ReceiveChannel(OneShotContinuation("receive_channel", cont))
 
 
-def send_channel_to(n1, n2, cont) -> PartialSession:
-    """Delegate the channel at slot `n2` to the channel-expecting provider
-    at slot `n1`; `n2` is consumed, `n1` steps to its continuation."""
-    expect_program(cont, "send_channel_to")
+class _SendChannelTo(LensRule):
+    __slots__ = ("n2",)  # `n` is the lens `n1`; both hold levels once checked
+    _rule = "send_channel_to"
+    _keeps_offer = True
 
-    def resolve(ctx, offer):
+    def __init__(self, n1, n2, cont):
+        self.execute = UNCHECKED
+        self.n = n1
+        self.n2 = n2
+        self.cont = cont
+
+    def _check(self, ctx, offer):
+        n1, n2 = self.n, self.n2
         carried = focus(n2, ctx)
         if carried == Empty:
             raise LinearityError(
                 f"send_channel_to: lens {n2.level}: slot has type Empty, "
                 f"expected a live channel"
             )
-        level1, level2 = n1.level, n2.level
+        self.n, self.n2 = level1, level2 = n1.level, n2.level
         mid = put(ctx, level2, Empty)
         slot = _expect_slot("send_channel_to", n1, mid, ReceiveChannel)
         if slot.carried != carried:
@@ -258,66 +306,94 @@ def send_channel_to(n1, n2, cont) -> PartialSession:
                 f"send_channel_to: slot {n1.level} expects a channel of type "
                 f"{slot.carried}, but slot {n2.level} offers {carried}"
             )
-        exec_cont = cont._resolve(put(mid, level1, slot.cont), offer)
+        self.cont = self.cont._resolve(put(mid, level1, slot.cont), offer)
 
-        async def execute(endpoints, offer_chan):
-            receiver = answer(await endpoints[level1].recv(), endpoints[level2])
-            endpoints = put(endpoints, level2, ())
-            return exec_cont, put(endpoints, level1, receiver), offer_chan
-
-        return execute
-
-    return PartialSession("send_channel_to", resolve, synth_protocol=cont._synth)
+    def _received(self, outbound, endpoints, offer):
+        receiver = answer(outbound, endpoints[self.n2])
+        endpoints = put(endpoints, self.n2, ())
+        return self.cont, put(endpoints, self.n, receiver), offer
 
 
-def send_channel_from(n, cont) -> PartialSession:
-    """Send the channel held at slot `n` to the client, consuming the slot."""
-    expect_program(cont, "send_channel_from")
+def send_channel_to(n1, n2, cont) -> PartialSession:
+    """Delegate the channel at slot `n2` to the channel-expecting provider
+    at slot `n1`; `n2` is consumed, `n1` steps to its continuation."""
+    return _SendChannelTo(n1, n2, expect_program(cont, "send_channel_to"))
 
-    def resolve(ctx, offer):
+
+class _SendChannelFrom(LensRule):
+    __slots__ = ()
+    _rule = "send_channel_from"
+
+    def _check(self, ctx, offer):
         _expect_offer("send_channel_from", offer, SendChannel)
+        n = self.n
         carried = focus(n, ctx)
         if carried != offer.carried:
             raise ProtocolError(
                 f"send_channel_from: lens {n.level}: slot has type {carried}, "
                 f"but the offered protocol sends {offer.carried}"
             )
-        level = n.level
-        exec_cont = cont._resolve(put(ctx, level, Empty), offer.cont)
+        self.n = level = n.level
+        self.cont = self.cont._resolve(put(ctx, level, Empty), offer.cont)
 
-        async def execute(endpoints, offer_chan):
-            sender = emit(offer_chan, endpoints[level])
-            return exec_cont, put(endpoints, level, ()), sender
+    def _step(self, endpoints, offer):
+        sender = emit(offer, endpoints[self.n])
+        return self.cont, put(endpoints, self.n, ()), sender
 
-        return execute
 
-    return PartialSession("send_channel_from", resolve)
+def send_channel_from(n, cont) -> PartialSession:
+    """Send the channel held at slot `n` to the client, consuming the slot."""
+    return _SendChannelFrom(n, expect_program(cont, "send_channel_from"))
+
+
+class _ReceiveChannelFrom(LensRule):
+    __slots__ = ()
+    _rule = "receive_channel_from"
+
+    def _check(self, ctx, offer):
+        slot = _expect_slot("receive_channel_from", self.n, ctx, SendChannel)
+        self.n = level = self.n.level
+        premise = expect_program(
+            self.cont(nat(len(ctx))), "receive_channel_from continuation"
+        )
+        target = put(ctx, level, slot.cont) + (slot.carried,)
+        self.cont = premise._resolve(target, offer)
+
+    def _received(self, message, endpoints, offer):
+        carried_endpoint, next_endpoint = message
+        endpoints = put(endpoints, self.n, next_endpoint)
+        return self.cont, endpoints + (carried_endpoint,), offer
 
 
 def receive_channel_from(n, cont) -> PartialSession:
     """Receive the channel delegated by the provider at slot `n`; it is
     appended to the context and `cont` gets the lens for it."""
-    once = OneShotContinuation("receive_channel_from", cont)
-
-    def resolve(ctx, offer):
-        slot = _expect_slot("receive_channel_from", n, ctx, SendChannel)
-        level = n.level
-        premise = expect_program(
-            once(nat(len(ctx))), "receive_channel_from continuation"
-        )
-        exec_p = premise._resolve(put(ctx, level, slot.cont) + (slot.carried,), offer)
-
-        async def execute(endpoints, offer_chan):
-            carried_endpoint, next_endpoint = await endpoints[level].recv()
-            endpoints = put(endpoints, level, next_endpoint)
-            return exec_p, endpoints + (carried_endpoint,), offer_chan
-
-        return execute
-
-    return PartialSession("receive_channel_from", resolve)
+    return _ReceiveChannelFrom(n, OneShotContinuation("receive_channel_from", cont))
 
 
 # -- binary choice ------------------------------------------------------------
+
+
+class _OfferChoice(PartialSession):
+    __slots__ = ("left", "right")
+    _rule = "offer_choice"
+
+    def __init__(self, left, right):
+        self.execute = UNCHECKED
+        self.left = left
+        self.right = right
+
+    def _check(self, ctx, offer):
+        _expect_offer("offer_choice", offer, ExternalChoice)
+        self.left = self.left._resolve(ctx, offer.left)
+        self.right = self.right._resolve(ctx, offer.right)
+
+    def _step(self, endpoints, offer):
+        return ask(offer), _OfferChoice._chosen
+
+    def _chosen(self, message, endpoints, offer):
+        side, next_offer = message
+        return self.left if side == LEFT else self.right, endpoints, next_offer
 
 
 def offer_choice(left, right) -> PartialSession:
@@ -325,41 +401,33 @@ def offer_choice(left, right) -> PartialSession:
     which one runs. Only the chosen branch ever executes."""
     expect_program(left, "offer_choice")
     expect_program(right, "offer_choice")
+    return _OfferChoice(left, right)
 
-    def resolve(ctx, offer):
-        _expect_offer("offer_choice", offer, ExternalChoice)
-        exec_left = left._resolve(ctx, offer.left)
-        exec_right = right._resolve(ctx, offer.right)
 
-        async def execute(endpoints, offer_chan):
-            side, next_offer = await ask(offer_chan)
-            chosen = exec_left if side == LEFT else exec_right
-            return chosen, endpoints, next_offer
+class _Choose(_SendValueTo):
+    # Choosing answers the provider at the slot with a tag, as `send_value_to`
+    # answers with a value; `value` holds the side.
+    __slots__ = ("_rule",)
 
-        return execute
+    def __init__(self, side, n, cont):
+        self.execute = UNCHECKED
+        self._rule = f"choose_{side}"
+        self.n = n
+        self.value = side
+        self.cont = cont
 
-    return PartialSession("offer_choice", resolve)
+    def _check(self, ctx, offer):
+        slot = _expect_slot(self._rule, self.n, ctx, ExternalChoice)
+        chosen = slot.left if self.value == LEFT else slot.right
+        self.n = level = self.n.level
+        self.cont = self.cont._resolve(put(ctx, level, chosen), offer)
 
 
 def choose(side: str, n, cont) -> PartialSession:
     """Send a branch tag to the choice provider at slot `n`."""
     if side not in (LEFT, RIGHT):
         raise ProtocolError(f"choose: side must be 'left' or 'right', got {side!r}")
-    expect_program(cont, "choose")
-
-    def resolve(ctx, offer):
-        slot = _expect_slot(f"choose_{side}", n, ctx, ExternalChoice)
-        chosen = slot.left if side == LEFT else slot.right
-        level = n.level
-        exec_cont = cont._resolve(put(ctx, level, chosen), offer)
-
-        async def execute(endpoints, offer_chan):
-            receiver = answer(await endpoints[level].recv(), side)
-            return exec_cont, put(endpoints, level, receiver), offer_chan
-
-        return execute
-
-    return PartialSession(f"choose_{side}", resolve, synth_protocol=cont._synth)
+    return _Choose(side, n, expect_program(cont, "choose"))
 
 
 def choose_left(n, cont) -> PartialSession:
@@ -370,23 +438,28 @@ def choose_right(n, cont) -> PartialSession:
     return choose(RIGHT, n, cont)
 
 
+class _Offer(_SendValue):
+    # Offering one branch sends its tag, as `send_value` sends a value;
+    # `value` holds the side.
+    __slots__ = ("_rule",)
+
+    def __init__(self, side, cont):
+        self.execute = UNCHECKED
+        self._rule = f"offer_{side}"
+        self.value = side
+        self.cont = cont
+
+    def _check(self, ctx, offer):
+        _expect_offer(self._rule, offer, InternalChoice)
+        chosen = offer.left if self.value == LEFT else offer.right
+        self.cont = self.cont._resolve(ctx, chosen)
+
+
 def offer(side: str, cont) -> PartialSession:
     """Announce the chosen branch with a tag, then continue as that branch."""
     if side not in (LEFT, RIGHT):
         raise ProtocolError(f"offer: side must be 'left' or 'right', got {side!r}")
-    expect_program(cont, "offer")
-
-    def resolve(ctx, offer_protocol):
-        _expect_offer(f"offer_{side}", offer_protocol, InternalChoice)
-        chosen = offer_protocol.left if side == LEFT else offer_protocol.right
-        exec_cont = cont._resolve(ctx, chosen)
-
-        async def execute(endpoints, offer_chan):
-            return exec_cont, endpoints, emit(offer_chan, side)
-
-        return execute
-
-    return PartialSession(f"offer_{side}", resolve)
+    return _Offer(side, expect_program(cont, "offer"))
 
 
 def offer_left(cont) -> PartialSession:
@@ -397,24 +470,35 @@ def offer_right(cont) -> PartialSession:
     return offer(RIGHT, cont)
 
 
+class _Case(PartialSession):
+    __slots__ = ("n", "left", "right")  # the lens, then its level
+    _rule = "case"
+
+    def __init__(self, n, left, right):
+        self.execute = UNCHECKED
+        self.n = n
+        self.left = left
+        self.right = right
+
+    def _check(self, ctx, offer):
+        slot = _expect_slot("case", self.n, ctx, InternalChoice)
+        self.n = level = self.n.level
+        self.left = self.left._resolve(put(ctx, level, slot.left), offer)
+        self.right = self.right._resolve(put(ctx, level, slot.right), offer)
+
+    def _step(self, endpoints, offer):
+        return endpoints[self.n], _Case._announced
+
+    def _announced(self, message, endpoints, offer):
+        side, next_endpoint = message
+        chosen = self.left if side == LEFT else self.right
+        return chosen, put(endpoints, self.n, next_endpoint), offer
+
+
 def case(n, left, right) -> PartialSession:
     """Take the branch whose tag the provider at slot `n` announces. Both branch
     programs must offer the same protocol; their contexts differ only at
     slot `n`, so eliminating either branch empties the same slot."""
     expect_program(left, "case")
     expect_program(right, "case")
-
-    def resolve(ctx, offer):
-        slot = _expect_slot("case", n, ctx, InternalChoice)
-        level = n.level
-        exec_left = left._resolve(put(ctx, level, slot.left), offer)
-        exec_right = right._resolve(put(ctx, level, slot.right), offer)
-
-        async def execute(endpoints, offer_chan):
-            side, next_endpoint = await endpoints[level].recv()
-            chosen = exec_left if side == LEFT else exec_right
-            return chosen, put(endpoints, level, next_endpoint), offer_chan
-
-        return execute
-
-    return PartialSession("case", resolve)
+    return _Case(n, left, right)

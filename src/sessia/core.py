@@ -17,25 +17,26 @@ program is then the one-shot step that runs. Nothing communicates until
 Program values are linear: every `PartialSession`/`Session` is consumed by
 the construct that links it, and every checked program and user
 continuation runs at most once. Each such resource sits in one slot that is
-emptied when it is used (a program's content, a checked program's
-`execute`, a continuation's function), and an empty slot is the one mark of
-"already used".
+emptied when it is used (a program's `execute`, which holds the UNCHECKED
+mark and then its step, and a continuation's function), and an empty slot
+is the one mark of "already used".
 
-A run executes as a trampoline. Each checked program performs its
-construct's one protocol step and returns the next step, `(program,
-endpoints, offer)`, or None once its driver is done; it never awaits
-another program. The driver loop, `drive`, runs the steps one after another
-and holds the one-shot and polarity checks, so a driver's stack and the
-cost of a step stay the same however many steps came before. The run's
-scheduler (`runtime.RunContext`) steps `run_session`'s main driver, every
-provider that `cut` and `include_session` spawn and every critical section
-the run acquires on the task awaiting it; a shared process has no task of
-its own.
+A run executes as a trampoline. A checked program's step is one plain call
+that performs its construct's one protocol step and returns the next step,
+`(program, endpoints, offer)`, a wait `(source, after)` for a value the
+step needs, or None once its driver is done; it creates no coroutine and
+never awaits another program. The driver loop, `drive`, runs the steps one
+after another, takes the value of each wait and holds the one-shot and
+polarity checks, so a driver's stack and the cost of a step stay the same
+however many steps came before. The run's scheduler (`runtime.RunContext`)
+steps `run_session`'s main driver, every provider that `cut` and
+`include_session` spawn and every critical section the run acquires on the
+task awaiting it; a shared process has no task of its own.
 """
 
 from __future__ import annotations
 
-import inspect
+from inspect import isawaitable, iscoroutine
 
 from .context import (
     Empty,
@@ -49,9 +50,11 @@ from .context import (
 )
 from .errors import LinearityError, ProtocolError, RuntimeViolation
 from .instrument import active_recorder, refuse_reuse
-from .protocols import End, Protocol, ReceiveChannel, check_protocol
+from .protocols import End, Protocol, ReceiveChannel, SendValue, check_protocol
 from .runtime import (
     END,
+    PENDING,
+    Receiver,
     Sender,
     channel,
     spawn,
@@ -60,7 +63,12 @@ from .runtime import (
 
 
 async def drive(program: PartialSession, endpoints, offer) -> None:
-    """Run one driver's checked programs until a step returns None."""
+    """Run one driver's checked programs until a step returns None.
+
+    For a wait `(source, after)`, take the value of `source`: a receiver's
+    payload, with no suspension once it has arrived, what an awaitable gives,
+    or any other value as it is. Then `after(program, value, endpoints,
+    offer)` returns a step, a wait or None, as a step does."""
     step = (program, endpoints, offer)
     while step is not None:
         program, endpoints, offer = step
@@ -76,7 +84,18 @@ async def drive(program: PartialSession, endpoints, offer) -> None:
             raise RuntimeViolation(
                 f"{program._rule}: executor needs the provider-side sending endpoint"
             )
-        step = await execute(endpoints, offer)
+        step = execute(program, endpoints, offer)
+        while step is not None and len(step) == 2:
+            source, after = step
+            if type(source) is Receiver:
+                value = source.poll()
+                if value is PENDING:
+                    value = await source
+            elif isawaitable(source):  # the continuation chose to be asynchronous
+                value = await source
+            else:
+                value = source
+            step = after(program, value, endpoints, offer)
 
 
 class OneShotContinuation:
@@ -100,50 +119,78 @@ class OneShotContinuation:
         return fn(*args)
 
 
+# The `execute` of a program not yet checked.
+UNCHECKED = object()
+
+
 class PartialSession:
     """A suspended program offering some protocol over some linear context.
 
-    Instances come from the term constructors and are consumed exactly once
-    by the construct (or the `session` annotation) that uses them. A program
-    is in one of three states: unchecked, with the rule's resolve function
-    in `_content`; checked, with the step that `drive` runs in `execute`;
-    and spent, with both slots empty.
+    Each typing rule is a subclass, named by its `_rule`, that keeps the
+    rule's arguments in its slots. A program is consumed exactly once by the
+    construct (or the `session` annotation) that uses it, and is in one of
+    three states, kept in `execute`: unchecked, with the UNCHECKED mark;
+    checked, with its rule's `_step`; and spent, with `execute` empty. The
+    rule's `_check(ctx, offer)` raises its diagnostics, checks the premises
+    in place and keeps what the step needs in the same slots; a rule that
+    exchanges nothing returns its checked premise, which takes its place.
     """
 
-    __slots__ = ("_rule", "_content", "_synth", "execute")
+    __slots__ = ("execute",)
+    # A client rule whose premise `cont` offers what it offers (`_synthesize`).
+    _keeps_offer = False
 
-    def __init__(self, rule: str, content, synth_protocol: Protocol | None = None):
-        self._rule = rule
-        # The rule's resolve function, or a checked Session's program.
-        self._content = content
-        self._synth = synth_protocol
-        self.execute = None
-
-    def _take(self, what: str):
-        """Empty the content slot; an empty slot means already consumed."""
-        content, self._content = self._content, None
-        if content is None:
-            raise LinearityError(
-                f"{what}: session program value already consumed (programs are linear)"
-            )
-        return content
+    def __init__(self):
+        self.execute = UNCHECKED
 
     def _resolve(self, ctx, offer):
-        execute = self._take(self._rule)(ctx, offer)
-        # Rolling and unrolling exchange nothing: they pass on their checked
-        # premise instead of adding a step.
-        if isinstance(execute, PartialSession):
-            return execute
-        self.execute = execute
+        """Check the program against the judgment `ctx` |- `offer`, once."""
+        if self.execute is not UNCHECKED:
+            raise LinearityError(
+                f"{self._rule}: session program value already consumed "
+                f"(programs are linear)"
+            )
+        self.execute = None
+        premise = self._check(ctx, offer)
+        if premise is not None:
+            return premise
+        self.execute = type(self)._step
         return self
 
     def __repr__(self):
         return f"<PartialSession {self._rule}>"
 
 
+class ContRule(PartialSession):
+    """A rule whose one argument is its continuation `cont`: a premise
+    program, or a user function that returns one."""
+
+    __slots__ = ("cont",)
+
+    def __init__(self, cont):
+        self.execute = UNCHECKED
+        self.cont = cont
+
+
+class LensRule(ContRule):
+    """A client rule on the slot at lens `n` (its level once checked), with
+    the continuation `cont`. Its step, unless the rule has its own, waits for
+    the message of the slot's provider and continues with `_received`."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n, cont):
+        self.execute = UNCHECKED
+        self.n = n
+        self.cont = cont
+
+    def _step(self, endpoints, offer):
+        return endpoints[self.n], type(self)._received
+
+
 def expect_program(p, rule: str) -> PartialSession:
     if not isinstance(p, PartialSession):
-        if inspect.iscoroutine(p):
+        if iscoroutine(p):
             p.close()  # a rejected async continuation is never awaited
         raise ProtocolError(
             f"{rule}: expected a session program (PartialSession), got {p!r}"
@@ -154,18 +201,19 @@ def expect_program(p, rule: str) -> PartialSession:
 class Session(PartialSession):
     """A checked closed program: no free linear channels, offers `protocol`."""
 
-    __slots__ = ("_protocol",)
+    __slots__ = ("_protocol", "_program")
+    _rule = "session"
 
     def __init__(self, protocol: Protocol, program: PartialSession):
-        super().__init__("session", program)
+        self.execute = UNCHECKED
         self._protocol = protocol
+        self._program = program
 
     @property
     def protocol(self) -> Protocol:
         return self._protocol
 
-    def _resolve(self, ctx, offer):
-        program = self._take("session")
+    def _check(self, ctx, offer):
         if ctx:
             raise LinearityError(
                 f"a closed session cannot run in the non-empty context "
@@ -176,6 +224,7 @@ class Session(PartialSession):
                 f"session offers {self._protocol}, "
                 f"but the expected protocol here is {offer}"
             )
+        program, self._program = self._program, None
         return program
 
     def __repr__(self):
@@ -223,20 +272,23 @@ def run_session(s: Session):
 # -- structural constructs -----------------------------------------------
 
 
-def forward(n) -> PartialSession:
-    """Offer exactly the session found at slot `n`, which must be the only
-    live slot. The single pending payload is relayed from the focused
-    endpoint to the offer handle; the continuation endpoints it carries
-    reconnect the two parties directly."""
+class _Forward(PartialSession):
+    __slots__ = ("n",)  # the lens, then its level
+    _rule = "forward"
 
-    def resolve(ctx, offer):
+    def __init__(self, n):
+        self.execute = UNCHECKED
+        self.n = n
+
+    def _check(self, ctx, offer):
+        n = self.n
         slot = focus(n, ctx)
         if slot != offer:
             raise ProtocolError(
                 f"forward: lens {n.level}: slot has type {slot}, "
                 f"but the expected protocol here is {offer}"
             )
-        level = n.level
+        self.n = level = n.level
         live = live_slot(put(ctx, level, Empty))
         if live is not None:
             raise LinearityError(
@@ -244,41 +296,65 @@ def forward(n) -> PartialSession:
                 f"slot {live[0]} still holds {live[1]}"
             )
 
-        async def execute(endpoints, offer_chan):
-            payload = await endpoints[level].recv()
-            offer_chan.send(payload)
+    def _step(self, endpoints, offer):
+        return endpoints[self.n], _Forward._relay
 
-        return execute
-
-    return PartialSession("forward", resolve)
+    def _relay(self, payload, endpoints, offer):
+        offer.send(payload)
 
 
-def cut(cont1, cont2, *, provider_protocol=None, provider_context=None) -> PartialSession:
-    """Spawn `cont2` as a concurrent provider; its channel becomes the last
-    slot of `cont1`'s context.
+def forward(n) -> PartialSession:
+    """Offer exactly the session found at slot `n`, which must be the only
+    live slot. The single pending payload is relayed from the focused
+    endpoint to the offer handle; the continuation endpoints it carries
+    reconnect the two parties directly."""
+    return _Forward(n)
 
-    `cont2`'s own judgment must be known: pass a checked `Session`, or give
-    `provider_protocol=` (and `provider_context=` if non-empty).
-    """
-    expect_program(cont1, "cut")
-    expect_program(cont2, "cut")
-    if provider_protocol is not None:
-        check_protocol(provider_protocol, "cut")
 
-    def resolve(ctx, offer):
+def _synthesize(program: PartialSession) -> Protocol | None:
+    """The protocol an unannotated provider offers, read off its program: a
+    chain of `send_value`s, and of client steps that leave the offer alone,
+    down to `terminate`. None if the program does not show it."""
+    sent = []
+    while program._rule != "terminate":
+        if program._rule == "send_value":
+            sent.append(type(program.value))
+        elif not program._keeps_offer:
+            return None
+        program = program.cont
+    protocol = End
+    for value_type in reversed(sent):
+        protocol = SendValue(value_type, protocol)
+    return protocol
+
+
+class _Cut(PartialSession):
+    # `context` holds the provider's context, then where its endpoints start.
+    __slots__ = ("client", "provider", "protocol", "context")
+    _rule = "cut"
+
+    def __init__(self, client, provider, protocol, context):
+        self.execute = UNCHECKED
+        self.client = client
+        self.provider = provider
+        self.protocol = protocol
+        self.context = context
+
+    def _check(self, ctx, offer):
+        provider, a = self.provider, self.protocol
         c2 = ()
-        if provider_context is not None:
+        if self.context is not None:
             # The one context a user supplies: validated here, once.
-            validate_context(provider_context, "cut")
-            c2 = tuple(slots_of(provider_context))
-        if isinstance(cont2, Session):
-            a = cont2.protocol
-            if provider_protocol is not None and provider_protocol != a:
+            validate_context(self.context, "cut")
+            c2 = tuple(slots_of(self.context))
+        if isinstance(provider, Session):
+            if a is not None and a != provider.protocol:
                 raise ProtocolError(
-                    f"cut: provider offers {a}, not {provider_protocol}"
+                    f"cut: provider offers {provider.protocol}, not {a}"
                 )
-        else:
-            a = provider_protocol if provider_protocol is not None else cont2._synth
+            a = provider.protocol
+        elif a is None:
+            a = _synthesize(provider)
         if a is None:
             raise ProtocolError(
                 "cut: cannot infer the provider protocol; pass a checked "
@@ -295,17 +371,50 @@ def cut(cont1, cont2, *, provider_protocol=None, provider_context=None) -> Parti
                 f"cut: context {show(ctx)} does not end with the "
                 f"provider context {show(c2)}"
             )
-        exec1 = cont1._resolve(ctx[:c1_len] + (a,), offer)
-        exec2 = cont2._resolve(c2, a)
+        self.client = self.client._resolve(ctx[:c1_len] + (a,), offer)
+        self.provider = provider._resolve(c2, a)
+        self.context = c1_len
 
-        async def execute(endpoints, offer_chan):
-            sender, receiver = channel()
-            spawn(drive(exec2, endpoints[c1_len:], sender))
-            return exec1, endpoints[:c1_len] + (receiver,), offer_chan
+    def _step(self, endpoints, offer):
+        sender, receiver = channel()
+        split = self.context
+        spawn(drive(self.provider, endpoints[split:], sender))
+        return self.client, endpoints[:split] + (receiver,), offer
 
-        return execute
 
-    return PartialSession("cut", resolve)
+def cut(cont1, cont2, *, provider_protocol=None, provider_context=None) -> PartialSession:
+    """Spawn `cont2` as a concurrent provider; its channel becomes the last
+    slot of `cont1`'s context.
+
+    `cont2`'s own judgment must be known: pass a checked `Session`, or give
+    `provider_protocol=` (and `provider_context=` if non-empty).
+    """
+    expect_program(cont1, "cut")
+    expect_program(cont2, "cut")
+    if provider_protocol is not None:
+        check_protocol(provider_protocol, "cut")
+    return _Cut(cont1, cont2, provider_protocol, provider_context)
+
+
+class _Include(PartialSession):
+    __slots__ = ("provider", "cont")
+    _rule = "include_session"
+
+    def __init__(self, provider, cont):
+        self.execute = UNCHECKED
+        self.provider = provider
+        self.cont = cont
+
+    def _check(self, ctx, offer):
+        premise = expect_program(self.cont(nat(len(ctx))), "include_session continuation")
+        a = self.provider.protocol
+        self.cont = premise._resolve(ctx + (a,), offer)
+        self.provider = self.provider._resolve((), a)
+
+    def _step(self, endpoints, offer):
+        sender, receiver = channel()
+        spawn(drive(self.provider, (), sender))
+        return self.cont, endpoints + (receiver,), offer
 
 
 def include_session(a: Session, cont) -> PartialSession:
@@ -315,21 +424,7 @@ def include_session(a: Session, cont) -> PartialSession:
         raise ProtocolError(
             f"include_session expects a checked Session to include, got {a!r}"
         )
-    once = OneShotContinuation("include_session", cont)
-
-    def resolve(ctx, offer):
-        premise = expect_program(once(nat(len(ctx))), "include_session continuation")
-        exec_p = premise._resolve(ctx + (a.protocol,), offer)
-        exec_a = a._resolve((), a.protocol)
-
-        async def execute(endpoints, offer_chan):
-            sender, receiver = channel()
-            spawn(drive(exec_a, (), sender))
-            return exec_p, endpoints + (receiver,), offer_chan
-
-        return execute
-
-    return PartialSession("include_session", resolve)
+    return _Include(a, OneShotContinuation("include_session", cont))
 
 
 def apply_channel(f: Session, a: Session) -> Session:
@@ -369,10 +464,3 @@ def apply_channel(f: Session, a: Session) -> Session:
 def resolve_deferred(premise, ctx, offer, rule: str):
     """Check a runtime-produced premise against its recorded judgment."""
     return expect_program(premise, rule)._resolve(ctx, offer)
-
-
-async def force(value):
-    """Await the value if the continuation chose to be asynchronous."""
-    if inspect.isawaitable(value):
-        return await value
-    return value

@@ -164,8 +164,8 @@ _active: contextvars.ContextVar[Recorder | None] = contextvars.ContextVar(
 )
 
 
-def active_recorder() -> Recorder | None:
-    return _active.get()
+# The active Recorder or None, looked up with no Python frame.
+active_recorder = _active.get
 
 
 def record_event(kind: str, value: object = "") -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .context import S, Z, _Z, focus, put
-from .core import PartialSession, expect_program
+from .core import ContRule, LensRule, expect_program
 from .errors import ProtocolError
 from .protocols import End, Protocol
 
@@ -96,32 +96,39 @@ class Fix(Protocol):
         return self.unroll().payload_layout()
 
 
-def fix_session(cont):
-    """Roll the unrolled session offered by `cont` into the fixed point."""
-    expect_program(cont, "fix_session")
+class _FixSession(ContRule):
+    __slots__ = ()
+    _rule = "fix_session"
 
-    def resolve(ctx, offer):
+    def _check(self, ctx, offer):
         if not isinstance(offer, Fix):
             raise ProtocolError(
                 f"fix_session offers a Fix protocol, "
                 f"but the expected protocol here is {offer}"
             )
-        return cont._resolve(ctx, offer.unroll())
-
-    return PartialSession("fix_session", resolve)
+        return self.cont._resolve(ctx, offer.unroll())
 
 
-def unfix_session_for(n, cont):
-    """Unroll the recursive protocol at slot `n`; exchanges nothing."""
-    expect_program(cont, "unfix_session_for")
+def fix_session(cont):
+    """Roll the unrolled session offered by `cont` into the fixed point."""
+    return _FixSession(expect_program(cont, "fix_session"))
 
-    def resolve(ctx, offer):
+
+class _UnfixSession(LensRule):
+    __slots__ = ()
+    _rule = "unfix_session_for"
+
+    def _check(self, ctx, offer):
+        n = self.n
         slot = focus(n, ctx)
         if not isinstance(slot, Fix):
             raise ProtocolError(
                 f"unfix_session_for: lens {n.level}: slot has type {slot}, "
                 f"expected a Fix protocol"
             )
-        return cont._resolve(put(ctx, n.level, slot.unroll()), offer)
+        return self.cont._resolve(put(ctx, n.level, slot.unroll()), offer)
 
-    return PartialSession("unfix_session_for", resolve)
+
+def unfix_session_for(n, cont):
+    """Unroll the recursive protocol at slot `n`; exchanges nothing."""
+    return _UnfixSession(n, expect_program(cont, "unfix_session_for"))

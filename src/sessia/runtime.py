@@ -2,28 +2,32 @@
 
 Every protocol step communicates over a fresh one-shot channel with
 capacity one: the send never blocks, the channel carries at most one
-payload, and each endpoint may be used once. A channel is one slot holding
-the payload and the receiver parked on it; each endpoint holds the slot in
-one field and empties it when it is used, so an empty field marks a used
-endpoint. The sending endpoint of a fresh step channel belongs to the
-provider and the receiving endpoint to the client.
+payload, and each endpoint may be used once. The receiver is the channel:
+it holds the payload and the driver parked on it, and the sender holds the
+receiver in one field, which the send empties, so an empty field marks a
+used sender and a taken payload a used receiver. The sending endpoint of a
+fresh step channel belongs to the provider and the receiving endpoint to
+the client.
 
 A step message, as `protocols.payload_of` describes it, is a bare signal
 or a pair `(carried, continuation)`: a value, channel or branch tag, and
 the peer's end of the next step channel. The typing rules send every such
 pair through `emit`, `ask` and `answer`. In a reversed step the provider
-sends a fresh sender, never holding a receiver, and the client answers.
+sends a fresh sender, never holding a receiver, and the client answers;
+`ask` returns the receiver of that answer.
 
 A run is a scheduler: `RunContext` steps the `drive` coroutines that
 `run_session`, `cut`, `include_session` and each acquire of a shared
 process start on the task awaiting the run, each as the loop's current
 task. A shared process has no task of its own: its critical sections are
-drivers of the runs that acquire it. A receive on an empty slot parks its
-driver there; the send that fills the slot readies it with no event-loop
-iteration. A driver awaiting a foreign future (a sleep, a contended
-acquire) parks on its done callback. Only a driver can park: a receive on
-an empty slot outside any run raises `RuntimeViolation`, and a failure
-reaches every parked driver through `RunContext.fail`.
+drivers of the runs that acquire it. A driver takes a payload that has
+arrived with `Receiver.poll`, without suspending; awaiting an empty
+receiver parks the driver there, and the send that fills it readies the
+driver with no event-loop iteration. A driver awaiting a foreign future (a
+sleep, a contended acquire) parks on its done callback. Only a driver can
+park: a receive on an empty channel outside any run raises
+`RuntimeViolation`, and a failure reaches every parked driver through
+`RunContext.fail`.
 """
 
 from __future__ import annotations
@@ -60,83 +64,81 @@ ACK = Signal("ack")
 LEFT = "left"
 RIGHT = "right"
 
-# A slot's payload before the send (None is a payload), and what a driver
-# that parks in a slot yields to its scheduler.
-_EMPTY, _PARK = object(), object()
+# What `Receiver.poll` returns before the send (None is a payload), a
+# receiver's payload once taken, and what a driver that parks on a receiver
+# yields to its scheduler.
+PENDING, _TAKEN, _PARK = object(), object(), object()
 
 
-class _Slot:
-    """A channel: its payload, and the driver parked on it."""
+class Receiver:
+    """Client-held endpoint of a one-shot step channel, and the channel
+    itself: the payload once sent, and the driver parked on it."""
 
     __slots__ = ("payload", "waiter")
 
     def __init__(self):
-        self.payload = _EMPTY
+        self.payload = PENDING
         self.waiter: _Driver | None = None
 
-    def fill(self, payload) -> None:
-        self.payload = payload
-        waiter = self.waiter
-        if waiter is not None:
-            waiter.run._resume(waiter, self)
+    def poll(self):
+        """Take the payload if it has arrived, without suspending; PENDING
+        if it has not, and then awaiting the receiver takes it."""
+        payload = self.payload
+        if payload is _TAKEN or self.waiter is not None:
+            refuse_reuse("one-shot channel endpoint used twice (recv)")
+        if payload is not PENDING:
+            self.payload = _TAKEN
+            rec = active_recorder()
+            if rec is not None:
+                rec.endpoint_consumed()
+        return payload
 
     def __await__(self):
-        driver = asyncio.current_task()
-        if type(driver) is not _Driver:
-            raise RuntimeViolation(
-                "receive on an empty channel outside any run: only a driver of "
-                "a run can wait for its peer (start one with sessia.runtime.start)"
-            )
-        self.waiter = driver
-        driver.waiting = self
-        yield _PARK
+        if self.payload is PENDING and self.waiter is None:
+            driver = asyncio.current_task()
+            if type(driver) is not _Driver:
+                raise RuntimeViolation(
+                    "receive on an empty channel outside any run: only a driver of "
+                    "a run can wait for its peer (start one with sessia.runtime.start)"
+                )
+            self.waiter = driver
+            driver.waiting = self
+            yield _PARK
+            self.waiter = None
+        return self.poll()
+
+    async def recv(self):
+        return await self
 
 
 class Sender:
     """Provider-held endpoint of a one-shot step channel."""
 
-    __slots__ = ("_slot",)
+    __slots__ = ("_receiver",)
 
-    def __init__(self, slot: _Slot):
-        self._slot = slot
+    def __init__(self, receiver: Receiver):
+        self._receiver = receiver
 
     def send(self, payload) -> None:
-        slot, self._slot = self._slot, None
-        if slot is None:
+        receiver, self._receiver = self._receiver, None
+        if receiver is None:
             refuse_reuse("one-shot channel endpoint used twice (send)")
-        slot.fill(payload)
+        receiver.payload = payload
+        waiter = receiver.waiter
+        if waiter is not None:
+            waiter.run._resume(waiter, receiver)
         rec = active_recorder()
         if rec is not None:
             rec.endpoint_consumed()
-
-
-class Receiver:
-    """Client-held endpoint of a one-shot step channel."""
-
-    __slots__ = ("_slot",)
-
-    def __init__(self, slot: _Slot):
-        self._slot = slot
-
-    async def recv(self):
-        slot, self._slot = self._slot, None
-        if slot is None:
-            refuse_reuse("one-shot channel endpoint used twice (recv)")
-        if slot.payload is _EMPTY:
-            await slot
-        rec = active_recorder()
-        if rec is not None:
-            rec.endpoint_consumed()
-        return slot.payload
 
 
 def channel() -> tuple[Sender, Receiver]:
-    """A fresh one-shot channel: one slot, held by both endpoints."""
-    slot = _Slot()
+    """A fresh one-shot channel: a receiver, and the sender that fills it."""
+    receiver = Receiver()
     rec = active_recorder()
     if rec is not None:
         rec.channel_created()
-    return Sender(slot), Receiver(slot)
+    return Sender(receiver), receiver
 
 
 def emit(offer: Sender, carried) -> Sender:
@@ -146,11 +148,12 @@ def emit(offer: Sender, carried) -> Sender:
     return sender
 
 
-def ask(offer: Sender):
-    """Provider side of a reversed step; returns the awaitable reply pair."""
+def ask(offer: Sender) -> Receiver:
+    """Provider side of a reversed step; returns the receiver of the reply
+    pair."""
     sender, receiver = channel()
     offer.send(sender)
-    return receiver.recv()
+    return receiver
 
 
 def answer(outbound: Sender, carried) -> Receiver:

@@ -49,6 +49,9 @@ from functools import cached_property
 
 from .context import Empty, S, focus, live_slot, nat, put, show
 from .core import (
+    UNCHECKED,
+    ContRule,
+    LensRule,
     OneShotContinuation,
     PartialSession,
     drive,
@@ -203,16 +206,11 @@ def accept_shared_session(cont) -> SharedSessionBuilder:
     return SharedSessionBuilder(expect_program(cont, "accept_shared_session"))
 
 
-def detach_shared_session(cont: SharedSession) -> PartialSession:
-    """End the critical section: on the client's release, hand `cont`, the
-    shared process's next section, to the next acquirer."""
-    if not isinstance(cont, SharedSession):
-        raise ProtocolError(
-            f"detach_shared_session expects a checked SharedSession "
-            f"to continue with, got {cont!r}"
-        )
+class _Detach(ContRule):
+    __slots__ = ()  # `cont`: the SharedSession, then its checked program
+    _rule = "detach_shared_session"
 
-    def resolve(ctx, offer):
+    def _check(self, ctx, offer):
         if not isinstance(offer, SharedToLinear):
             raise ProtocolError(
                 f"detach_shared_session offers SharedToLinear, "
@@ -230,24 +228,57 @@ def detach_shared_session(cont: SharedSession) -> PartialSession:
                 f"slot {live[0] + 1} still holds {live[1]}"
             )
         # Compared by body: forming LinearToShared(offer.body) would unroll it.
-        if cont.protocol.body != offer.body:
+        if self.cont.protocol.body != offer.body:
             raise ProtocolError(
-                f"detach_shared_session: continuation offers {cont.protocol}, "
+                f"detach_shared_session: continuation offers {self.cont.protocol}, "
                 f"expected LinearToShared({offer.body})"
             )
-        following = cont._take_program()
+        self.cont = self.cont._take_program()
 
-        async def execute(endpoints, offer_chan):
-            section = endpoints[0]
-            section.following = following
-            section.ack, receiver = channel()
-            # The client's release step acknowledges through the section.
-            offer_chan.send(section)
-            await receiver.recv()
+    def _step(self, endpoints, offer):
+        section = endpoints[0]
+        section.following = self.cont
+        section.ack, receiver = channel()
+        # The client's release step acknowledges through the section.
+        offer.send(section)
+        return receiver, _Detach._released
 
-        return execute
+    def _released(self, signal, endpoints, offer):
+        return None
 
-    return PartialSession("detach_shared_session", resolve)
+
+def detach_shared_session(cont: SharedSession) -> PartialSession:
+    """End the critical section: on the client's release, hand `cont`, the
+    shared process's next section, to the next acquirer."""
+    if not isinstance(cont, SharedSession):
+        raise ProtocolError(
+            f"detach_shared_session expects a checked SharedSession "
+            f"to continue with, got {cont!r}"
+        )
+    return _Detach(cont)
+
+
+class _Acquire(PartialSession):
+    __slots__ = ("shared", "cont")
+    _rule = "acquire_shared_session"
+
+    def __init__(self, shared, cont):
+        self.execute = UNCHECKED
+        self.shared = shared
+        self.cont = cont
+
+    def _check(self, ctx, offer):
+        premise = expect_program(
+            self.cont(nat(len(ctx))), "acquire_shared_session continuation"
+        )
+        self.cont = premise._resolve(ctx + (self.shared.protocol.unroll(),), offer)
+
+    def _step(self, endpoints, offer):
+        return self.shared.acquire(), _Acquire._acquired
+
+    def _acquired(self, linear, endpoints, offer):
+        record_event("ACQ")
+        return self.cont, endpoints + (linear,), offer
 
 
 def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
@@ -257,48 +288,35 @@ def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
         raise ProtocolError(
             f"acquire_shared_session expects a SharedChannel, got {shared!r}"
         )
-    once = OneShotContinuation("acquire_shared_session", cont)
-
-    def resolve(ctx, offer):
-        premise = expect_program(
-            once(nat(len(ctx))), "acquire_shared_session continuation"
-        )
-        exec_p = premise._resolve(ctx + (shared.protocol.unroll(),), offer)
-
-        async def execute(endpoints, offer_chan):
-            linear = await shared.acquire()
-            record_event("ACQ")
-            return exec_p, endpoints + (linear,), offer_chan
-
-        return execute
-
-    return PartialSession("acquire_shared_session", resolve)
+    return _Acquire(shared, OneShotContinuation("acquire_shared_session", cont))
 
 
-def release_shared_session(n, cont) -> PartialSession:
-    """Give up the critical section at slot `n`; the slot is consumed and
-    the shared process becomes available to the next client."""
-    expect_program(cont, "release_shared_session")
+class _Release(LensRule):
+    __slots__ = ()
+    _rule = "release_shared_session"
+    _keeps_offer = True
 
-    def resolve(ctx, offer):
+    def _check(self, ctx, offer):
+        n = self.n
         slot = focus(n, ctx)
         if not isinstance(slot, SharedToLinear):
             raise ProtocolError(
                 f"release_shared_session: lens {n.level}: slot has type {slot}; "
                 f"the session has not reached its release point"
             )
-        level = n.level
-        exec_cont = cont._resolve(put(ctx, level, Empty), offer)
+        self.n = level = n.level
+        self.cont = self.cont._resolve(put(ctx, level, Empty), offer)
 
-        async def execute(endpoints, offer_chan):
-            outbound = await endpoints[level].recv()
-            record_event("REL")
-            outbound.send(ACK)
-            return exec_cont, put(endpoints, level, ()), offer_chan
+    def _received(self, outbound, endpoints, offer):
+        record_event("REL")
+        outbound.send(ACK)
+        return self.cont, put(endpoints, self.n, ()), offer
 
-        return execute
 
-    return PartialSession("release_shared_session", resolve, synth_protocol=cont._synth)
+def release_shared_session(n, cont) -> PartialSession:
+    """Give up the critical section at slot `n`; the slot is consumed and
+    the shared process becomes available to the next client."""
+    return _Release(n, expect_program(cont, "release_shared_session"))
 
 
 # -- the shared process --------------------------------------------------

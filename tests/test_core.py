@@ -1,5 +1,6 @@
 import asyncio
 import gc
+import types
 import warnings
 
 import pytest
@@ -572,3 +573,131 @@ def test_library_built_contexts_are_not_validated_again(monkeypatch):
     with recording() as rec:
         run(run_session(checked))
     assert rec.conservation_ok() and rec.one_shot_ok()
+
+
+def test_cut_infers_the_protocol_of_a_chain_of_sends():
+    seen = []
+
+    def take(v):
+        seen.append(v)
+        return receive_value_from(Z, lambda w: seen.append(w) or wait(Z, terminate()))
+
+    provider = send_value(1, send_value("a", terminate()))
+    run(run_session(session(End, cut(receive_value_from(Z, take), provider))))
+    assert seen == [1, "a"]
+
+
+# -- continuation rules, with a synchronous or an asynchronous continuation ---
+
+
+class Boom(Exception):
+    pass
+
+
+def user_continuation(kind, outcome, program, calls):
+    """A continuation that notes its run and arguments, then returns
+    `program(*args)` or raises Boom; `kind` says whether it is a coroutine
+    function that first yields to the event loop."""
+
+    def body(*args):
+        calls.append((sessia.runtime.current_run(), args))
+        if outcome == "raises":
+            raise Boom(*args)
+        return program(*args)
+
+    async def async_body(*args):
+        await asyncio.sleep(0)
+        return body(*args)
+
+    return body if kind == "sync" else async_body
+
+
+def receive_value_case(cont, seen):
+    provider = session(ReceiveValue(int, End), receive_value(cont(lambda v: terminate())))
+    return include_session(provider, lambda p: send_value_to(p, 5, wait(p, terminate())))
+
+
+def receive_value_from_case(cont, seen):
+    def client(p):
+        return receive_value_from(p, cont(lambda v: seen.append(v) or wait(p, terminate())))
+
+    return include_session(int_provider(5), client)
+
+
+def send_value_async_case(cont, seen):
+    produce = cont(lambda: (5, terminate()))
+    provider = session(SendValue(int, End), send_value_async(produce))
+    return include_session(
+        provider,
+        lambda p: receive_value_from(p, lambda v: seen.append(v) or wait(p, terminate())),
+    )
+
+
+# Each case: the closed program around the rule, and the arguments its
+# continuation gets.
+CONTINUATION_CASES = {
+    "receive_value": (receive_value_case, (5,)),
+    "receive_value_from": (receive_value_from_case, (5,)),
+    "send_value_async": (send_value_async_case, ()),
+}
+
+
+@pytest.mark.parametrize("outcome", ["returns", "raises"])
+@pytest.mark.parametrize("kind", ["sync", "async"])
+@pytest.mark.parametrize("rule", sorted(CONTINUATION_CASES))
+def test_a_continuation_rule_runs_a_sync_or_async_continuation(rule, kind, outcome):
+    build, args = CONTINUATION_CASES[rule]
+    calls, seen = [], []
+    program = session(
+        End, build(lambda then: user_continuation(kind, outcome, then, calls), seen)
+    )
+    with recording() as rec:
+        if outcome == "returns":
+            run(run_session(program))
+        else:
+            with pytest.raises(Boom):
+                run(run_session(program))
+    [(the_run, called_with)] = calls
+    assert called_with == args
+    assert rec.counters.continuations[rule] == 1
+    if outcome == "returns":
+        assert (rec.conservation_ok(), rec.one_shot_ok()) == (True, True)
+        assert seen == ([] if rule == "receive_value" else [5])
+    else:
+        assert isinstance(the_run.failure, Boom)
+    assert not the_run.tasks  # every driver of the run has ended
+
+
+# -- one object per construct -------------------------------------------------
+
+
+def reachable_from(root):
+    """Every object reachable from `root` through `gc.get_referents`, short of
+    classes, modules and what a function refers to (its globals among it)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if not isinstance(obj, types.FunctionType):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize(
+    "checked",
+    [
+        lambda: session(SendValue(int, End), send_value(3, terminate())),
+        lambda: session(
+            End, include_session(end_provider(), lambda x: wait(x, terminate()))
+        ),
+    ],
+    ids=["send_value", "include_session-wait"],
+)
+def test_a_checked_program_holds_no_closure(checked):
+    found = reachable_from(checked())
+    assert [obj for obj in found if isinstance(obj, types.CellType)] == []
+    functions = [obj for obj in found if isinstance(obj, types.FunctionType)]
+    assert functions and [f for f in functions if f.__closure__] == []

@@ -1,11 +1,12 @@
 """Term constructors for the linear typing rules.
 
-Each function maps premise programs to a conclusion program: one object of
-the rule's `PartialSession` subclass, holding the premises. Once its
-judgment is imposed, it checks the premises in place against the judgments
-the rule dictates and sets its step: a plain function that performs the
-construct's single protocol step and returns the continuation's step, or a
-wait for the peer, to the driver (`core.drive`).
+Each constructor is its rule's `PartialSession` subclass: calling it
+validates the premises and builds the conclusion program, one object that
+holds them. Once its judgment is imposed, it checks the premises in place
+against the judgments the rule dictates and sets its step: a plain
+function that performs the construct's single protocol step and returns
+the continuation's step, or a wait for the peer, to the driver
+(`core.drive`).
 
 Provider-side rules act on the offer handle; client-side rules act on a
 context slot through a lens and leave the offered protocol alone. Value
@@ -19,7 +20,6 @@ from .core import (
     UNCHECKED,
     ContRule,
     LensRule,
-    OneShotContinuation,
     PartialSession,
     expect_program,
     resolve_deferred,
@@ -27,7 +27,6 @@ from .core import (
 from .errors import LinearityError, ProtocolError
 from .instrument import record_event
 from .protocols import (
-    End,
     ExternalChoice,
     InternalChoice,
     ReceiveChannel,
@@ -72,9 +71,10 @@ def _check_value(rule: str, value, value_type):
 # -- termination -----------------------------------------------------------
 
 
-class _Terminate(PartialSession):
+class terminate(PartialSession):
+    """Send the termination signal; every linear channel must be consumed."""
+
     __slots__ = ()
-    _rule = "terminate"
 
     def _check(self, ctx, offer):
         _expect_offer("terminate", offer, _End)
@@ -90,14 +90,10 @@ class _Terminate(PartialSession):
         offer.send(END)
 
 
-def terminate() -> PartialSession:
-    """Send the termination signal; every linear channel must be consumed."""
-    return _Terminate()
+class wait(LensRule):
+    """Block until the provider at slot `n` terminates, then continue."""
 
-
-class _Wait(LensRule):
     __slots__ = ()
-    _rule = "wait"
     _keeps_offer = True
 
     def _check(self, ctx, offer):
@@ -110,29 +106,26 @@ class _Wait(LensRule):
         return self.cont, put(endpoints, self.n, ()), offer
 
 
-def wait(n, cont) -> PartialSession:
-    """Block until the provider at slot `n` terminates, then continue."""
-    return _Wait(n, expect_program(cont, "wait"))
-
-
 # -- value input (provider receives) ----------------------------------------
 
 
-class _ReceiveValue(ContRule):
+class receive_value(ContRule):
+    """Offer to receive one value; it is passed to `cont` exactly once."""
+
     # The judgment after the step; the next offer, until the premise is checked.
     __slots__ = ("ctx", "after", "next_offer")
-    _rule = "receive_value"
+    _calls_cont = True
 
     def _check(self, ctx, offer):
         _expect_offer("receive_value", offer, ReceiveValue)
         self.ctx, self.after = ctx, offer.cont
 
     def _step(self, endpoints, offer):
-        return ask(offer), _ReceiveValue._received
+        return ask(offer), receive_value._received
 
     def _received(self, message, endpoints, offer):
         value, self.next_offer = message
-        return self.cont(value), _ReceiveValue._continued
+        return self.cont(value), receive_value._continued
 
     def _continued(self, premise, endpoints, offer):
         premise = resolve_deferred(
@@ -141,21 +134,17 @@ class _ReceiveValue(ContRule):
         return premise, endpoints, self.next_offer
 
 
-def receive_value(cont) -> PartialSession:
-    """Offer to receive one value; it is passed to `cont` exactly once."""
-    return _ReceiveValue(OneShotContinuation("receive_value", cont))
+class send_value_to(LensRule):
+    """Deliver `value` to the receiving provider at slot `n`."""
 
-
-class _SendValueTo(LensRule):
     __slots__ = ("value",)
-    _rule = "send_value_to"
     _keeps_offer = True
 
     def __init__(self, n, value, cont):
         self.execute = UNCHECKED
         self.n = n
         self.value = value
-        self.cont = cont
+        self.cont = expect_program(cont, "send_value_to")
 
     def _check(self, ctx, offer):
         slot = _expect_slot("send_value_to", self.n, ctx, ReceiveValue)
@@ -168,22 +157,18 @@ class _SendValueTo(LensRule):
         return self.cont, put(endpoints, self.n, receiver), offer
 
 
-def send_value_to(n, value, cont) -> PartialSession:
-    """Deliver `value` to the receiving provider at slot `n`."""
-    return _SendValueTo(n, value, expect_program(cont, "send_value_to"))
-
-
 # -- value output (provider sends) -------------------------------------------
 
 
-class _SendValue(PartialSession):
+class send_value(PartialSession):
+    """Send `value` together with the continuation endpoint, then continue."""
+
     __slots__ = ("value", "cont")
-    _rule = "send_value"
 
     def __init__(self, value, cont):
         self.execute = UNCHECKED
         self.value = value
-        self.cont = cont
+        self.cont = expect_program(cont, "send_value")
 
     def _check(self, ctx, offer):
         _expect_offer("send_value", offer, SendValue)
@@ -194,22 +179,23 @@ class _SendValue(PartialSession):
         return self.cont, endpoints, emit(offer, self.value)
 
 
-def send_value(value, cont) -> PartialSession:
-    """Send `value` together with the continuation endpoint, then continue."""
-    return _SendValue(value, expect_program(cont, "send_value"))
+class send_value_async(ContRule):
+    """Like send_value, but the pair (value, continuation program) is
+    produced lazily by `produce` only when the program is already running."""
 
-
-class _SendValueAsync(ContRule):
     # `cont` is the producer; the context, the value type and the protocol after it.
     __slots__ = ("ctx", "value_type", "after")
-    _rule = "send_value_async"
+    _calls_cont = True
+
+    def __init__(self, produce):
+        ContRule.__init__(self, produce)
 
     def _check(self, ctx, offer):
         _expect_offer("send_value_async", offer, SendValue)
         self.ctx, self.value_type, self.after = ctx, offer.value_type, offer.cont
 
     def _step(self, endpoints, offer):
-        return self.cont(), _SendValueAsync._produced
+        return self.cont(), send_value_async._produced
 
     def _produced(self, pair, endpoints, offer):
         value, premise = pair
@@ -220,16 +206,13 @@ class _SendValueAsync(ContRule):
         return premise, endpoints, emit(offer, value)
 
 
-def send_value_async(produce) -> PartialSession:
-    """Like send_value, but the pair (value, continuation program) is
-    produced lazily by `produce` only when the program is already running."""
-    return _SendValueAsync(OneShotContinuation("send_value_async", produce))
+class receive_value_from(LensRule):
+    """Take the next value sent by the provider at slot `n`; `cont` may
+    return its continuation program asynchronously."""
 
-
-class _ReceiveValueFrom(LensRule):
     # The judgment after the step; the next endpoint, until the premise is checked.
     __slots__ = ("target", "offered", "next_endpoint")
-    _rule = "receive_value_from"
+    _calls_cont = True
 
     def _check(self, ctx, offer):
         slot = _expect_slot("receive_value_from", self.n, ctx, SendValue)
@@ -238,7 +221,7 @@ class _ReceiveValueFrom(LensRule):
 
     def _received(self, message, endpoints, offer):
         value, self.next_endpoint = message
-        return self.cont(value), _ReceiveValueFrom._continued
+        return self.cont(value), receive_value_from._continued
 
     def _continued(self, premise, endpoints, offer):
         premise = resolve_deferred(
@@ -247,18 +230,15 @@ class _ReceiveValueFrom(LensRule):
         return premise, put(endpoints, self.n, self.next_endpoint), offer
 
 
-def receive_value_from(n, cont) -> PartialSession:
-    """Take the next value sent by the provider at slot `n`; `cont` may
-    return its continuation program asynchronously."""
-    return _ReceiveValueFrom(n, OneShotContinuation("receive_value_from", cont))
-
-
 # -- channel delegation -------------------------------------------------------
 
 
-class _ReceiveChannel(ContRule):
+class receive_channel(ContRule):
+    """Offer to receive a channel; it is appended to the context and `cont`
+    gets the lens for it (the current context length)."""
+
     __slots__ = ()
-    _rule = "receive_channel"
+    _calls_cont = True
 
     def _check(self, ctx, offer):
         _expect_offer("receive_channel", offer, ReceiveChannel)
@@ -266,29 +246,25 @@ class _ReceiveChannel(ContRule):
         self.cont = premise._resolve(ctx + (offer.carried,), offer.cont)
 
     def _step(self, endpoints, offer):
-        return ask(offer), _ReceiveChannel._received
+        return ask(offer), receive_channel._received
 
     def _received(self, message, endpoints, offer):
         carried_endpoint, next_offer = message
         return self.cont, endpoints + (carried_endpoint,), next_offer
 
 
-def receive_channel(cont) -> PartialSession:
-    """Offer to receive a channel; it is appended to the context and `cont`
-    gets the lens for it (the current context length)."""
-    return _ReceiveChannel(OneShotContinuation("receive_channel", cont))
+class send_channel_to(LensRule):
+    """Delegate the channel at slot `n2` to the channel-expecting provider
+    at slot `n1`; `n2` is consumed, `n1` steps to its continuation."""
 
-
-class _SendChannelTo(LensRule):
     __slots__ = ("n2",)  # `n` is the lens `n1`; both hold levels once checked
-    _rule = "send_channel_to"
     _keeps_offer = True
 
     def __init__(self, n1, n2, cont):
         self.execute = UNCHECKED
         self.n = n1
         self.n2 = n2
-        self.cont = cont
+        self.cont = expect_program(cont, "send_channel_to")
 
     def _check(self, ctx, offer):
         n1, n2 = self.n, self.n2
@@ -314,15 +290,10 @@ class _SendChannelTo(LensRule):
         return self.cont, put(endpoints, self.n, receiver), offer
 
 
-def send_channel_to(n1, n2, cont) -> PartialSession:
-    """Delegate the channel at slot `n2` to the channel-expecting provider
-    at slot `n1`; `n2` is consumed, `n1` steps to its continuation."""
-    return _SendChannelTo(n1, n2, expect_program(cont, "send_channel_to"))
+class send_channel_from(LensRule):
+    """Send the channel held at slot `n` to the client, consuming the slot."""
 
-
-class _SendChannelFrom(LensRule):
     __slots__ = ()
-    _rule = "send_channel_from"
 
     def _check(self, ctx, offer):
         _expect_offer("send_channel_from", offer, SendChannel)
@@ -341,14 +312,12 @@ class _SendChannelFrom(LensRule):
         return self.cont, put(endpoints, self.n, ()), sender
 
 
-def send_channel_from(n, cont) -> PartialSession:
-    """Send the channel held at slot `n` to the client, consuming the slot."""
-    return _SendChannelFrom(n, expect_program(cont, "send_channel_from"))
+class receive_channel_from(LensRule):
+    """Receive the channel delegated by the provider at slot `n`; it is
+    appended to the context and `cont` gets the lens for it."""
 
-
-class _ReceiveChannelFrom(LensRule):
     __slots__ = ()
-    _rule = "receive_channel_from"
+    _calls_cont = True
 
     def _check(self, ctx, offer):
         slot = _expect_slot("receive_channel_from", self.n, ctx, SendChannel)
@@ -365,20 +334,18 @@ class _ReceiveChannelFrom(LensRule):
         return self.cont, endpoints + (carried_endpoint,), offer
 
 
-def receive_channel_from(n, cont) -> PartialSession:
-    """Receive the channel delegated by the provider at slot `n`; it is
-    appended to the context and `cont` gets the lens for it."""
-    return _ReceiveChannelFrom(n, OneShotContinuation("receive_channel_from", cont))
-
-
 # -- binary choice ------------------------------------------------------------
 
 
-class _OfferChoice(PartialSession):
+class offer_choice(PartialSession):
+    """Offer both branches over the same context; the client's tag decides
+    which one runs. Only the chosen branch ever executes."""
+
     __slots__ = ("left", "right")
-    _rule = "offer_choice"
 
     def __init__(self, left, right):
+        expect_program(left, "offer_choice")
+        expect_program(right, "offer_choice")
         self.execute = UNCHECKED
         self.left = left
         self.right = right
@@ -389,45 +356,34 @@ class _OfferChoice(PartialSession):
         self.right = self.right._resolve(ctx, offer.right)
 
     def _step(self, endpoints, offer):
-        return ask(offer), _OfferChoice._chosen
+        return ask(offer), offer_choice._chosen
 
     def _chosen(self, message, endpoints, offer):
         side, next_offer = message
         return self.left if side == LEFT else self.right, endpoints, next_offer
 
 
-def offer_choice(left, right) -> PartialSession:
-    """Offer both branches over the same context; the client's tag decides
-    which one runs. Only the chosen branch ever executes."""
-    expect_program(left, "offer_choice")
-    expect_program(right, "offer_choice")
-    return _OfferChoice(left, right)
+class choose(send_value_to):
+    """Send a branch tag to the choice provider at slot `n`."""
 
-
-class _Choose(_SendValueTo):
     # Choosing answers the provider at the slot with a tag, as `send_value_to`
     # answers with a value; `value` holds the side.
     __slots__ = ("_rule",)
 
-    def __init__(self, side, n, cont):
+    def __init__(self, side: str, n, cont):
+        if side not in (LEFT, RIGHT):
+            raise ProtocolError(f"choose: side must be 'left' or 'right', got {side!r}")
         self.execute = UNCHECKED
         self._rule = f"choose_{side}"
         self.n = n
         self.value = side
-        self.cont = cont
+        self.cont = expect_program(cont, "choose")
 
     def _check(self, ctx, offer):
         slot = _expect_slot(self._rule, self.n, ctx, ExternalChoice)
         chosen = slot.left if self.value == LEFT else slot.right
         self.n = level = self.n.level
         self.cont = self.cont._resolve(put(ctx, level, chosen), offer)
-
-
-def choose(side: str, n, cont) -> PartialSession:
-    """Send a branch tag to the choice provider at slot `n`."""
-    if side not in (LEFT, RIGHT):
-        raise ProtocolError(f"choose: side must be 'left' or 'right', got {side!r}")
-    return _Choose(side, n, expect_program(cont, "choose"))
 
 
 def choose_left(n, cont) -> PartialSession:
@@ -438,28 +394,25 @@ def choose_right(n, cont) -> PartialSession:
     return choose(RIGHT, n, cont)
 
 
-class _Offer(_SendValue):
+class offer(send_value):
+    """Announce the chosen branch with a tag, then continue as that branch."""
+
     # Offering one branch sends its tag, as `send_value` sends a value;
     # `value` holds the side.
     __slots__ = ("_rule",)
 
-    def __init__(self, side, cont):
+    def __init__(self, side: str, cont):
+        if side not in (LEFT, RIGHT):
+            raise ProtocolError(f"offer: side must be 'left' or 'right', got {side!r}")
         self.execute = UNCHECKED
         self._rule = f"offer_{side}"
         self.value = side
-        self.cont = cont
+        self.cont = expect_program(cont, "offer")
 
     def _check(self, ctx, offer):
         _expect_offer(self._rule, offer, InternalChoice)
         chosen = offer.left if self.value == LEFT else offer.right
         self.cont = self.cont._resolve(ctx, chosen)
-
-
-def offer(side: str, cont) -> PartialSession:
-    """Announce the chosen branch with a tag, then continue as that branch."""
-    if side not in (LEFT, RIGHT):
-        raise ProtocolError(f"offer: side must be 'left' or 'right', got {side!r}")
-    return _Offer(side, expect_program(cont, "offer"))
 
 
 def offer_left(cont) -> PartialSession:
@@ -470,11 +423,16 @@ def offer_right(cont) -> PartialSession:
     return offer(RIGHT, cont)
 
 
-class _Case(PartialSession):
+class case(PartialSession):
+    """Take the branch whose tag the provider at slot `n` announces. Both branch
+    programs must offer the same protocol; their contexts differ only at
+    slot `n`, so eliminating either branch empties the same slot."""
+
     __slots__ = ("n", "left", "right")  # the lens, then its level
-    _rule = "case"
 
     def __init__(self, n, left, right):
+        expect_program(left, "case")
+        expect_program(right, "case")
         self.execute = UNCHECKED
         self.n = n
         self.left = left
@@ -487,18 +445,9 @@ class _Case(PartialSession):
         self.right = self.right._resolve(put(ctx, level, slot.right), offer)
 
     def _step(self, endpoints, offer):
-        return endpoints[self.n], _Case._announced
+        return endpoints[self.n], case._announced
 
     def _announced(self, message, endpoints, offer):
         side, next_endpoint = message
         chosen = self.left if side == LEFT else self.right
         return chosen, put(endpoints, self.n, next_endpoint), offer
-
-
-def case(n, left, right) -> PartialSession:
-    """Take the branch whose tag the provider at slot `n` announces. Both branch
-    programs must offer the same protocol; their contexts differ only at
-    slot `n`, so eliminating either branch empties the same slot."""
-    expect_program(left, "case")
-    expect_program(right, "case")
-    return _Case(n, left, right)

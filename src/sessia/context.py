@@ -14,7 +14,8 @@ Nested pairs exist only at the public API: `()` for the empty list and
 `(slot, rest)` for cons, as taken and returned by `context`, `slots_of`,
 `slot_at`, `length`, `length_of`, `append`, `lens_resolve`, `context_str`,
 `empty_endpoints` and `validate_context`, and as printed in diagnostics.
-These helpers convert by iteration, so their cost is linear in the length
+All but `slots_of` raise `validate_context`'s errors on a malformed
+context. They convert by iteration, so their cost is linear in the length
 and they never recurse.
 
 Slots are addressed by de Bruijn levels: zero-sized naturals `Z` and
@@ -152,13 +153,17 @@ def _nest(items, tail=()) -> tuple:
     return tail
 
 
-def validate_context(c, who: str = "context") -> None:
+def validate_context(c, who: str = "context") -> list:
+    """The slots of the nested-pair context `c`, which must be well formed."""
+    out = []
     while c != ():
         if not (isinstance(c, tuple) and len(c) == 2):
             raise ProtocolError(f"{who}: malformed context {c!r}")
         head, c = c
         if not is_slot(head):
             raise ProtocolError(f"{who}: {head!r} is not a Slot")
+        out.append(head)
+    return out
 
 
 def context(slots) -> tuple:
@@ -171,6 +176,7 @@ def context(slots) -> tuple:
 
 
 def slots_of(c) -> list:
+    """The items of a nested-pair list of slots or endpoints, unchecked."""
     out = []
     while c != ():
         head, c = c
@@ -179,11 +185,11 @@ def slots_of(c) -> list:
 
 
 def context_str(c) -> str:
-    return show(slots_of(c))
+    return show(validate_context(c))
 
 
 def length(c) -> int:
-    return len(slots_of(c))
+    return len(validate_context(c))
 
 
 def length_of(c) -> Nat:
@@ -193,11 +199,13 @@ def length_of(c) -> Nat:
 
 def append(c1, c2) -> tuple:
     """c1 ++ c2, preserving order; levels into c1 stay valid."""
-    return _nest(slots_of(c1), c2)
+    slots = validate_context(c1)
+    validate_context(c2)
+    return _nest(slots, c2)
 
 
 def slot_at(n, c):
-    return focus(n, slots_of(c))
+    return focus(n, validate_context(c))
 
 
 def lens_resolve(n, c, a1, a2) -> tuple:
@@ -206,7 +214,9 @@ def lens_resolve(n, c, a1, a2) -> tuple:
     The focused slot must hold exactly `a1`; anything else is a linearity
     error (slot already consumed, wrong protocol state, or out of range).
     """
-    slots = tuple(slots_of(c))
+    slots = tuple(validate_context(c))
+    if not is_slot(a2):
+        raise ProtocolError(f"lens_resolve: {a2!r} is not a Slot")
     actual = focus(n, slots)
     if actual != a1:
         raise LinearityError(
@@ -217,7 +227,7 @@ def lens_resolve(n, c, a1, a2) -> tuple:
 
 def empty_endpoints(c) -> tuple:
     """The all-unit endpoints product of an empty context."""
-    slots = slots_of(c)
+    slots = validate_context(c)
     live = live_slot(slots)
     if live is not None:
         raise LinearityError(

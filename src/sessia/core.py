@@ -2,7 +2,9 @@
 
 A `PartialSession` is an inert program that, *given* a linear context C and
 an offered protocol A, checks itself against that judgment; the checked
-program is then the one-shot step that runs. Nothing communicates until
+program is then the one-shot step that runs. Each typing rule is one
+subclass, and its public term constructor (`forward`, `cut`, ...) is that
+class, named as the rule. Nothing communicates until
 `run_session` is awaited; checking happens strictly before execution:
 
 * `session(A, program)` imposes the closed judgment (empty context,
@@ -126,10 +128,12 @@ UNCHECKED = object()
 class PartialSession:
     """A suspended program offering some protocol over some linear context.
 
-    Each typing rule is a subclass, named by its `_rule`, that keeps the
-    rule's arguments in its slots. A program is consumed exactly once by the
-    construct (or the `session` annotation) that uses it, and is in one of
-    three states, kept in `execute`: unchecked, with the UNCHECKED mark;
+    Each typing rule is a subclass, and the rule's public term constructor
+    is that class: building a program validates the arguments and keeps
+    them in its slots. Its `_rule`, the name in diagnostics and counters, is
+    the class's name. A program is consumed exactly once by the construct
+    (or the `session` annotation) that uses it, and is in one of three
+    states, kept in `execute`: unchecked, with the UNCHECKED mark;
     checked, with its rule's `_step`; and spent, with `execute` empty. The
     rule's `_check(ctx, offer)` raises its diagnostics, checks the premises
     in place and keeps what the step needs in the same slots; a rule that
@@ -139,6 +143,12 @@ class PartialSession:
     __slots__ = ("execute",)
     # A client rule whose premise `cont` offers what it offers (`_synthesize`).
     _keeps_offer = False
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # `Session`, and `choose` and `offer` per program, set their own.
+        if "_rule" not in cls.__dict__:
+            cls._rule = cls.__name__
 
     def __init__(self):
         self.execute = UNCHECKED
@@ -163,13 +173,19 @@ class PartialSession:
 
 class ContRule(PartialSession):
     """A rule whose one argument is its continuation `cont`: a premise
-    program, or a user function that returns one."""
+    program or, in a rule that sets `_calls_cont`, a user function that
+    returns one and runs at most once."""
 
     __slots__ = ("cont",)
+    _calls_cont = False
 
     def __init__(self, cont):
         self.execute = UNCHECKED
-        self.cont = cont
+        self.cont = (
+            OneShotContinuation(self._rule, cont)
+            if self._calls_cont
+            else expect_program(cont, self._rule)
+        )
 
 
 class LensRule(ContRule):
@@ -180,9 +196,8 @@ class LensRule(ContRule):
     __slots__ = ("n",)
 
     def __init__(self, n, cont):
-        self.execute = UNCHECKED
+        ContRule.__init__(self, cont)
         self.n = n
-        self.cont = cont
 
     def _step(self, endpoints, offer):
         return endpoints[self.n], type(self)._received
@@ -272,9 +287,13 @@ def run_session(s: Session):
 # -- structural constructs -----------------------------------------------
 
 
-class _Forward(PartialSession):
+class forward(PartialSession):
+    """Offer exactly the session found at slot `n`, which must be the only
+    live slot. The single pending payload is relayed from the focused
+    endpoint to the offer handle; the continuation endpoints it carries
+    reconnect the two parties directly."""
+
     __slots__ = ("n",)  # the lens, then its level
-    _rule = "forward"
 
     def __init__(self, n):
         self.execute = UNCHECKED
@@ -297,18 +316,10 @@ class _Forward(PartialSession):
             )
 
     def _step(self, endpoints, offer):
-        return endpoints[self.n], _Forward._relay
+        return endpoints[self.n], forward._relay
 
     def _relay(self, payload, endpoints, offer):
         offer.send(payload)
-
-
-def forward(n) -> PartialSession:
-    """Offer exactly the session found at slot `n`, which must be the only
-    live slot. The single pending payload is relayed from the focused
-    endpoint to the offer handle; the continuation endpoints it carries
-    reconnect the two parties directly."""
-    return _Forward(n)
 
 
 def _synthesize(program: PartialSession) -> Protocol | None:
@@ -328,17 +339,27 @@ def _synthesize(program: PartialSession) -> Protocol | None:
     return protocol
 
 
-class _Cut(PartialSession):
+class cut(PartialSession):
+    """Spawn `cont2` as a concurrent provider; its channel becomes the last
+    slot of `cont1`'s context.
+
+    `cont2`'s own judgment must be known: pass a checked `Session`, or give
+    `provider_protocol=` (and `provider_context=` if non-empty).
+    """
+
     # `context` holds the provider's context, then where its endpoints start.
     __slots__ = ("client", "provider", "protocol", "context")
-    _rule = "cut"
 
-    def __init__(self, client, provider, protocol, context):
+    def __init__(self, cont1, cont2, *, provider_protocol=None, provider_context=None):
+        expect_program(cont1, "cut")
+        expect_program(cont2, "cut")
+        if provider_protocol is not None:
+            check_protocol(provider_protocol, "cut")
         self.execute = UNCHECKED
-        self.client = client
-        self.provider = provider
-        self.protocol = protocol
-        self.context = context
+        self.client = cont1
+        self.provider = cont2
+        self.protocol = provider_protocol
+        self.context = provider_context
 
     def _check(self, ctx, offer):
         provider, a = self.provider, self.protocol
@@ -382,28 +403,20 @@ class _Cut(PartialSession):
         return self.client, endpoints[:split] + (receiver,), offer
 
 
-def cut(cont1, cont2, *, provider_protocol=None, provider_context=None) -> PartialSession:
-    """Spawn `cont2` as a concurrent provider; its channel becomes the last
-    slot of `cont1`'s context.
+class include_session(PartialSession):
+    """Start the closed session `a` concurrently and hand its channel, at a
+    freshly generated lens (= the current context length), to `cont`."""
 
-    `cont2`'s own judgment must be known: pass a checked `Session`, or give
-    `provider_protocol=` (and `provider_context=` if non-empty).
-    """
-    expect_program(cont1, "cut")
-    expect_program(cont2, "cut")
-    if provider_protocol is not None:
-        check_protocol(provider_protocol, "cut")
-    return _Cut(cont1, cont2, provider_protocol, provider_context)
-
-
-class _Include(PartialSession):
     __slots__ = ("provider", "cont")
-    _rule = "include_session"
 
-    def __init__(self, provider, cont):
+    def __init__(self, a: Session, cont):
+        if not isinstance(a, Session):
+            raise ProtocolError(
+                f"include_session expects a checked Session to include, got {a!r}"
+            )
         self.execute = UNCHECKED
-        self.provider = provider
-        self.cont = cont
+        self.provider = a
+        self.cont = OneShotContinuation("include_session", cont)
 
     def _check(self, ctx, offer):
         premise = expect_program(self.cont(nat(len(ctx))), "include_session continuation")
@@ -415,16 +428,6 @@ class _Include(PartialSession):
         sender, receiver = channel()
         spawn(drive(self.provider, (), sender))
         return self.cont, endpoints + (receiver,), offer
-
-
-def include_session(a: Session, cont) -> PartialSession:
-    """Start the closed session `a` concurrently and hand its channel, at a
-    freshly generated lens (= the current context length), to `cont`."""
-    if not isinstance(a, Session):
-        raise ProtocolError(
-            f"include_session expects a checked Session to include, got {a!r}"
-        )
-    return _Include(a, OneShotContinuation("include_session", cont))
 
 
 def apply_channel(f: Session, a: Session) -> Session:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .context import S, Z, _Z, focus, put
-from .core import ContRule, LensRule, expect_program
+from .core import ContRule, LensRule
 from .errors import ProtocolError
 from .protocols import End, Protocol
 
@@ -96,9 +96,10 @@ class Fix(Protocol):
         return self.unroll().payload_layout()
 
 
-class _FixSession(ContRule):
+class fix_session(ContRule):
+    """Roll the unrolled session offered by `cont` into the fixed point."""
+
     __slots__ = ()
-    _rule = "fix_session"
 
     def _check(self, ctx, offer):
         if not isinstance(offer, Fix):
@@ -109,14 +110,10 @@ class _FixSession(ContRule):
         return self.cont._resolve(ctx, offer.unroll())
 
 
-def fix_session(cont):
-    """Roll the unrolled session offered by `cont` into the fixed point."""
-    return _FixSession(expect_program(cont, "fix_session"))
+class unfix_session_for(LensRule):
+    """Unroll the recursive protocol at slot `n`; exchanges nothing."""
 
-
-class _UnfixSession(LensRule):
     __slots__ = ()
-    _rule = "unfix_session_for"
 
     def _check(self, ctx, offer):
         n = self.n
@@ -127,8 +124,3 @@ class _UnfixSession(LensRule):
                 f"expected a Fix protocol"
             )
         return self.cont._resolve(put(ctx, n.level, slot.unroll()), offer)
-
-
-def unfix_session_for(n, cont):
-    """Unroll the recursive protocol at slot `n`; exchanges nothing."""
-    return _UnfixSession(n, expect_program(cont, "unfix_session_for"))

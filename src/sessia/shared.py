@@ -206,9 +206,20 @@ def accept_shared_session(cont) -> SharedSessionBuilder:
     return SharedSessionBuilder(expect_program(cont, "accept_shared_session"))
 
 
-class _Detach(ContRule):
+class detach_shared_session(ContRule):
+    """End the critical section: on the client's release, hand `cont`, the
+    shared process's next section, to the next acquirer."""
+
     __slots__ = ()  # `cont`: the SharedSession, then its checked program
-    _rule = "detach_shared_session"
+
+    def __init__(self, cont: SharedSession):
+        if not isinstance(cont, SharedSession):
+            raise ProtocolError(
+                f"detach_shared_session expects a checked SharedSession "
+                f"to continue with, got {cont!r}"
+            )
+        self.execute = UNCHECKED
+        self.cont = cont
 
     def _check(self, ctx, offer):
         if not isinstance(offer, SharedToLinear):
@@ -241,31 +252,26 @@ class _Detach(ContRule):
         section.ack, receiver = channel()
         # The client's release step acknowledges through the section.
         offer.send(section)
-        return receiver, _Detach._released
+        return receiver, detach_shared_session._released
 
     def _released(self, signal, endpoints, offer):
         return None
 
 
-def detach_shared_session(cont: SharedSession) -> PartialSession:
-    """End the critical section: on the client's release, hand `cont`, the
-    shared process's next section, to the next acquirer."""
-    if not isinstance(cont, SharedSession):
-        raise ProtocolError(
-            f"detach_shared_session expects a checked SharedSession "
-            f"to continue with, got {cont!r}"
-        )
-    return _Detach(cont)
+class acquire_shared_session(PartialSession):
+    """Wait for exclusive access to the shared process; the linear body
+    channel is appended to the context and `cont` gets its lens."""
 
-
-class _Acquire(PartialSession):
     __slots__ = ("shared", "cont")
-    _rule = "acquire_shared_session"
 
-    def __init__(self, shared, cont):
+    def __init__(self, shared: SharedChannel, cont):
+        if not isinstance(shared, SharedChannel):
+            raise ProtocolError(
+                f"acquire_shared_session expects a SharedChannel, got {shared!r}"
+            )
         self.execute = UNCHECKED
         self.shared = shared
-        self.cont = cont
+        self.cont = OneShotContinuation("acquire_shared_session", cont)
 
     def _check(self, ctx, offer):
         premise = expect_program(
@@ -274,26 +280,18 @@ class _Acquire(PartialSession):
         self.cont = premise._resolve(ctx + (self.shared.protocol.unroll(),), offer)
 
     def _step(self, endpoints, offer):
-        return self.shared.acquire(), _Acquire._acquired
+        return self.shared.acquire(), acquire_shared_session._acquired
 
     def _acquired(self, linear, endpoints, offer):
         record_event("ACQ")
         return self.cont, endpoints + (linear,), offer
 
 
-def acquire_shared_session(shared: SharedChannel, cont) -> PartialSession:
-    """Wait for exclusive access to the shared process; the linear body
-    channel is appended to the context and `cont` gets its lens."""
-    if not isinstance(shared, SharedChannel):
-        raise ProtocolError(
-            f"acquire_shared_session expects a SharedChannel, got {shared!r}"
-        )
-    return _Acquire(shared, OneShotContinuation("acquire_shared_session", cont))
+class release_shared_session(LensRule):
+    """Give up the critical section at slot `n`; the slot is consumed and
+    the shared process becomes available to the next client."""
 
-
-class _Release(LensRule):
     __slots__ = ()
-    _rule = "release_shared_session"
     _keeps_offer = True
 
     def _check(self, ctx, offer):
@@ -311,12 +309,6 @@ class _Release(LensRule):
         record_event("REL")
         outbound.send(ACK)
         return self.cont, put(endpoints, self.n, ()), offer
-
-
-def release_shared_session(n, cont) -> PartialSession:
-    """Give up the critical section at slot `n`; the slot is consumed and
-    the shared process becomes available to the next client."""
-    return _Release(n, expect_program(cont, "release_shared_session"))
 
 
 # -- the shared process --------------------------------------------------

@@ -1,18 +1,24 @@
 import asyncio
+import inspect
 import random
 import time
 
 import pytest
 
+import sessia
 from conftest import run
 from sessia import (
     End,
     ExternalChoice,
+    LEFT,
+    RIGHT,
     InternalChoice,
     LinearityError,
+    PartialSession,
     ProtocolError,
     ReceiveChannel,
     ReceiveValue,
+    S,
     SendChannel,
     SendValue,
     Z,
@@ -41,6 +47,7 @@ from sessia import (
     terminate,
     wait,
 )
+from sessia.demos import shared_counter_provider
 
 
 def end_provider():
@@ -482,3 +489,131 @@ def test_wait_continuation_starts_after_provider_end():
     assert len(ends) == 2
     assert ends[0].seq < ends[1].seq
     assert ends[0].task != ends[1].task
+
+
+# -- every term constructor ------------------------------------------------------
+
+# The lowercase names of `sessia.__all__` that build no term.
+NOT_CONSTRUCTORS = {
+    "accept_shared_session",
+    "append",
+    "apply_channel",
+    "empty_endpoints",
+    "length_of",
+    "lens_resolve",
+    "nat",
+    "payload_of",
+    "record_event",
+    "recording",
+    "run_session",
+    "run_shared_session",
+    "session",
+    "shared_session",
+    "shared_type_apply",
+    "type_apply",
+}
+
+# Marks a premise program and a user continuation among the arguments.
+PROGRAM, CONT = object(), object()
+
+# name: (its rule, its parameters, valid arguments)
+CONSTRUCTORS = {
+    "acquire_shared_session": (
+        "acquire_shared_session",
+        "shared, cont",
+        lambda: (sessia.run_shared_session(shared_counter_provider()), CONT),
+    ),
+    "case": ("case", "n, left, right", lambda: (Z, PROGRAM, PROGRAM)),
+    "choose": ("choose_left", "side, n, cont", lambda: (LEFT, Z, PROGRAM)),
+    "choose_left": ("choose_left", "n, cont", lambda: (Z, PROGRAM)),
+    "choose_right": ("choose_right", "n, cont", lambda: (Z, PROGRAM)),
+    "cut": (
+        "cut",
+        "cont1, cont2, *, provider_protocol, provider_context",
+        lambda: (PROGRAM, PROGRAM),
+    ),
+    "detach_shared_session": (
+        "detach_shared_session",
+        "cont",
+        lambda: (shared_counter_provider(),),
+    ),
+    "fix_session": ("fix_session", "cont", lambda: (PROGRAM,)),
+    "forward": ("forward", "n", lambda: (Z,)),
+    "include_session": ("include_session", "a, cont", lambda: (end_provider(), CONT)),
+    "offer": ("offer_right", "side, cont", lambda: (RIGHT, PROGRAM)),
+    "offer_choice": ("offer_choice", "left, right", lambda: (PROGRAM, PROGRAM)),
+    "offer_left": ("offer_left", "cont", lambda: (PROGRAM,)),
+    "offer_right": ("offer_right", "cont", lambda: (PROGRAM,)),
+    "receive_channel": ("receive_channel", "cont", lambda: (CONT,)),
+    "receive_channel_from": ("receive_channel_from", "n, cont", lambda: (Z, CONT)),
+    "receive_value": ("receive_value", "cont", lambda: (CONT,)),
+    "receive_value_from": ("receive_value_from", "n, cont", lambda: (Z, CONT)),
+    "release_shared_session": (
+        "release_shared_session",
+        "n, cont",
+        lambda: (Z, PROGRAM),
+    ),
+    "send_channel_from": ("send_channel_from", "n, cont", lambda: (Z, PROGRAM)),
+    "send_channel_to": ("send_channel_to", "n1, n2, cont", lambda: (Z, S(Z), PROGRAM)),
+    "send_value": ("send_value", "value, cont", lambda: (1, PROGRAM)),
+    "send_value_async": ("send_value_async", "produce", lambda: (CONT,)),
+    "send_value_to": ("send_value_to", "n, value, cont", lambda: (Z, 1, PROGRAM)),
+    "terminate": ("terminate", "", lambda: ()),
+    "unfix_session_for": ("unfix_session_for", "n, cont", lambda: (Z, PROGRAM)),
+    "wait": ("wait", "n, cont", lambda: (Z, PROGRAM)),
+}
+
+
+def build(name, arguments):
+    def value(argument):
+        if argument is PROGRAM:
+            return terminate()
+        if argument is CONT:
+            return lambda *_: terminate()
+        return argument
+
+    return getattr(sessia, name)(*map(value, arguments))
+
+
+def test_the_table_names_every_term_constructor():
+    public = {name for name in sessia.__all__ if name.islower()}
+    assert set(CONSTRUCTORS) == public - NOT_CONSTRUCTORS
+    assert NOT_CONSTRUCTORS <= public
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_term_constructor_call_shape_and_diagnostics(name):
+    rule, parameters, arguments = CONSTRUCTORS[name]
+    shown = []
+    for p in inspect.signature(getattr(sessia, name)).parameters.values():
+        if p.kind is p.KEYWORD_ONLY and "*" not in shown:
+            shown.append("*")
+        shown.append(p.name)
+    assert ", ".join(shown) == parameters
+
+    program = build(name, arguments())
+    assert isinstance(program, PartialSession)
+    assert repr(program) == f"<PartialSession {rule}>"
+
+    # `choose_left` and the like report as the `choose` or `offer` they call.
+    who = name.split("_")[0] if name.endswith(("_left", "_right")) else name
+    for position, argument in enumerate(arguments()):
+        if argument is PROGRAM:
+            expected = f"{who}: expected a session program (PartialSession), got 42"
+        elif argument is CONT:
+            expected = f"{who}: continuation must be callable, got 42"
+        else:
+            continue
+        wrong = list(arguments())
+        wrong[position] = 42
+        with pytest.raises(ProtocolError) as raised:
+            build(name, wrong)
+        assert str(raised.value) == expected
+
+
+def test_each_rule_constructor_is_its_rule_class():
+    wrappers = {"choose_left", "choose_right", "offer_left", "offer_right"}
+    for name in set(CONSTRUCTORS) - wrappers:
+        constructor = getattr(sessia, name)
+        assert issubclass(constructor, PartialSession), name
+        assert constructor.__name__ == name

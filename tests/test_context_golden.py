@@ -253,3 +253,28 @@ def test_public_helper_diagnostics():
     assert raised(ProtocolError, lambda: context([A, 42])) == (
         "context: 42 is not a Slot"
     )
+
+
+def test_public_helpers_reject_malformed_contexts():
+    def rejects(build):
+        return raised(ProtocolError, build)
+
+    assert rejects(lambda: lens_resolve(Z, (3, ()), 3, End)) == (
+        "context: 3 is not a Slot"
+    )
+    assert rejects(lambda: lens_resolve(Z, (A, ()), A, 3)) == (
+        "lens_resolve: 3 is not a Slot"
+    )
+    assert rejects(lambda: append((3, ()), ())) == "context: 3 is not a Slot"
+    assert rejects(lambda: append((), (A, 3))) == "context: malformed context 3"
+    assert rejects(lambda: length_of([1, 2])) == (
+        "context: malformed context [1, 2]"
+    )
+    assert rejects(lambda: empty_endpoints((End,))) == (
+        f"context: malformed context {(End,)!r}"
+    )
+    assert rejects(lambda: length((A, (B,)))) == (
+        f"context: malformed context {(B,)!r}"
+    )
+    assert rejects(lambda: slot_at(Z, ("x", ()))) == "context: 'x' is not a Slot"
+    assert rejects(lambda: context_str((A, 5))) == "context: malformed context 5"

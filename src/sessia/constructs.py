@@ -5,8 +5,8 @@ validates the premises and builds the conclusion program, one object that
 holds them. Once its judgment is imposed, it checks the premises in place
 against the judgments the rule dictates and sets its step: a plain
 function that performs the construct's single protocol step and returns
-the continuation's step, or a wait for the peer, to the driver
-(`core.drive`).
+the continuation's step, or a wait for the peer, to the run's scheduler
+(`runtime.RunContext`).
 
 Provider-side rules act on the offer handle; client-side rules act on a
 context slot through a lens and leave the offered protocol alone. Value
@@ -15,14 +15,14 @@ payloads are checked against the declared value type when sent.
 
 from __future__ import annotations
 
-from .context import Empty, focus, live_slot, nat, put
+from .context import Empty, Nat, focus, live_slot, nat, put
 from .core import (
     UNCHECKED,
     ContRule,
     LensRule,
+    OneShotContinuation,
     PartialSession,
     expect_program,
-    resolve_deferred,
 )
 from .errors import LinearityError, ProtocolError
 from .instrument import record_event
@@ -39,18 +39,9 @@ from .protocols import (
 from .runtime import END, LEFT, RIGHT, answer, ask, emit
 
 
-def _expect_offer(rule: str, offer, cls):
-    """Check that the offered protocol is the `cls` step a provider rule needs."""
-    if not isinstance(offer, cls):
-        raise ProtocolError(
-            f"{rule} offers {cls.__name__.lstrip('_')}, "
-            f"but the expected protocol here is {offer}"
-        )
-
-
 def _expect_slot(rule: str, n, ctx, cls, error=ProtocolError):
     """The slot at lens `n`, checked to be the `cls` step a client rule needs."""
-    slot = focus(n, ctx)
+    slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else focus(n, ctx)
     if not isinstance(slot, cls):
         name = cls.__name__.lstrip("_")
         article = "an" if name[0] in "AEIOU" else "a"
@@ -75,9 +66,9 @@ class terminate(PartialSession):
     """Send the termination signal; every linear channel must be consumed."""
 
     __slots__ = ()
+    _offers = _End
 
     def _check(self, ctx, offer):
-        _expect_offer("terminate", offer, _End)
         live = live_slot(ctx)
         if live is not None:
             raise LinearityError(
@@ -115,9 +106,9 @@ class receive_value(ContRule):
     # The judgment after the step; the next offer, until the premise is checked.
     __slots__ = ("ctx", "after", "next_offer")
     _calls_cont = True
+    _offers = ReceiveValue
 
     def _check(self, ctx, offer):
-        _expect_offer("receive_value", offer, ReceiveValue)
         self.ctx, self.after = ctx, offer.cont
 
     def _step(self, endpoints, offer):
@@ -128,10 +119,8 @@ class receive_value(ContRule):
         return self.cont(value), receive_value._continued
 
     def _continued(self, premise, endpoints, offer):
-        premise = resolve_deferred(
-            premise, self.ctx, self.after, "receive_value continuation"
-        )
-        return premise, endpoints, self.next_offer
+        premise = expect_program(premise, "receive_value continuation")
+        return premise._resolve(self.ctx, self.after), endpoints, self.next_offer
 
 
 class send_value_to(LensRule):
@@ -164,14 +153,16 @@ class send_value(PartialSession):
     """Send `value` together with the continuation endpoint, then continue."""
 
     __slots__ = ("value", "cont")
+    _offers = SendValue
 
     def __init__(self, value, cont):
         self.execute = UNCHECKED
         self.value = value
-        self.cont = expect_program(cont, "send_value")
+        if not isinstance(cont, PartialSession):
+            expect_program(cont, "send_value")
+        self.cont = cont
 
     def _check(self, ctx, offer):
-        _expect_offer("send_value", offer, SendValue)
         _check_value("send_value", self.value, offer.value_type)
         self.cont = self.cont._resolve(ctx, offer.cont)
 
@@ -186,12 +177,13 @@ class send_value_async(ContRule):
     # `cont` is the producer; the context, the value type and the protocol after it.
     __slots__ = ("ctx", "value_type", "after")
     _calls_cont = True
+    _offers = SendValue
 
     def __init__(self, produce):
-        ContRule.__init__(self, produce)
+        self.execute = UNCHECKED
+        self.cont = OneShotContinuation("send_value_async", produce)
 
     def _check(self, ctx, offer):
-        _expect_offer("send_value_async", offer, SendValue)
         self.ctx, self.value_type, self.after = ctx, offer.value_type, offer.cont
 
     def _step(self, endpoints, offer):
@@ -200,10 +192,9 @@ class send_value_async(ContRule):
     def _produced(self, pair, endpoints, offer):
         value, premise = pair
         _check_value("send_value_async", value, self.value_type)
-        premise = resolve_deferred(
-            premise, self.ctx, self.after, "send_value_async producer"
-        )
-        return premise, endpoints, emit(offer, value)
+        if not isinstance(premise, PartialSession):
+            expect_program(premise, "send_value_async producer")
+        return premise._resolve(self.ctx, self.after), endpoints, emit(offer, value)
 
 
 class receive_value_from(LensRule):
@@ -224,9 +215,9 @@ class receive_value_from(LensRule):
         return self.cont(value), receive_value_from._continued
 
     def _continued(self, premise, endpoints, offer):
-        premise = resolve_deferred(
-            premise, self.target, self.offered, "receive_value_from continuation"
-        )
+        if not isinstance(premise, PartialSession):
+            expect_program(premise, "receive_value_from continuation")
+        premise = premise._resolve(self.target, self.offered)
         return premise, put(endpoints, self.n, self.next_endpoint), offer
 
 
@@ -239,9 +230,9 @@ class receive_channel(ContRule):
 
     __slots__ = ()
     _calls_cont = True
+    _offers = ReceiveChannel
 
     def _check(self, ctx, offer):
-        _expect_offer("receive_channel", offer, ReceiveChannel)
         premise = expect_program(self.cont(nat(len(ctx))), "receive_channel continuation")
         self.cont = premise._resolve(ctx + (offer.carried,), offer.cont)
 
@@ -294,9 +285,9 @@ class send_channel_from(LensRule):
     """Send the channel held at slot `n` to the client, consuming the slot."""
 
     __slots__ = ()
+    _offers = SendChannel
 
     def _check(self, ctx, offer):
-        _expect_offer("send_channel_from", offer, SendChannel)
         n = self.n
         carried = focus(n, ctx)
         if carried != offer.carried:
@@ -342,16 +333,17 @@ class offer_choice(PartialSession):
     which one runs. Only the chosen branch ever executes."""
 
     __slots__ = ("left", "right")
+    _offers = ExternalChoice
 
     def __init__(self, left, right):
-        expect_program(left, "offer_choice")
-        expect_program(right, "offer_choice")
+        if not (isinstance(left, PartialSession) and isinstance(right, PartialSession)):
+            expect_program(left, "offer_choice")
+            expect_program(right, "offer_choice")
         self.execute = UNCHECKED
         self.left = left
         self.right = right
 
     def _check(self, ctx, offer):
-        _expect_offer("offer_choice", offer, ExternalChoice)
         self.left = self.left._resolve(ctx, offer.left)
         self.right = self.right._resolve(ctx, offer.right)
 
@@ -374,10 +366,12 @@ class choose(send_value_to):
         if side not in (LEFT, RIGHT):
             raise ProtocolError(f"choose: side must be 'left' or 'right', got {side!r}")
         self.execute = UNCHECKED
-        self._rule = f"choose_{side}"
+        self._rule = rule = f"choose_{side}"
         self.n = n
         self.value = side
-        self.cont = expect_program(cont, "choose")
+        if not isinstance(cont, PartialSession):
+            expect_program(cont, rule)
+        self.cont = cont
 
     def _check(self, ctx, offer):
         slot = _expect_slot(self._rule, self.n, ctx, ExternalChoice)
@@ -400,17 +394,17 @@ class offer(send_value):
     # Offering one branch sends its tag, as `send_value` sends a value;
     # `value` holds the side.
     __slots__ = ("_rule",)
+    _offers = InternalChoice
 
     def __init__(self, side: str, cont):
         if side not in (LEFT, RIGHT):
             raise ProtocolError(f"offer: side must be 'left' or 'right', got {side!r}")
         self.execute = UNCHECKED
-        self._rule = f"offer_{side}"
+        self._rule = rule = f"offer_{side}"
         self.value = side
-        self.cont = expect_program(cont, "offer")
+        self.cont = expect_program(cont, rule)
 
     def _check(self, ctx, offer):
-        _expect_offer(self._rule, offer, InternalChoice)
         chosen = offer.left if self.value == LEFT else offer.right
         self.cont = self.cont._resolve(ctx, chosen)
 

@@ -100,8 +100,8 @@ _nats: list = [Z]
 
 def nat(level: int) -> Nat:
     """The lens value at a given de Bruijn level; one value per level."""
-    if level < 0:
-        raise ValueError("lens level must be non-negative")
+    if not isinstance(level, int) or level < 0:
+        raise ProtocolError(f"nat: expected a non-negative int level, got {level!r}")
     while len(_nats) <= level:
         _nats.append(S(_nats[-1]))
     return _nats[level]
@@ -117,7 +117,7 @@ def _level(n) -> int:
 
 
 def focus(n, ctx):
-    """The slot at lens `n` of a flat context."""
+    """The slot at lens `n` of a flat context; hot paths call it to reject."""
     level = _level(n)
     if level >= len(ctx):
         raise LinearityError(

@@ -23,22 +23,23 @@ emptied when it is used (a program's `execute`, which holds the UNCHECKED
 mark and then its step, and a continuation's function), and an empty slot
 is the one mark of "already used".
 
-A run executes as a trampoline. A checked program's step is one plain call
-that performs its construct's one protocol step and returns the next step,
-`(program, endpoints, offer)`, a wait `(source, after)` for a value the
-step needs, or None once its driver is done; it creates no coroutine and
-never awaits another program. The driver loop, `drive`, runs the steps one
-after another, takes the value of each wait and holds the one-shot and
-polarity checks, so a driver's stack and the cost of a step stay the same
-however many steps came before. The run's scheduler (`runtime.RunContext`)
-steps `run_session`'s main driver, every provider that `cut` and
-`include_session` spawn and every critical section the run acquires on the
+A run executes as a trampoline, and the run's scheduler
+(`runtime.RunContext`) is the trampoline. A checked program's step is one
+plain call that performs its construct's one protocol step and returns the
+next step, `(program, endpoints, offer)`, a wait `(source, after)` for a
+value the step needs, or None once its driver is done; it creates no
+coroutine and never awaits another program. The scheduler runs the steps
+of each driver one after another, takes the value of each wait and holds
+the one-shot and polarity checks, so a driver's stack and the cost of a
+step stay the same however many steps came before. `run_session`'s
+program, every provider that `cut` and `include_session` spawn and every
+critical section the run acquires are drivers of the run, stepped on the
 task awaiting it; a shared process has no task of its own.
 """
 
 from __future__ import annotations
 
-from inspect import isawaitable, iscoroutine
+from inspect import iscoroutine
 
 from .context import (
     Empty,
@@ -50,54 +51,10 @@ from .context import (
     slots_of,
     validate_context,
 )
-from .errors import LinearityError, ProtocolError, RuntimeViolation
+from .errors import LinearityError, ProtocolError
 from .instrument import active_recorder, refuse_reuse
 from .protocols import End, Protocol, ReceiveChannel, SendValue, check_protocol
-from .runtime import (
-    END,
-    PENDING,
-    Receiver,
-    Sender,
-    channel,
-    spawn,
-    start,
-)
-
-
-async def drive(program: PartialSession, endpoints, offer) -> None:
-    """Run one driver's checked programs until a step returns None.
-
-    For a wait `(source, after)`, take the value of `source`: a receiver's
-    payload, with no suspension once it has arrived, what an awaitable gives,
-    or any other value as it is. Then `after(program, value, endpoints,
-    offer)` returns a step, a wait or None, as a step does."""
-    step = (program, endpoints, offer)
-    while step is not None:
-        program, endpoints, offer = step
-        execute, program.execute = program.execute, None
-        if execute is None:
-            refuse_reuse(f"{program._rule}: executor invoked twice")
-        rec = active_recorder()
-        if rec is not None:
-            rec.executor_ran(program._rule)
-        if not isinstance(offer, Sender):
-            if rec is not None:
-                rec.polarity_violation()
-            raise RuntimeViolation(
-                f"{program._rule}: executor needs the provider-side sending endpoint"
-            )
-        step = execute(program, endpoints, offer)
-        while step is not None and len(step) == 2:
-            source, after = step
-            if type(source) is Receiver:
-                value = source.poll()
-                if value is PENDING:
-                    value = await source
-            elif isawaitable(source):  # the continuation chose to be asynchronous
-                value = await source
-            else:
-                value = source
-            step = after(program, value, endpoints, offer)
+from .runtime import channel, spawn, start
 
 
 class OneShotContinuation:
@@ -143,6 +100,8 @@ class PartialSession:
     __slots__ = ("execute",)
     # A client rule whose premise `cont` offers what it offers (`_synthesize`).
     _keeps_offer = False
+    # The protocol class a provider rule offers, which its check tests first.
+    _offers = None
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -161,6 +120,12 @@ class PartialSession:
                 f"(programs are linear)"
             )
         self.execute = None
+        offers = self._offers
+        if offers is not None and not isinstance(offer, offers):
+            raise ProtocolError(
+                f"{self._rule} offers {offers.__name__.lstrip('_')}, "
+                f"but the expected protocol here is {offer}"
+            )
         premise = self._check(ctx, offer)
         if premise is not None:
             return premise
@@ -181,11 +146,11 @@ class ContRule(PartialSession):
 
     def __init__(self, cont):
         self.execute = UNCHECKED
-        self.cont = (
-            OneShotContinuation(self._rule, cont)
-            if self._calls_cont
-            else expect_program(cont, self._rule)
-        )
+        if self._calls_cont:
+            cont = OneShotContinuation(self._rule, cont)
+        elif not isinstance(cont, PartialSession):
+            expect_program(cont, self._rule)
+        self.cont = cont
 
 
 class LensRule(ContRule):
@@ -204,6 +169,8 @@ class LensRule(ContRule):
 
 
 def expect_program(p, rule: str) -> PartialSession:
+    """`p`, which must be a program. Hot paths call it only for a value
+    that is not one, so that it costs a call only when it rejects."""
     if not isinstance(p, PartialSession):
         if iscoroutine(p):
             p.close()  # a rejected async continuation is never awaited
@@ -249,7 +216,8 @@ class Session(PartialSession):
 def session(protocol: Protocol, program: PartialSession) -> Session:
     """Check `program` against the closed judgment offering `protocol`."""
     check_protocol(protocol, "session")
-    expect_program(program, "session")
+    if not isinstance(program, PartialSession):
+        expect_program(program, "session")
     return Session(protocol, program._resolve((), protocol))
 
 
@@ -272,16 +240,7 @@ def run_session(s: Session):
         raise ProtocolError(
             f"run_session requires a Session(End); got Session({s.protocol})"
         )
-    program = s._resolve((), End)
-
-    async def run():
-        sender, receiver = channel()
-        await start(drive(program, (), sender))
-        signal = await receiver.recv()  # sent by the time every driver ended
-        if signal is not END:
-            raise RuntimeViolation(f"run_session: expected termination, got {signal!r}")
-
-    return run()
+    return start(main=s._resolve((), End))
 
 
 # -- structural constructs -----------------------------------------------
@@ -399,7 +358,7 @@ class cut(PartialSession):
     def _step(self, endpoints, offer):
         sender, receiver = channel()
         split = self.context
-        spawn(drive(self.provider, endpoints[split:], sender))
+        spawn(self.provider, endpoints[split:], sender)
         return self.client, endpoints[:split] + (receiver,), offer
 
 
@@ -419,14 +378,16 @@ class include_session(PartialSession):
         self.cont = OneShotContinuation("include_session", cont)
 
     def _check(self, ctx, offer):
-        premise = expect_program(self.cont(nat(len(ctx))), "include_session continuation")
+        premise = self.cont(nat(len(ctx)))
+        if not isinstance(premise, PartialSession):
+            expect_program(premise, "include_session continuation")
         a = self.provider.protocol
         self.cont = premise._resolve(ctx + (a,), offer)
         self.provider = self.provider._resolve((), a)
 
     def _step(self, endpoints, offer):
         sender, receiver = channel()
-        spawn(drive(self.provider, (), sender))
+        spawn(self.provider, (), sender)
         return self.cont, endpoints + (receiver,), offer
 
 
@@ -460,10 +421,3 @@ def apply_channel(f: Session, a: Session) -> Session:
     )
     return session(result, body)
 
-
-# -- helpers shared with the other construct modules ----------------------
-
-
-def resolve_deferred(premise, ctx, offer, rule: str):
-    """Check a runtime-produced premise against its recorded judgment."""
-    return expect_program(premise, rule)._resolve(ctx, offer)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import S, Z, _Z, focus, put
+from .context import Nat, S, Z, _Z, focus, put
 from .core import ContRule, LensRule
 from .errors import ProtocolError
 from .protocols import End, Protocol
@@ -107,7 +107,7 @@ class fix_session(ContRule):
                 f"fix_session offers a Fix protocol, "
                 f"but the expected protocol here is {offer}"
             )
-        return self.cont._resolve(ctx, offer.unroll())
+        return self.cont._resolve(ctx, offer._unrolling)
 
 
 class unfix_session_for(LensRule):
@@ -117,10 +117,11 @@ class unfix_session_for(LensRule):
 
     def _check(self, ctx, offer):
         n = self.n
-        slot = focus(n, ctx)
+        valid = isinstance(n, Nat) and n.level < len(ctx)
+        slot = ctx[n.level] if valid else focus(n, ctx)
         if not isinstance(slot, Fix):
             raise ProtocolError(
                 f"unfix_session_for: lens {n.level}: slot has type {slot}, "
                 f"expected a Fix protocol"
             )
-        return self.cont._resolve(put(ctx, n.level, slot.unroll()), offer)
+        return self.cont._resolve(put(ctx, n.level, slot._unrolling), offer)

@@ -16,18 +16,22 @@ pair through `emit`, `ask` and `answer`. In a reversed step the provider
 sends a fresh sender, never holding a receiver, and the client answers;
 `ask` returns the receiver of that answer.
 
-A run is a scheduler: `RunContext` steps the `drive` coroutines that
-`run_session`, `cut`, `include_session` and each acquire of a shared
-process start on the task awaiting the run, each as the loop's current
-task. A shared process has no task of its own: its critical sections are
-drivers of the runs that acquire it. A driver takes a payload that has
-arrived with `Receiver.poll`, without suspending; awaiting an empty
-receiver parks the driver there, and the send that fills it readies the
-driver with no event-loop iteration. A driver awaiting a foreign future (a
-sleep, a contended acquire) parks on its done callback. Only a driver can
-park: a receive on an empty channel outside any run raises
-`RuntimeViolation`, and a failure reaches every parked driver through
-`RunContext.fail`.
+A run is a scheduler that steps checked programs itself: `RunContext`
+steps the drivers that `run_session`, `cut`, `include_session` and each
+acquire of a shared process start, on the task awaiting the run, each in
+its own context and as the loop's current task. A step `(program,
+endpoints, offer)` empties the program's `execute` slot and calls it; the
+call returns the next step, a wait `(source, after)`, or None once the
+driver is done. A wait's value is a receiver's payload, what an awaitable
+gives, or the source itself, and `after(program, value, endpoints, offer)`
+returns a step, a wait or None in turn. A driver waiting on an empty
+receiver parks there with its pending wait, and the send that fills the
+receiver readies it with no event-loop iteration. A coroutine is made only
+to await a foreign awaitable (an async continuation, a contended acquire),
+and the driver parks on each future it awaits through the future's done
+callback. Only a driver can park: a receive on an empty channel outside
+any run raises `RuntimeViolation`, and a failure reaches every parked
+driver through `RunContext.fail`.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import contextvars
 from asyncio.tasks import _enter_task, _leave_task
 from collections import deque
 from functools import partial
+from inspect import isawaitable
+from types import CoroutineType, GeneratorType
 
 from .errors import RuntimeViolation
 from .instrument import active_recorder, refuse_reuse
@@ -65,9 +71,12 @@ LEFT = "left"
 RIGHT = "right"
 
 # What `Receiver.poll` returns before the send (None is a payload), a
-# receiver's payload once taken, and what a driver that parks on a receiver
-# yields to its scheduler.
-PENDING, _TAKEN, _PARK = object(), object(), object()
+# receiver's payload once taken, what a driver that parks on a receiver
+# yields to its scheduler, and what a driver that has ended returns.
+PENDING, _TAKEN, _PARK, _DONE = object(), object(), object(), object()
+
+# Awaitables a driver steps as they are; only a generator needs `isawaitable`.
+_STEPPED = (CoroutineType, GeneratorType)
 
 
 class Receiver:
@@ -75,10 +84,6 @@ class Receiver:
     itself: the payload once sent, and the driver parked on it."""
 
     __slots__ = ("payload", "waiter")
-
-    def __init__(self):
-        self.payload = PENDING
-        self.waiter: _Driver | None = None
 
     def poll(self):
         """Take the payload if it has arrived, without suspending; PENDING
@@ -116,9 +121,6 @@ class Sender:
 
     __slots__ = ("_receiver",)
 
-    def __init__(self, receiver: Receiver):
-        self._receiver = receiver
-
     def send(self, payload) -> None:
         receiver, self._receiver = self._receiver, None
         if receiver is None:
@@ -133,12 +135,17 @@ class Sender:
 
 
 def channel() -> tuple[Sender, Receiver]:
-    """A fresh one-shot channel: a receiver, and the sender that fills it."""
-    receiver = Receiver()
+    """A fresh one-shot channel, the one maker of its endpoints, which have
+    no `__init__` to call: a receiver, and the sender that fills it."""
+    receiver = object.__new__(Receiver)
+    receiver.payload = PENDING
+    receiver.waiter = None
+    sender = object.__new__(Sender)
+    sender._receiver = receiver
     rec = active_recorder()
     if rec is not None:
         rec.channel_created()
-    return Sender(receiver), receiver
+    return sender, receiver
 
 
 def emit(offer: Sender, carried) -> Sender:
@@ -164,20 +171,99 @@ def answer(outbound: Sender, carried) -> Receiver:
 
 
 class _Driver:
-    """A coroutine of a run, stepped in its own context and as the current
-    task, so it cancels and counts cancel requests as an `asyncio.Task` does,
-    for `asyncio.timeout` and `TaskGroup`; `waiting` holds what it is parked
-    on, None while it is ready."""
+    """A driver of a run: a chain of checked programs' steps, or a plain
+    coroutine, stepped in its own context and as the current task, so it
+    cancels and counts cancel requests as an `asyncio.Task` does, for
+    `asyncio.timeout` and `TaskGroup`. `pending` holds its first step (None
+    for a plain coroutine), or its wait with the `program`, `endpoints` and
+    `offer` the wait's `after` takes; `coro` the awaitable it steps, if any;
+    `waiting` what it is parked on, None while it is ready."""
 
-    __slots__ = ("coro", "run", "context", "waiting", "exc", "cancels", "__weakref__")
+    __slots__ = (
+        "pending", "coro", "on_failure", "run", "context", "waiting", "exc",
+        "cancels", "__weakref__",
+    )
 
-    def __init__(self, coro, run: RunContext):
+    def __init__(self, run: RunContext, step, coro, on_failure):
+        self.pending = (step, None, None, None)
         self.coro = coro
+        self.on_failure = on_failure
         self.run = run
         self.context = contextvars.copy_context()
         self.waiting = None
         self.exc: BaseException | None = None
         self.cancels = 0
+
+    def advance(self):
+        """Take the value the driver waits for and run its steps up to a
+        wait with no value yet; return what it parks on, what its coroutine
+        yields, or _DONE. A cancel is thrown into its coroutine, else
+        raised at its wait."""
+        exc, self.exc = self.exc, None
+        coro, (step, program, endpoints, offer) = self.coro, self.pending
+        try:
+            while True:
+                if coro is not None:
+                    try:
+                        parked = coro.send(None) if exc is None else coro.throw(exc)
+                    except StopIteration as stop:
+                        self.coro = coro = exc = None
+                        if step is None:  # a plain coroutine has returned
+                            return _DONE
+                        step = step[1](program, stop.value, endpoints, offer)
+                    else:
+                        self.coro = coro
+                        self.pending = step, program, endpoints, offer
+                        return parked
+                elif exc is not None:
+                    raise exc
+                # Steps until the driver ends (the `else`) or awaits (the `break`).
+                while step is not None:
+                    if len(step) == 3:
+                        program, endpoints, offer = step
+                        execute, program.execute = program.execute, None
+                        if execute is None:
+                            refuse_reuse(f"{program._rule}: executor invoked twice")
+                        rec = active_recorder()
+                        if rec is not None:
+                            rec.executor_ran(program._rule)
+                        if not isinstance(offer, Sender):
+                            if rec is not None:
+                                rec.polarity_violation()
+                            raise RuntimeViolation(
+                                f"{program._rule}: executor needs the provider-side "
+                                f"sending endpoint"
+                            )
+                        step = execute(program, endpoints, offer)
+                        continue
+                    source, after = step
+                    if type(source) is Receiver:
+                        value, waiter = source.payload, source.waiter
+                        if value is _TAKEN or waiter is not None and waiter is not self:
+                            refuse_reuse("one-shot channel endpoint used twice (recv)")
+                        if value is PENDING:
+                            source.waiter, self.waiting = self, source
+                            self.pending = step, program, endpoints, offer
+                            return _PARK
+                        source.payload, source.waiter = _TAKEN, None
+                        rec = active_recorder()
+                        if rec is not None:
+                            rec.endpoint_consumed()
+                    elif hasattr(source, "__await__") or (
+                        type(source) is GeneratorType and isawaitable(source)
+                    ):  # the continuation chose to be asynchronous
+                        stepped = type(source) in _STEPPED
+                        coro = source if stepped else source.__await__()
+                        break
+                    else:
+                        value = source
+                    step = after(program, value, endpoints, offer)
+                else:
+                    return _DONE
+        except BaseException as exc:
+            if self.on_failure is not None:
+                self.on_failure(exc)
+            raise
 
     def done(self) -> bool:
         return self not in self.run.tasks
@@ -236,34 +322,34 @@ class RunContext:
                 if not ready:
                     return
                 driver = ready.popleft()
-                exc, driver.exc = driver.exc, None
-                step = driver.coro.send if exc is None else driver.coro.throw
                 _enter_task(loop, driver)
                 try:
-                    yielded = driver.context.run(step, exc)
+                    parked = driver.context.run(driver.advance)
                 except BaseException as exc:
                     del self.tasks[driver]
-                    if self.failure is None and not isinstance(exc, StopIteration):
+                    if self.failure is None:
                         self.fail(exc)
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                         raise  # at once, as from an asyncio task
                     continue
                 finally:
                     _leave_task(loop, driver)
-                if yielded is _PARK:
+                if parked is _PARK:
                     if driver.exc is not None:  # cancelled in its own step
                         self._resume(driver, driver.waiting)
-                elif getattr(yielded, "_asyncio_future_blocking", False):
-                    yielded._asyncio_future_blocking = False
-                    driver.waiting = yielded
-                    yielded.add_done_callback(partial(self._resume, driver))
+                elif parked is _DONE:
+                    del self.tasks[driver]
+                elif getattr(parked, "_asyncio_future_blocking", False):
+                    parked._asyncio_future_blocking = False
+                    driver.waiting = parked
+                    parked.add_done_callback(partial(self._resume, driver))
                     if driver.exc is not None:  # cancelled in its own step
-                        yielded.cancel()
-                elif yielded is None:  # a bare yield, as in asyncio.sleep(0)
+                        parked.cancel()
+                elif parked is None:  # a bare yield, as in asyncio.sleep(0)
                     ready.append(driver)
                     return  # the rest of the event loop goes first
                 else:
-                    driver.exc = RuntimeError(f"a session driver yielded {yielded!r}")
+                    driver.exc = RuntimeError(f"a session driver yielded {parked!r}")
                     ready.append(driver)
         finally:
             _enter_task(loop, outer)
@@ -276,32 +362,6 @@ class RunContext:
         for driver in self.tasks:
             driver.cancel()
 
-    async def drain(self) -> None:
-        """Step the drivers until all have ended, then raise the run's
-        failure; a cancel from outside fails the run and is raised last.
-
-        A run gives the event loop at least one turn, so a task that awaits
-        many short runs in a row does not starve the rest of the loop."""
-        cancelled, turned = None, False
-        while self.tasks:
-            try:
-                if not self.ready:
-                    turned = True
-                    self._waker = asyncio.get_running_loop().create_future()
-                    await self._waker
-                self._step_ready()
-                if self.ready:
-                    turned = True
-                    await asyncio.sleep(0)  # the event loop's turn
-            except asyncio.CancelledError as exc:
-                cancelled = exc
-                self.fail(exc)
-        if not turned:
-            await asyncio.sleep(0)
-        failure = cancelled or self.failure
-        if failure is not None:
-            raise failure
-
 
 _run_context: contextvars.ContextVar[RunContext | None] = contextvars.ContextVar(
     "sessia_run_context", default=None
@@ -312,26 +372,59 @@ def current_run() -> RunContext | None:
     return _run_context.get()
 
 
-async def start(*coros) -> None:
-    """Run the coroutines, in order, as the drivers of one fresh run until
-    all have ended; raise the run's failure."""
+async def start(*coros, main=None) -> None:
+    """Run `main`, a checked program offering End over no channels, then
+    the coroutines, as the drivers of one fresh run until all have ended;
+    raise the run's failure, and a cancel from outside last. A run gives
+    the event loop at least one turn, so that a task awaiting many short
+    runs in a row does not starve the rest of the loop."""
     run = RunContext()
     token = _run_context.set(run)
     try:
+        if main is not None:
+            offer, result = channel()
+            spawn(main, (), offer)
         for coro in coros:
             spawn(coro)
-        await run.drain()
+        cancelled, turned = None, False
+        while run.tasks:
+            try:
+                if not run.ready:
+                    turned = True
+                    run._waker = asyncio.get_running_loop().create_future()
+                    await run._waker
+                run._step_ready()
+                if run.ready:
+                    turned = True
+                    await asyncio.sleep(0)  # the event loop's turn
+            except asyncio.CancelledError as exc:
+                cancelled = exc
+                run.fail(exc)
+        if not turned:
+            await asyncio.sleep(0)
     finally:
         _run_context.reset(token)
+    failure = cancelled or run.failure
+    if failure is not None:
+        raise failure
+    if main is not None:
+        signal = result.poll()  # sent by the time every driver ended
+        if signal is not END:
+            raise RuntimeViolation(f"run_session: expected termination, got {signal!r}")
 
 
-def spawn(coro):
-    """Start a concurrent provider as a driver of the ambient run. Outside
-    any run, return `start(coro)`, a run of its own for the caller to await."""
+def spawn(provider, endpoints=(), offer=None, on_failure=None):
+    """Start a driver of the ambient run: the coroutine `provider` or,
+    given its `offer`, the checked program `provider` over `endpoints`.
+    `on_failure(exc)` runs in the driver if it fails. Outside any run,
+    return `start(provider)` for a coroutine, a run for the caller to await."""
     run = _run_context.get()
     if run is None:
-        return start(coro)
-    driver = _Driver(coro, run)
+        return start(provider)
+    if offer is None:
+        driver = _Driver(run, None, provider, on_failure)
+    else:
+        driver = _Driver(run, (provider, endpoints, offer), None, on_failure)
     run.tasks[driver] = None
     run._resume(driver, None)  # a new driver waits on nothing
     return driver

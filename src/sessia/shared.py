@@ -12,11 +12,12 @@ path that never releases back to the shared type, and cannot form one.
 A shared process has no task of its own. Between critical sections it is
 its suspended checked program, waiting at its accept. An acquire takes
 that program, after the acquirers already waiting in FIFO order, and runs
-the section as a driver of the acquiring run; an uncontended acquire never
-suspends. The client's release acknowledgement hands the program of the
-next section to the next waiter at once, so sections never overlap. The
-`Lock` slot is the runtime witness of being inside a critical section:
-`accept` plants it at slot 0 and `detach` consumes it.
+the section as a driver of the acquiring run, with a hook that fails the
+process if the section fails; an uncontended acquire never suspends. The
+client's release acknowledgement hands the program of the next section to
+the next waiter at once, so sections never overlap. The `Lock` slot is the
+runtime witness of being inside a critical section: `accept` plants it at
+slot 0 and `detach` consumes it.
 
 `SharedChannel.close()`, or the end of an `async with` block, is the one
 way to end a shared process. Between sections it is only a suspended
@@ -47,14 +48,13 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import Empty, S, focus, live_slot, nat, put, show
+from .context import Empty, Nat, S, focus, live_slot, nat, put, show
 from .core import (
     UNCHECKED,
     ContRule,
     LensRule,
     OneShotContinuation,
     PartialSession,
-    drive,
     expect_program,
 )
 from .errors import (
@@ -140,6 +140,10 @@ class LinearToShared(SharedProtocol):
     def unroll(self) -> Protocol:
         return self._unrolling
 
+    @cached_property
+    def _lock(self) -> Lock:
+        return Lock(self.body)
+
     def __str__(self):
         return f"LinearToShared({self.body})"
 
@@ -196,14 +200,16 @@ def shared_session(protocol: LinearToShared, program) -> SharedSession:
             f"shared_session: expected a shared program "
             f"(accept_shared_session(...)), got {program!r}"
         )
-    section = program.cont._resolve((Lock(protocol.body),), protocol.unroll())
+    section = program.cont._resolve((protocol._lock,), protocol._unrolling)
     return SharedSession(protocol, section)
 
 
 def accept_shared_session(cont) -> SharedSessionBuilder:
     """Accept one acquire: run `cont` as the critical section, holding the
     lock token at slot 0 and offering the unrolled shared body."""
-    return SharedSessionBuilder(expect_program(cont, "accept_shared_session"))
+    if not isinstance(cont, PartialSession):
+        expect_program(cont, "accept_shared_session")
+    return SharedSessionBuilder(cont)
 
 
 class detach_shared_session(ContRule):
@@ -211,6 +217,7 @@ class detach_shared_session(ContRule):
     shared process's next section, to the next acquirer."""
 
     __slots__ = ()  # `cont`: the SharedSession, then its checked program
+    _offers = SharedToLinear
 
     def __init__(self, cont: SharedSession):
         if not isinstance(cont, SharedSession):
@@ -222,12 +229,8 @@ class detach_shared_session(ContRule):
         self.cont = cont
 
     def _check(self, ctx, offer):
-        if not isinstance(offer, SharedToLinear):
-            raise ProtocolError(
-                f"detach_shared_session offers SharedToLinear, "
-                f"but the expected protocol here is {offer}"
-            )
-        if not ctx or ctx[0] != Lock(offer.body):
+        # The test `ctx[0] != Lock(offer.body)` makes, without forming a Lock.
+        if not ctx or type(ctx[0]) is not Lock or ctx[0].body != offer.body:
             raise ProtocolError(
                 "detach_shared_session requires the critical-section lock "
                 f"at slot 0 of {show(ctx)}"
@@ -274,15 +277,19 @@ class acquire_shared_session(PartialSession):
         self.cont = OneShotContinuation("acquire_shared_session", cont)
 
     def _check(self, ctx, offer):
-        premise = expect_program(
-            self.cont(nat(len(ctx))), "acquire_shared_session continuation"
-        )
-        self.cont = premise._resolve(ctx + (self.shared.protocol.unroll(),), offer)
+        premise = self.cont(nat(len(ctx)))
+        if not isinstance(premise, PartialSession):
+            expect_program(premise, "acquire_shared_session continuation")
+        self.cont = premise._resolve(ctx + (self.shared.protocol._unrolling,), offer)
 
     def _step(self, endpoints, offer):
         return self.shared.acquire(), acquire_shared_session._acquired
 
-    def _acquired(self, linear, endpoints, offer):
+    def _acquired(self, program, endpoints, offer):
+        # The section is a driver of this run, after those spawned before it.
+        sender, linear = channel()
+        section = _Section(self.shared)
+        spawn(program, (section,), sender, section.failed)
         record_event("ACQ")
         return self.cont, endpoints + (linear,), offer
 
@@ -296,7 +303,8 @@ class release_shared_session(LensRule):
 
     def _check(self, ctx, offer):
         n = self.n
-        slot = focus(n, ctx)
+        valid = isinstance(n, Nat) and n.level < len(ctx)
+        slot = ctx[n.level] if valid else focus(n, ctx)
         if not isinstance(slot, SharedToLinear):
             raise ProtocolError(
                 f"release_shared_session: lens {n.level}: slot has type {slot}; "
@@ -315,7 +323,8 @@ class release_shared_session(LensRule):
 
 
 class _Section:
-    """Endpoint at the `Lock` slot of one critical section.
+    """Endpoint at the `Lock` slot of one critical section; `failed` is the
+    failure hook of the section's driver.
 
     `detach` leaves the checked program of the process's next section in
     `following` and parks until the client's release step acknowledges
@@ -336,27 +345,18 @@ class _Section:
         self.shared.release(self.following)
         self.ack.send(signal)
 
-    async def run(self, program: PartialSession, offer) -> None:
-        """Drive the section as a driver of the acquiring run; a failure
-        before the release fails the shared process."""
-        try:
-            await asyncio.sleep(0)  # `acquire` steps it to here, then spawns it
-            await drive(program, (self,), offer)
-            if not self.released:
-                raise RuntimeViolation(
-                    "shared process: a critical section ended without a detach"
+    def failed(self, exc: BaseException) -> None:
+        """A section that fails before its release fails the shared process;
+        a section cancelled by its run's failure names that failure."""
+        if not self.released:
+            failure, run = exc, current_run()
+            if isinstance(exc, asyncio.CancelledError) and run.failure:
+                failure = RuntimeViolation(
+                    "shared process: a client run ended inside its critical "
+                    "section without releasing it"
                 )
-        except BaseException as exc:
-            if not self.released:
-                failure, run = exc, current_run()
-                if isinstance(exc, asyncio.CancelledError) and run and run.failure:
-                    failure = RuntimeViolation(
-                        "shared process: a client run ended inside its critical "
-                        "section without releasing it"
-                    )
-                    failure.__cause__ = run.failure
-                self.shared.fail(failure)
-            raise
+                failure.__cause__ = run.failure
+            self.shared.fail(failure)
 
 
 class SharedChannel:
@@ -375,30 +375,28 @@ class SharedChannel:
         self.failure: BaseException | None = None
         self.stopped = asyncio.Event()
 
-    async def acquire(self):
-        """Take the process, after the acquirers queued before this one,
-        and start its section in the acquiring run; returns the linear
-        channel. An uncontended acquire never suspends."""
+    def acquire(self):
+        """Take the process, after the acquirers queued before this one:
+        the program of its next section if no section runs, else a
+        coroutine that waits for its turn and returns that program."""
         if self.failure is not None:
             raise self._unserved()
         if not self.accepting:
             raise RuntimeViolation("shared channel closed: no further acquire")
         program, self.program = self.program, None
-        if program is None:
-            turn = asyncio.get_running_loop().create_future()
-            self.requests.append(turn)
-            try:
-                program = await turn
-            except BaseException:
-                if turn.done() and not turn.cancelled() and turn.exception() is None:
-                    self.release(turn.result())  # woken, then cancelled
-                raise
-        sender, receiver = channel()
-        section = _Section(self).run(program, sender)
-        # Into its `try`, so a cancel before the run steps it fails the process.
-        section.send(None)
-        spawn(section)
-        return receiver
+        if program is not None:
+            return program
+        turn = asyncio.get_running_loop().create_future()
+        self.requests.append(turn)
+        return self._turn(turn)
+
+    async def _turn(self, turn: asyncio.Future) -> PartialSession:
+        try:
+            return await turn
+        except BaseException:
+            if turn.done() and not turn.cancelled() and turn.exception() is None:
+                self.release(turn.result())  # woken, then cancelled
+            raise
 
     def _waiters(self):
         while self.requests:

@@ -6,6 +6,7 @@ import itertools
 from hypothesis import settings
 
 from sessia import End, ReceiveValue, SendValue
+from sessia.runtime import spawn, start
 
 # Generated tests are reproducible and never fail on a slow host: a fixed
 # example sequence, no per-example deadline, a bounded example count, and
@@ -34,6 +35,16 @@ def run(coro, timeout=10.0):
         return await asyncio.wait_for(coro, timeout)
 
     return asyncio.run(guarded())
+
+
+async def run_program(program, offer):
+    """Run a checked program over no channels, offering on `offer`, as a
+    driver of a fresh run."""
+
+    async def spawning():
+        spawn(program, (), offer)
+
+    await start(spawning())
 
 
 @contextlib.contextmanager

@@ -595,13 +595,12 @@ def test_term_constructor_call_shape_and_diagnostics(name):
     assert isinstance(program, PartialSession)
     assert repr(program) == f"<PartialSession {rule}>"
 
-    # `choose_left` and the like report as the `choose` or `offer` they call.
-    who = name.split("_")[0] if name.endswith(("_left", "_right")) else name
+    # Each reports as its rule: `choose_left` and the like too.
     for position, argument in enumerate(arguments()):
         if argument is PROGRAM:
-            expected = f"{who}: expected a session program (PartialSession), got 42"
+            expected = f"{rule}: expected a session program (PartialSession), got 42"
         elif argument is CONT:
-            expected = f"{who}: continuation must be callable, got 42"
+            expected = f"{rule}: continuation must be callable, got 42"
         else:
             continue
         wrong = list(arguments())

@@ -253,6 +253,10 @@ def test_public_helper_diagnostics():
     assert raised(ProtocolError, lambda: context([A, 42])) == (
         "context: 42 is not a Slot"
     )
+    for level in (-1, 1.5, "a"):
+        assert raised(ProtocolError, lambda: nat(level)) == (
+            f"nat: expected a non-negative int level, got {level!r}"
+        )
 
 
 def test_public_helpers_reject_malformed_contexts():

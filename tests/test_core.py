@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from conftest import run
+from conftest import run, run_program
 from sessia import (
     Empty,
     End,
@@ -40,7 +40,6 @@ from sessia import (
     wait,
 )
 import sessia.core
-from sessia.core import drive
 from sessia.demos import (
     CounterStream,
     apply_channel_via_cut,
@@ -385,13 +384,13 @@ def test_driver_runs_an_executor_once_and_only_with_a_sender():
     async def main():
         executor = end_provider()._resolve((), End)
         sender, receiver = channel()
-        await drive(executor, (), sender)
+        await run_program(executor, sender)
         assert await receiver.recv() is END
         with pytest.raises(RuntimeViolation, match="terminate: executor invoked twice"):
-            await drive(executor, (), channel()[0])
+            await run_program(executor, channel()[0])
         _, wrong_end = channel()
         with pytest.raises(RuntimeViolation, match="provider-side sending endpoint"):
-            await drive(end_provider()._resolve((), End), (), wrong_end)
+            await run_program(end_provider()._resolve((), End), wrong_end)
 
     with recording() as rec:
         run(main())

@@ -3,10 +3,10 @@ at most once, and a second use raises the same error it always has."""
 
 import pytest
 
-from conftest import run
+from conftest import run, run_program
 from sessia import End, ProtocolError, RuntimeViolation, include_session, recording
 from sessia import session, terminate
-from sessia.core import OneShotContinuation, drive
+from sessia.core import OneShotContinuation
 from sessia.runtime import channel, start
 
 
@@ -66,8 +66,8 @@ def test_a_continuation_must_be_callable():
 
 async def drive_twice():
     program = terminate()._resolve((), End)
-    await drive(program, (), channel()[0])
-    await drive(program, (), channel()[0])
+    await run_program(program, channel()[0])
+    await run_program(program, channel()[0])
 
 
 async def call_twice():

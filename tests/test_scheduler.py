@@ -129,6 +129,27 @@ def test_a_short_run_gives_the_event_loop_a_turn():
     assert seen[0] <= 1
 
 
+def test_a_bare_yield_in_a_continuation_gives_the_event_loop_a_turn():
+    turns, seen = [], []
+
+    async def produce():
+        for _ in range(3):
+            seen.append(len(turns))
+            await asyncio.sleep(0)
+        return 1, terminate()
+
+    async def bystander():
+        while len(seen) < 3:
+            turns.append(None)
+            await asyncio.sleep(0)
+
+    async def main():
+        await asyncio.gather(run_session(taking_one_from(produce, [])), bystander())
+
+    run(main())
+    assert seen[0] < seen[1] < seen[2]
+
+
 def test_run_session_starts_no_task_per_provider():
     seen = []
 

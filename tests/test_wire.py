@@ -30,7 +30,6 @@ from sessia import (
     terminate,
     wait,
 )
-from sessia.core import drive
 from sessia.runtime import END, Receiver, Sender, channel, spawn, start
 
 
@@ -86,7 +85,7 @@ def test_a_provider_step_sends_the_message_payload_of_declares(case):
         protocol, program, endpoints, carried = case()
         ctx = tuple(End for _ in endpoints)  # every held channel is End
         offer, client_end = channel()
-        spawn(drive(program._resolve(ctx, protocol), endpoints, offer))
+        spawn(program._resolve(ctx, protocol), endpoints, offer)
         message = await client_end.recv()
         kind = payload_of(protocol).kind
         if kind == "direct":

@@ -15,7 +15,7 @@ payloads are checked against the declared value type when sent.
 
 from __future__ import annotations
 
-from .context import Empty, Nat, focus, live_slot, nat, put
+from .context import Empty, Nat, focus, live_slot, nat
 from .core import (
     UNCHECKED,
     ContRule,
@@ -53,6 +53,7 @@ def _expect_slot(rule: str, n, ctx, cls, error=ProtocolError):
 
 
 def _check_value(rule: str, value, value_type):
+    """Hot paths test `value` inline first and call this only to reject it."""
     if not isinstance(value, value_type):
         raise ProtocolError(
             f"{rule}: value {value!r} is not of declared type {type_name(value_type)}"
@@ -91,10 +92,12 @@ class wait(LensRule):
         # Waiting on anything but End reuses or drops a channel.
         _expect_slot("wait", self.n, ctx, _End, LinearityError)
         self.n = level = self.n.level
-        self.cont = self.cont._resolve(put(ctx, level, Empty), offer)
+        ctx[level] = Empty
+        self.cont = self.cont._resolve(ctx, offer)
 
     def _received(self, signal, endpoints, offer):
-        return self.cont, put(endpoints, self.n, ()), offer
+        endpoints[self.n] = ()
+        return self.cont, endpoints, offer
 
 
 # -- value input (provider receives) ----------------------------------------
@@ -137,13 +140,15 @@ class send_value_to(LensRule):
 
     def _check(self, ctx, offer):
         slot = _expect_slot("send_value_to", self.n, ctx, ReceiveValue)
-        _check_value("send_value_to", self.value, slot.value_type)
+        if not isinstance(self.value, slot.value_type):
+            _check_value("send_value_to", self.value, slot.value_type)
         self.n = level = self.n.level
-        self.cont = self.cont._resolve(put(ctx, level, slot.cont), offer)
+        ctx[level] = slot.cont
+        self.cont = self.cont._resolve(ctx, offer)
 
     def _received(self, outbound, endpoints, offer):
-        receiver = answer(outbound, self.value)
-        return self.cont, put(endpoints, self.n, receiver), offer
+        endpoints[self.n] = answer(outbound, self.value)
+        return self.cont, endpoints, offer
 
 
 # -- value output (provider sends) -------------------------------------------
@@ -163,7 +168,8 @@ class send_value(PartialSession):
         self.cont = cont
 
     def _check(self, ctx, offer):
-        _check_value("send_value", self.value, offer.value_type)
+        if not isinstance(self.value, offer.value_type):
+            _check_value("send_value", self.value, offer.value_type)
         self.cont = self.cont._resolve(ctx, offer.cont)
 
     def _step(self, endpoints, offer):
@@ -191,7 +197,8 @@ class send_value_async(ContRule):
 
     def _produced(self, pair, endpoints, offer):
         value, premise = pair
-        _check_value("send_value_async", value, self.value_type)
+        if not isinstance(value, self.value_type):
+            _check_value("send_value_async", value, self.value_type)
         if not isinstance(premise, PartialSession):
             expect_program(premise, "send_value_async producer")
         return premise._resolve(self.ctx, self.after), endpoints, emit(offer, value)
@@ -208,7 +215,8 @@ class receive_value_from(LensRule):
     def _check(self, ctx, offer):
         slot = _expect_slot("receive_value_from", self.n, ctx, SendValue)
         self.n = level = self.n.level
-        self.target, self.offered = put(ctx, level, slot.cont), offer
+        ctx[level] = slot.cont
+        self.target, self.offered = ctx, offer
 
     def _received(self, message, endpoints, offer):
         value, self.next_endpoint = message
@@ -218,7 +226,8 @@ class receive_value_from(LensRule):
         if not isinstance(premise, PartialSession):
             expect_program(premise, "receive_value_from continuation")
         premise = premise._resolve(self.target, self.offered)
-        return premise, put(endpoints, self.n, self.next_endpoint), offer
+        endpoints[self.n] = self.next_endpoint
+        return premise, endpoints, offer
 
 
 # -- channel delegation -------------------------------------------------------
@@ -234,14 +243,16 @@ class receive_channel(ContRule):
 
     def _check(self, ctx, offer):
         premise = expect_program(self.cont(nat(len(ctx))), "receive_channel continuation")
-        self.cont = premise._resolve(ctx + (offer.carried,), offer.cont)
+        ctx.append(offer.carried)
+        self.cont = premise._resolve(ctx, offer.cont)
 
     def _step(self, endpoints, offer):
         return ask(offer), receive_channel._received
 
     def _received(self, message, endpoints, offer):
         carried_endpoint, next_offer = message
-        return self.cont, endpoints + (carried_endpoint,), next_offer
+        endpoints.append(carried_endpoint)
+        return self.cont, endpoints, next_offer
 
 
 class send_channel_to(LensRule):
@@ -266,19 +277,21 @@ class send_channel_to(LensRule):
                 f"expected a live channel"
             )
         self.n, self.n2 = level1, level2 = n1.level, n2.level
-        mid = put(ctx, level2, Empty)
-        slot = _expect_slot("send_channel_to", n1, mid, ReceiveChannel)
+        ctx[level2] = Empty
+        slot = _expect_slot("send_channel_to", n1, ctx, ReceiveChannel)
         if slot.carried != carried:
             raise ProtocolError(
                 f"send_channel_to: slot {n1.level} expects a channel of type "
                 f"{slot.carried}, but slot {n2.level} offers {carried}"
             )
-        self.cont = self.cont._resolve(put(mid, level1, slot.cont), offer)
+        ctx[level1] = slot.cont
+        self.cont = self.cont._resolve(ctx, offer)
 
     def _received(self, outbound, endpoints, offer):
         receiver = answer(outbound, endpoints[self.n2])
-        endpoints = put(endpoints, self.n2, ())
-        return self.cont, put(endpoints, self.n, receiver), offer
+        endpoints[self.n2] = ()
+        endpoints[self.n] = receiver
+        return self.cont, endpoints, offer
 
 
 class send_channel_from(LensRule):
@@ -296,11 +309,13 @@ class send_channel_from(LensRule):
                 f"but the offered protocol sends {offer.carried}"
             )
         self.n = level = n.level
-        self.cont = self.cont._resolve(put(ctx, level, Empty), offer.cont)
+        ctx[level] = Empty
+        self.cont = self.cont._resolve(ctx, offer.cont)
 
     def _step(self, endpoints, offer):
         sender = emit(offer, endpoints[self.n])
-        return self.cont, put(endpoints, self.n, ()), sender
+        endpoints[self.n] = ()
+        return self.cont, endpoints, sender
 
 
 class receive_channel_from(LensRule):
@@ -316,13 +331,14 @@ class receive_channel_from(LensRule):
         premise = expect_program(
             self.cont(nat(len(ctx))), "receive_channel_from continuation"
         )
-        target = put(ctx, level, slot.cont) + (slot.carried,)
-        self.cont = premise._resolve(target, offer)
+        ctx[level] = slot.cont
+        ctx.append(slot.carried)
+        self.cont = premise._resolve(ctx, offer)
 
     def _received(self, message, endpoints, offer):
-        carried_endpoint, next_endpoint = message
-        endpoints = put(endpoints, self.n, next_endpoint)
-        return self.cont, endpoints + (carried_endpoint,), offer
+        carried_endpoint, endpoints[self.n] = message
+        endpoints.append(carried_endpoint)
+        return self.cont, endpoints, offer
 
 
 # -- binary choice ------------------------------------------------------------
@@ -344,8 +360,9 @@ class offer_choice(PartialSession):
         self.right = right
 
     def _check(self, ctx, offer):
+        right_ctx = ctx.copy()  # the first branch may keep `ctx` for later
         self.left = self.left._resolve(ctx, offer.left)
-        self.right = self.right._resolve(ctx, offer.right)
+        self.right = self.right._resolve(right_ctx, offer.right)
 
     def _step(self, endpoints, offer):
         return ask(offer), offer_choice._chosen
@@ -377,7 +394,8 @@ class choose(send_value_to):
         slot = _expect_slot(self._rule, self.n, ctx, ExternalChoice)
         chosen = slot.left if self.value == LEFT else slot.right
         self.n = level = self.n.level
-        self.cont = self.cont._resolve(put(ctx, level, chosen), offer)
+        ctx[level] = chosen
+        self.cont = self.cont._resolve(ctx, offer)
 
 
 def choose_left(n, cont) -> PartialSession:
@@ -435,13 +453,14 @@ class case(PartialSession):
     def _check(self, ctx, offer):
         slot = _expect_slot("case", self.n, ctx, InternalChoice)
         self.n = level = self.n.level
-        self.left = self.left._resolve(put(ctx, level, slot.left), offer)
-        self.right = self.right._resolve(put(ctx, level, slot.right), offer)
+        right_ctx = ctx.copy()  # as in `offer_choice`
+        ctx[level], right_ctx[level] = slot.left, slot.right
+        self.left = self.left._resolve(ctx, offer)
+        self.right = self.right._resolve(right_ctx, offer)
 
     def _step(self, endpoints, offer):
         return endpoints[self.n], case._announced
 
     def _announced(self, message, endpoints, offer):
-        side, next_endpoint = message
-        chosen = self.left if side == LEFT else self.right
-        return chosen, put(endpoints, self.n, next_endpoint), offer
+        side, endpoints[self.n] = message
+        return self.left if side == LEFT else self.right, endpoints, offer

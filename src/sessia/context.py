@@ -4,11 +4,15 @@ A slot is either a session type or `Empty` (a consumed position). Consumed
 slots are never compacted away, so the position of every other slot — and
 hence every lens pointing at it — stays valid for the whole derivation.
 
-The checker and the runtime hold a context as a flat tuple of slots indexed
-by de Bruijn level: a slot read is `ctx[level]`, a retype is a slice-replace
-(`put`), an include is `ctx + (slot,)` and a length is `len(ctx)`. At
-runtime a context of length n is mirrored by a flat endpoints tuple of the
-same length: `()` per `Empty` slot, a receiving endpoint per live slot.
+The checker holds a context as a list of slots indexed by de Bruijn level,
+owned by the rule being checked: a read is `ctx[level]`, a retype
+`ctx[level] = slot`, an include `ctx.append(slot)`. At run time an endpoints
+list of the same length, owned by the driver that steps it, mirrors it: `()`
+per `Empty` slot, a receiving endpoint per live slot. An owner updates its
+list in place, as a value with one owner may be (Wadler, "Linear types can
+change the world!"), and never touches it once it has handed it to a
+premise, a deferred check or a spawned driver. Only a choice copies, for
+its second branch; `cut` gives its provider the tail and replaces it.
 
 Nested pairs exist only at the public API: `()` for the empty list and
 `(slot, rest)` for cons, as taken and returned by `context`, `slots_of`,
@@ -113,11 +117,11 @@ def _level(n) -> int:
     raise ProtocolError(f"expected a context lens (Z or S(n)), got {n!r}")
 
 
-# -- flat contexts and endpoints tuples --------------------------------------
+# -- contexts as lists of slots ------------------------------------------------
 
 
 def focus(n, ctx):
-    """The slot at lens `n` of a flat context; hot paths call it to reject."""
+    """The slot at lens `n` of a context; hot paths call it to reject."""
     level = _level(n)
     if level >= len(ctx):
         raise LinearityError(
@@ -126,21 +130,16 @@ def focus(n, ctx):
     return ctx[level]
 
 
-def put(items: tuple, level: int, item) -> tuple:
-    """A flat context or endpoints tuple with position `level` replaced."""
-    return items[:level] + (item,) + items[level + 1:]
-
-
-def live_slot(ctx):
-    """(level, slot) of the first unconsumed slot of a flat context, or None."""
-    for level, slot in enumerate(ctx):
-        if slot is not Empty:
-            return level, slot
+def live_slot(ctx, start: int = 0):
+    """(level, slot) of the first unconsumed slot from `start` on, or None."""
+    for level in range(start, len(ctx)):
+        if ctx[level] is not Empty:
+            return level, ctx[level]
     return None
 
 
 def show(ctx) -> str:
-    """A flat context printed as its nested pairs, as diagnostics show it."""
+    """A context printed as its nested pairs, as diagnostics show it."""
     return "".join(f"({slot}, " for slot in ctx) + "()" + ")" * len(ctx)
 
 
@@ -214,7 +213,7 @@ def lens_resolve(n, c, a1, a2) -> tuple:
     The focused slot must hold exactly `a1`; anything else is a linearity
     error (slot already consumed, wrong protocol state, or out of range).
     """
-    slots = tuple(validate_context(c))
+    slots = validate_context(c)
     if not is_slot(a2):
         raise ProtocolError(f"lens_resolve: {a2!r} is not a Slot")
     actual = focus(n, slots)
@@ -222,7 +221,8 @@ def lens_resolve(n, c, a1, a2) -> tuple:
         raise LinearityError(
             f"lens {n.level}: slot has type {actual}, expected {a1}"
         )
-    return _nest(put(slots, n.level, a2))
+    slots[n.level] = a2
+    return _nest(slots)
 
 
 def empty_endpoints(c) -> tuple:

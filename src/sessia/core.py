@@ -28,13 +28,14 @@ A run executes as a trampoline, and the run's scheduler
 plain call that performs its construct's one protocol step and returns the
 next step, `(program, endpoints, offer)`, a wait `(source, after)` for a
 value the step needs, or None once its driver is done; it creates no
-coroutine and never awaits another program. The scheduler runs the steps
-of each driver one after another, takes the value of each wait and holds
-the one-shot and polarity checks, so a driver's stack and the cost of a
-step stay the same however many steps came before. `run_session`'s
-program, every provider that `cut` and `include_session` spawn and every
-critical section the run acquires are drivers of the run, stepped on the
-task awaiting it; a shared process has no task of its own.
+coroutine and never awaits another program, and it updates its driver's
+endpoints list in place. The scheduler runs the steps of each driver one
+after another, takes the value of each wait and holds the one-shot and
+polarity checks, so a driver's stack and the cost of a step stay the same
+however many steps came before. `run_session`'s program, every provider
+that `cut` and `include_session` spawn and every critical section the run
+acquires are drivers of the run, stepped on the task awaiting it; a shared
+process has no task of its own.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .context import (
     focus,
     live_slot,
     nat,
-    put,
     show,
     slots_of,
     validate_context,
@@ -113,7 +113,9 @@ class PartialSession:
         self.execute = UNCHECKED
 
     def _resolve(self, ctx, offer):
-        """Check the program against the judgment `ctx` |- `offer`, once."""
+        """Check the program against `ctx` |- `offer`, once; it owns the list `ctx`."""
+        if type(ctx) is tuple:
+            ctx = list(ctx)
         if self.execute is not UNCHECKED:
             raise LinearityError(
                 f"{self._rule}: session program value already consumed "
@@ -161,7 +163,12 @@ class LensRule(ContRule):
     __slots__ = ("n",)
 
     def __init__(self, n, cont):
-        ContRule.__init__(self, cont)
+        self.execute = UNCHECKED  # ContRule.__init__, inline on a hot path
+        if self._calls_cont:
+            cont = OneShotContinuation(self._rule, cont)
+        elif not isinstance(cont, PartialSession):
+            expect_program(cont, self._rule)
+        self.cont = cont
         self.n = n
 
     def _step(self, endpoints, offer):
@@ -218,7 +225,7 @@ def session(protocol: Protocol, program: PartialSession) -> Session:
     check_protocol(protocol, "session")
     if not isinstance(program, PartialSession):
         expect_program(program, "session")
-    return Session(protocol, program._resolve((), protocol))
+    return Session(protocol, program._resolve([], protocol))
 
 
 def run_session(s: Session):
@@ -240,7 +247,7 @@ def run_session(s: Session):
         raise ProtocolError(
             f"run_session requires a Session(End); got Session({s.protocol})"
         )
-    return start(main=s._resolve((), End))
+    return start(main=s._resolve([], End))
 
 
 # -- structural constructs -----------------------------------------------
@@ -267,7 +274,8 @@ class forward(PartialSession):
                 f"but the expected protocol here is {offer}"
             )
         self.n = level = n.level
-        live = live_slot(put(ctx, level, Empty))
+        ctx[level] = Empty
+        live = live_slot(ctx)
         if live is not None:
             raise LinearityError(
                 f"forward requires every other slot to be consumed; "
@@ -322,11 +330,11 @@ class cut(PartialSession):
 
     def _check(self, ctx, offer):
         provider, a = self.provider, self.protocol
-        c2 = ()
+        c2 = []
         if self.context is not None:
             # The one context a user supplies: validated here, once.
             validate_context(self.context, "cut")
-            c2 = tuple(slots_of(self.context))
+            c2 = slots_of(self.context)
         if isinstance(provider, Session):
             if a is not None and a != provider.protocol:
                 raise ProtocolError(
@@ -351,7 +359,8 @@ class cut(PartialSession):
                 f"cut: context {show(ctx)} does not end with the "
                 f"provider context {show(c2)}"
             )
-        self.client = self.client._resolve(ctx[:c1_len] + (a,), offer)
+        ctx[c1_len:] = [a]  # the tail, equal to `c2`, is the provider's
+        self.client = self.client._resolve(ctx, offer)
         self.provider = provider._resolve(c2, a)
         self.context = c1_len
 
@@ -359,7 +368,8 @@ class cut(PartialSession):
         sender, receiver = channel()
         split = self.context
         spawn(self.provider, endpoints[split:], sender)
-        return self.client, endpoints[:split] + (receiver,), offer
+        endpoints[split:] = [receiver]
+        return self.client, endpoints, offer
 
 
 class include_session(PartialSession):
@@ -382,13 +392,15 @@ class include_session(PartialSession):
         if not isinstance(premise, PartialSession):
             expect_program(premise, "include_session continuation")
         a = self.provider.protocol
-        self.cont = premise._resolve(ctx + (a,), offer)
-        self.provider = self.provider._resolve((), a)
+        ctx.append(a)
+        self.cont = premise._resolve(ctx, offer)
+        self.provider = self.provider._resolve([], a)
 
     def _step(self, endpoints, offer):
         sender, receiver = channel()
-        spawn(self.provider, (), sender)
-        return self.cont, endpoints + (receiver,), offer
+        spawn(self.provider, [], sender)
+        endpoints.append(receiver)
+        return self.cont, endpoints, offer
 
 
 def apply_channel(f: Session, a: Session) -> Session:

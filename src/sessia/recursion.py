@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import Nat, S, Z, _Z, focus, put
+from .context import Nat, S, Z, _Z, focus
 from .core import ContRule, LensRule
 from .errors import ProtocolError
 from .protocols import End, Protocol
@@ -124,4 +124,5 @@ class unfix_session_for(LensRule):
                 f"unfix_session_for: lens {n.level}: slot has type {slot}, "
                 f"expected a Fix protocol"
             )
-        return self.cont._resolve(put(ctx, n.level, slot._unrolling), offer)
+        ctx[n.level] = slot._unrolling
+        return self.cont._resolve(ctx, offer)

@@ -24,14 +24,15 @@ endpoints, offer)` empties the program's `execute` slot and calls it; the
 call returns the next step, a wait `(source, after)`, or None once the
 driver is done. A wait's value is a receiver's payload, what an awaitable
 gives, or the source itself, and `after(program, value, endpoints, offer)`
-returns a step, a wait or None in turn. A driver waiting on an empty
-receiver parks there with its pending wait, and the send that fills the
-receiver readies it with no event-loop iteration. A coroutine is made only
-to await a foreign awaitable (an async continuation, a contended acquire),
-and the driver parks on each future it awaits through the future's done
-callback. Only a driver can park: a receive on an empty channel outside
-any run raises `RuntimeViolation`, and a failure reaches every parked
-driver through `RunContext.fail`.
+returns a step, a wait or None in turn; a driver's steps update its one
+endpoints list in place. A driver waiting on an empty receiver parks there
+with its pending wait, and the send that fills the receiver readies it
+with no event-loop iteration. A coroutine is made only to await a foreign
+awaitable (an async continuation, a contended acquire), and the driver
+parks on each future it awaits through the future's done callback. Only a
+driver can park: a receive on an empty channel outside any run raises
+`RuntimeViolation`, and a failure reaches every parked driver through
+`RunContext.fail`.
 """
 
 from __future__ import annotations
@@ -383,7 +384,7 @@ async def start(*coros, main=None) -> None:
     try:
         if main is not None:
             offer, result = channel()
-            spawn(main, (), offer)
+            spawn(main, [], offer)
         for coro in coros:
             spawn(coro)
         cancelled, turned = None, False
@@ -415,15 +416,17 @@ async def start(*coros, main=None) -> None:
 
 def spawn(provider, endpoints=(), offer=None, on_failure=None):
     """Start a driver of the ambient run: the coroutine `provider` or,
-    given its `offer`, the checked program `provider` over `endpoints`.
-    `on_failure(exc)` runs in the driver if it fails. Outside any run,
-    return `start(provider)` for a coroutine, a run for the caller to await."""
+    given its `offer`, the checked program `provider` over `endpoints`,
+    which it then owns. `on_failure(exc)` runs in the driver if it fails.
+    Outside any run, return `start(provider)` for a coroutine, a run to await."""
     run = _run_context.get()
     if run is None:
         return start(provider)
     if offer is None:
         driver = _Driver(run, None, provider, on_failure)
     else:
+        if type(endpoints) is tuple:
+            endpoints = list(endpoints)
         driver = _Driver(run, (provider, endpoints, offer), None, on_failure)
     run.tasks[driver] = None
     run._resume(driver, None)  # a new driver waits on nothing

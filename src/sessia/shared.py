@@ -48,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import Empty, Nat, S, focus, live_slot, nat, put, show
+from .context import Empty, Nat, S, focus, live_slot, nat, show
 from .core import (
     UNCHECKED,
     ContRule,
@@ -200,7 +200,7 @@ def shared_session(protocol: LinearToShared, program) -> SharedSession:
             f"shared_session: expected a shared program "
             f"(accept_shared_session(...)), got {program!r}"
         )
-    section = program.cont._resolve((protocol._lock,), protocol._unrolling)
+    section = program.cont._resolve([protocol._lock], protocol._unrolling)
     return SharedSession(protocol, section)
 
 
@@ -235,11 +235,11 @@ class detach_shared_session(ContRule):
                 "detach_shared_session requires the critical-section lock "
                 f"at slot 0 of {show(ctx)}"
             )
-        live = live_slot(ctx[1:])
+        live = live_slot(ctx, 1)
         if live is not None:
             raise LinearityError(
                 f"detach_shared_session requires all other channels consumed; "
-                f"slot {live[0] + 1} still holds {live[1]}"
+                f"slot {live[0]} still holds {live[1]}"
             )
         # Compared by body: forming LinearToShared(offer.body) would unroll it.
         if self.cont.protocol.body != offer.body:
@@ -280,7 +280,8 @@ class acquire_shared_session(PartialSession):
         premise = self.cont(nat(len(ctx)))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "acquire_shared_session continuation")
-        self.cont = premise._resolve(ctx + (self.shared.protocol._unrolling,), offer)
+        ctx.append(self.shared.protocol._unrolling)
+        self.cont = premise._resolve(ctx, offer)
 
     def _step(self, endpoints, offer):
         return self.shared.acquire(), acquire_shared_session._acquired
@@ -289,9 +290,10 @@ class acquire_shared_session(PartialSession):
         # The section is a driver of this run, after those spawned before it.
         sender, linear = channel()
         section = _Section(self.shared)
-        spawn(program, (section,), sender, section.failed)
+        spawn(program, [section], sender, section.failed)
         record_event("ACQ")
-        return self.cont, endpoints + (linear,), offer
+        endpoints.append(linear)
+        return self.cont, endpoints, offer
 
 
 class release_shared_session(LensRule):
@@ -311,12 +313,14 @@ class release_shared_session(LensRule):
                 f"the session has not reached its release point"
             )
         self.n = level = n.level
-        self.cont = self.cont._resolve(put(ctx, level, Empty), offer)
+        ctx[level] = Empty
+        self.cont = self.cont._resolve(ctx, offer)
 
     def _received(self, outbound, endpoints, offer):
         record_event("REL")
         outbound.send(ACK)
-        return self.cont, put(endpoints, self.n, ()), offer
+        endpoints[self.n] = ()
+        return self.cont, endpoints, offer
 
 
 # -- the shared process --------------------------------------------------

@@ -26,6 +26,7 @@ from sessia import (
     case,
     choose_left,
     choose_right,
+    cut,
     include_session,
     nat,
     offer_choice,
@@ -489,6 +490,104 @@ def test_wait_continuation_starts_after_provider_end():
     assert len(ends) == 2
     assert ends[0].seq < ends[1].seq
     assert ends[0].task != ends[1].task
+
+
+# -- context ownership -----------------------------------------------------------
+
+# A rule owns its context list and updates it in place. A branch of a choice
+# may keep its context until a value arrives, after the other branch has been
+# checked, so each branch needs a context of its own; and `cut` must give the
+# provider and the client only their own parts of the context.
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_a_deferred_offer_choice_branch_keeps_its_own_context(side):
+    # The provider holds an End channel at Z. Its left branch waits on it
+    # once a value arrives; its right branch waits on it at check time.
+    got = []
+
+    def on_value(v):
+        got.append(v)
+        return wait(Z, terminate())
+
+    provider = offer_choice(receive_value(on_value), wait(Z, terminate()))
+    if side == LEFT:
+        client = choose_left(Z, send_value_to(Z, 5, wait(Z, terminate())))
+    else:
+        client = choose_right(Z, wait(Z, terminate()))
+    body = include_session(
+        end_provider(),
+        lambda held: cut(
+            client,
+            provider,
+            provider_protocol=ExternalChoice(ReceiveValue(int, End), End),
+            provider_context=(End, ()),
+        ),
+    )
+    rec = run_recorded(session(End, body))
+    assert got == ([5] if side == LEFT else [])
+    assert rec.conservation_ok() and rec.one_shot_ok()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_deferred_case_branch_keeps_its_own_context(side):
+    # The left branch waits on `held` once the choice's value arrives; the
+    # right branch waits on it at check time.
+    got = []
+
+    def body(x, held):
+        def on_value(v):
+            got.append(v)
+            return wait(x, wait(held, terminate()))
+
+        left = receive_value_from(x, on_value)
+        right = wait(held, wait(x, terminate()))
+        return case(x, left, right)
+
+    program = include_session(
+        internal_provider(side),
+        lambda x: include_session(end_provider(), lambda held: body(x, held)),
+    )
+    rec = run_recorded(session(End, program))
+    assert got == ([7] if side == "left" else [])
+    assert rec.conservation_ok() and rec.one_shot_ok()
+
+
+def test_cut_gives_provider_and_client_only_their_own_endpoints():
+    # The provider takes the context's tail, one SendValue channel at Z, and
+    # sends its value plus one. The client finds the cut channel at Z and
+    # includes a second source after the split, at S(Z).
+    got, lenses = [], []
+
+    def provider_on_value(v):
+        return wait(Z, send_value(v + 1, terminate()))
+
+    def client_body(source):
+        lenses.append(source)
+
+        def from_source(v):
+            got.append(("source", v))
+            return wait(source, receive_value_from(Z, from_provider))
+
+        def from_provider(v):
+            got.append(("provider", v))
+            return wait(Z, terminate())
+
+        return receive_value_from(source, from_source)
+
+    program = include_session(
+        int_source(7),
+        lambda held: cut(
+            include_session(int_source(9), client_body),
+            receive_value_from(Z, provider_on_value),
+            provider_protocol=SendValue(int, End),
+            provider_context=(SendValue(int, End), ()),
+        ),
+    )
+    rec = run_recorded(session(End, program))
+    assert lenses == [S(Z)]
+    assert got == [("source", 9), ("provider", 8)]
+    assert rec.conservation_ok() and rec.one_shot_ok()
 
 
 # -- every term constructor ------------------------------------------------------

@@ -20,7 +20,6 @@ from .core import (
     UNCHECKED,
     ContRule,
     LensRule,
-    OneShotContinuation,
     PartialSession,
     expect_program,
 )
@@ -70,7 +69,7 @@ class terminate(PartialSession):
     _offers = _End
 
     def _check(self, ctx, offer):
-        live = live_slot(ctx)
+        live = live_slot(ctx) if ctx else None
         if live is not None:
             raise LinearityError(
                 f"terminate requires an empty linear context; "
@@ -119,7 +118,7 @@ class receive_value(ContRule):
 
     def _received(self, message, endpoints, offer):
         value, self.next_offer = message
-        return self.cont(value), receive_value._continued
+        return self._call_cont(value), receive_value._continued
 
     def _continued(self, premise, endpoints, offer):
         premise = expect_program(premise, "receive_value continuation")
@@ -186,14 +185,13 @@ class send_value_async(ContRule):
     _offers = SendValue
 
     def __init__(self, produce):
-        self.execute = UNCHECKED
-        self.cont = OneShotContinuation("send_value_async", produce)
+        super().__init__(produce)
 
     def _check(self, ctx, offer):
         self.ctx, self.value_type, self.after = ctx, offer.value_type, offer.cont
 
     def _step(self, endpoints, offer):
-        return self.cont(), send_value_async._produced
+        return self._call_cont(), send_value_async._produced
 
     def _produced(self, pair, endpoints, offer):
         value, premise = pair
@@ -220,7 +218,7 @@ class receive_value_from(LensRule):
 
     def _received(self, message, endpoints, offer):
         value, self.next_endpoint = message
-        return self.cont(value), receive_value_from._continued
+        return self._call_cont(value), receive_value_from._continued
 
     def _continued(self, premise, endpoints, offer):
         if not isinstance(premise, PartialSession):
@@ -242,7 +240,8 @@ class receive_channel(ContRule):
     _offers = ReceiveChannel
 
     def _check(self, ctx, offer):
-        premise = expect_program(self.cont(nat(len(ctx))), "receive_channel continuation")
+        premise = self._call_cont(nat(len(ctx)))
+        expect_program(premise, "receive_channel continuation")
         ctx.append(offer.carried)
         self.cont = premise._resolve(ctx, offer.cont)
 
@@ -329,7 +328,7 @@ class receive_channel_from(LensRule):
         slot = _expect_slot("receive_channel_from", self.n, ctx, SendChannel)
         self.n = level = self.n.level
         premise = expect_program(
-            self.cont(nat(len(ctx))), "receive_channel_from continuation"
+            self._call_cont(nat(len(ctx))), "receive_channel_from continuation"
         )
         ctx[level] = slot.cont
         ctx.append(slot.carried)

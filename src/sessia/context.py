@@ -51,6 +51,7 @@ def is_slot(x) -> bool:
 class Nat:
     """Type-level natural used as a context lens; content-free and copyable."""
 
+    __slots__ = ()
     level: int
 
     def __str__(self):
@@ -80,8 +81,10 @@ class S(Nat):
 
     Its level is stored when it is built, and a natural is determined by
     its level, so reading, comparing and hashing a lens never walk `pred`.
+    It has slots, as `nat` keeps every lens, and copies as `nat(level)`.
     """
 
+    __slots__ = ("pred", "level")
     pred: Nat
 
     def __post_init__(self):
@@ -96,6 +99,9 @@ class S(Nat):
 
     def __hash__(self):
         return hash(("S", self.level))
+
+    def __reduce__(self):
+        return nat, (self.level,)
 
 
 # _nats[k] is the lens at level k; grown on demand, never shrunk.

@@ -19,9 +19,10 @@ class, named as the rule. Nothing communicates until
 Program values are linear: every `PartialSession`/`Session` is consumed by
 the construct that links it, and every checked program and user
 continuation runs at most once. Each such resource sits in one slot that is
-emptied when it is used (a program's `execute`, which holds the UNCHECKED
-mark and then its step, and a continuation's function), and an empty slot
-is the one mark of "already used".
+emptied when it is used: a program's `execute` (the UNCHECKED mark, then
+its step) and, in a rule that calls a user continuation, its `cont`, which
+`ContRule._call_cont` empties before the call, as Rust moves an `FnOnce`
+into its call. An empty slot is the one mark of "already used".
 
 A run executes as a trampoline, and the run's scheduler
 (`runtime.RunContext`) is the trampoline. A checked program's step is one
@@ -55,27 +56,6 @@ from .errors import LinearityError, ProtocolError
 from .instrument import active_recorder, refuse_reuse
 from .protocols import End, Protocol, ReceiveChannel, SendValue, check_protocol
 from .runtime import channel, spawn, start
-
-
-class OneShotContinuation:
-    """Wraps a user continuation so it can be invoked exactly once."""
-
-    __slots__ = ("_rule", "_fn")
-
-    def __init__(self, rule: str, fn):
-        if not callable(fn):
-            raise ProtocolError(f"{rule}: continuation must be callable, got {fn!r}")
-        self._rule = rule
-        self._fn = fn
-
-    def __call__(self, *args):
-        fn, self._fn = self._fn, None
-        if fn is None:
-            refuse_reuse(f"{self._rule}: continuation invoked twice")
-        rec = active_recorder()
-        if rec is not None:
-            rec.continuation_ran(self._rule)
-        return fn(*args)
 
 
 # The `execute` of a program not yet checked.
@@ -141,7 +121,7 @@ class PartialSession:
 class ContRule(PartialSession):
     """A rule whose one argument is its continuation `cont`: a premise
     program or, in a rule that sets `_calls_cont`, a user function that
-    returns one and runs at most once."""
+    returns one. That function runs at most once, through `_call_cont`."""
 
     __slots__ = ("cont",)
     _calls_cont = False
@@ -149,10 +129,24 @@ class ContRule(PartialSession):
     def __init__(self, cont):
         self.execute = UNCHECKED
         if self._calls_cont:
-            cont = OneShotContinuation(self._rule, cont)
+            if not callable(cont):
+                raise ProtocolError(
+                    f"{self._rule}: continuation must be callable, got {cont!r}"
+                )
         elif not isinstance(cont, PartialSession):
             expect_program(cont, self._rule)
         self.cont = cont
+
+    def _call_cont(self, *args):
+        """Empty the `cont` slot, then call the function it held: the emptied
+        slot is the continuation's one-shot mark."""
+        fn, self.cont = self.cont, None
+        if fn is None:
+            refuse_reuse(f"{self._rule}: continuation invoked twice")
+        rec = active_recorder()
+        if rec is not None:
+            rec.continuation_ran(self._rule)
+        return fn(*args)
 
 
 class LensRule(ContRule):
@@ -164,10 +158,8 @@ class LensRule(ContRule):
 
     def __init__(self, n, cont):
         self.execute = UNCHECKED  # ContRule.__init__, inline on a hot path
-        if self._calls_cont:
-            cont = OneShotContinuation(self._rule, cont)
-        elif not isinstance(cont, PartialSession):
-            expect_program(cont, self._rule)
+        if not (callable(cont) if self._calls_cont else isinstance(cont, PartialSession)):
+            ContRule.__init__(self, cont)  # raises the rule's diagnostic
         self.cont = cont
         self.n = n
 
@@ -208,7 +200,7 @@ class Session(PartialSession):
                 f"a closed session cannot run in the non-empty context "
                 f"{show(ctx)}"
             )
-        if offer != self._protocol:
+        if offer is not self._protocol and offer != self._protocol:
             raise ProtocolError(
                 f"session offers {self._protocol}, "
                 f"but the expected protocol here is {offer}"
@@ -336,11 +328,11 @@ class cut(PartialSession):
             validate_context(self.context, "cut")
             c2 = slots_of(self.context)
         if isinstance(provider, Session):
-            if a is not None and a != provider.protocol:
+            if a is not None and a != provider._protocol:
                 raise ProtocolError(
-                    f"cut: provider offers {provider.protocol}, not {a}"
+                    f"cut: provider offers {provider._protocol}, not {a}"
                 )
-            a = provider.protocol
+            a = provider._protocol
         elif a is None:
             a = _synthesize(provider)
         if a is None:
@@ -372,26 +364,26 @@ class cut(PartialSession):
         return self.client, endpoints, offer
 
 
-class include_session(PartialSession):
+class include_session(ContRule):
     """Start the closed session `a` concurrently and hand its channel, at a
     freshly generated lens (= the current context length), to `cont`."""
 
-    __slots__ = ("provider", "cont")
+    __slots__ = ("provider",)
+    _calls_cont = True
 
     def __init__(self, a: Session, cont):
         if not isinstance(a, Session):
             raise ProtocolError(
                 f"include_session expects a checked Session to include, got {a!r}"
             )
-        self.execute = UNCHECKED
+        super().__init__(cont)
         self.provider = a
-        self.cont = OneShotContinuation("include_session", cont)
 
     def _check(self, ctx, offer):
-        premise = self.cont(nat(len(ctx)))
+        premise = self._call_cont(nat(len(ctx)))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "include_session continuation")
-        a = self.provider.protocol
+        a = self.provider._protocol
         ctx.append(a)
         self.cont = premise._resolve(ctx, offer)
         self.provider = self.provider._resolve([], a)

@@ -97,8 +97,7 @@ class Protocol:
         return PayloadLayout(self._polarity, tuple(parts))
 
     def __str__(self):
-        args = ", ".join(type_name(getattr(self, f)) for f in self._fields)
-        return f"{type(self).__name__}({args})"
+        return type_name(self)
 
     def __repr__(self):
         return str(self)
@@ -154,9 +153,21 @@ class PayloadLayout:
 
 
 def type_name(t) -> str:
-    if isinstance(t, tuple):
-        return "|".join(type_name(x) for x in t)
-    return getattr(t, "__name__", str(t))
+    """The name of a value type, or the text of a session type, built with
+    an explicit stack of the parts still to print, so that any depth prints."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, tuple):
+            parts = [part for x in t for part in ("|", x)][1:]
+        elif type(t).__str__ is Protocol.__str__:
+            fields = [part for f in t._fields for part in (", ", getattr(t, f))][1:]
+            parts = [f"{type(t).__name__}(", *fields, ")"]
+        else:  # a part of the text, or a name
+            out.append(t if type(t) is str else getattr(t, "__name__", str(t)))
+            continue
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def _check_value_type(t, who: str):

@@ -136,12 +136,12 @@ class Sender:
 
 
 def channel() -> tuple[Sender, Receiver]:
-    """A fresh one-shot channel, the one maker of its endpoints, which have
-    no `__init__` to call: a receiver, and the sender that fills it."""
-    receiver = object.__new__(Receiver)
+    """A fresh one-shot channel: a receiver, and the sender that fills it.
+    It is the one maker of both, which have no `__init__`: it sets their slots."""
+    receiver = Receiver()
     receiver.payload = PENDING
     receiver.waiter = None
-    sender = object.__new__(Sender)
+    sender = Sender()
     sender._receiver = receiver
     rec = active_recorder()
     if rec is not None:

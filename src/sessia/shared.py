@@ -53,7 +53,6 @@ from .core import (
     UNCHECKED,
     ContRule,
     LensRule,
-    OneShotContinuation,
     PartialSession,
     expect_program,
 )
@@ -144,8 +143,8 @@ class LinearToShared(SharedProtocol):
     def _lock(self) -> Lock:
         return Lock(self.body)
 
-    def __str__(self):
-        return f"LinearToShared({self.body})"
+    _fields = ("body",)
+    __str__ = Protocol.__str__
 
 
 # -- shared program values -----------------------------------------------
@@ -261,23 +260,23 @@ class detach_shared_session(ContRule):
         return None
 
 
-class acquire_shared_session(PartialSession):
+class acquire_shared_session(ContRule):
     """Wait for exclusive access to the shared process; the linear body
     channel is appended to the context and `cont` gets its lens."""
 
-    __slots__ = ("shared", "cont")
+    __slots__ = ("shared",)
+    _calls_cont = True
 
     def __init__(self, shared: SharedChannel, cont):
         if not isinstance(shared, SharedChannel):
             raise ProtocolError(
                 f"acquire_shared_session expects a SharedChannel, got {shared!r}"
             )
-        self.execute = UNCHECKED
+        super().__init__(cont)
         self.shared = shared
-        self.cont = OneShotContinuation("acquire_shared_session", cont)
 
     def _check(self, ctx, offer):
-        premise = self.cont(nat(len(ctx)))
+        premise = self._call_cont(nat(len(ctx)))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "acquire_shared_session continuation")
         ctx.append(self.shared.protocol._unrolling)
@@ -402,25 +401,23 @@ class SharedChannel:
                 self.release(turn.result())  # woken, then cancelled
             raise
 
-    def _waiters(self):
+    def release(self, program: PartialSession) -> None:
+        """Hand the process to the first waiter, or suspend it."""
         while self.requests:
             turn = self.requests.popleft()
             if not turn.done():  # an acquirer cancelled while queued is skipped
-                yield turn
-
-    def release(self, program: PartialSession) -> None:
-        """Hand the process to the first waiter, or suspend it."""
-        for turn in self._waiters():
-            turn.set_result(program)
-            return
+                turn.set_result(program)
+                return
         self.program = program
         if not self.accepting:
             self.stopped.set()
 
     def fail(self, exc: BaseException) -> None:
         self.failure = exc
-        for turn in self._waiters():
-            turn.set_exception(self._unserved())
+        while self.requests:
+            turn = self.requests.popleft()
+            if not turn.done():
+                turn.set_exception(self._unserved())
         self.stopped.set()
 
     def _unserved(self) -> RuntimeViolation:

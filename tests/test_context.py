@@ -1,4 +1,6 @@
 import copy
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -206,6 +208,37 @@ def test_nat_values_are_copyable_and_content_free():
     c = context([A, B, End])
     assert slot_at(lens, c) == End
     assert slot_at(lens, c) == End
+
+
+def test_a_lens_has_slots_and_no_dict():
+    lens = nat(7)
+    assert not hasattr(lens, "__dict__")
+    assert copy.copy(lens) == lens and copy.deepcopy(lens).level == 7
+    with pytest.raises(FrozenInstanceError):
+        lens.level = 3
+
+
+def test_a_lens_costs_at_most_64_bytes():
+    # `nat` keeps a lens per level reached. Both lists below hold one fresh
+    # level int per item, so their difference is what the lenses cost.
+    levels, start = 10**4, 10**5
+    first = nat(start)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lenses = [first]
+        for _ in range(levels - 1):
+            lenses.append(S(lenses[-1]))
+        with_lenses = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        ints = [start]
+        for level in range(start, start + levels - 1):
+            ints.append(level + 1)
+        without = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert lenses[-1].level == ints[-1]
+    assert (with_lenses - without) / levels <= 64
 
 
 def test_context_validation():

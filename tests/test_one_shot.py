@@ -4,9 +4,24 @@ at most once, and a second use raises the same error it always has."""
 import pytest
 
 from conftest import run, run_program
-from sessia import End, ProtocolError, RuntimeViolation, include_session, recording
-from sessia import session, terminate
-from sessia.core import OneShotContinuation
+from sessia import (
+    End,
+    ProtocolError,
+    RuntimeViolation,
+    Z,
+    acquire_shared_session,
+    include_session,
+    receive_channel,
+    receive_channel_from,
+    receive_value,
+    receive_value_from,
+    recording,
+    run_shared_session,
+    send_value_async,
+    session,
+    terminate,
+)
+from sessia.demos import shared_counter_provider
 from sessia.runtime import channel, start
 
 
@@ -61,6 +76,35 @@ def test_a_continuation_must_be_callable():
     assert str(raised.value) == "include_session: continuation must be callable, got 42"
 
 
+# -- a continuation runs once, from its rule's own slot --------------------------
+
+CONTINUATION_RULES = {
+    "include_session": lambda fn: include_session(session(End, terminate()), fn),
+    "acquire_shared_session": lambda fn: acquire_shared_session(
+        run_shared_session(shared_counter_provider(0)), fn
+    ),
+    "receive_channel": receive_channel,
+    "receive_channel_from": lambda fn: receive_channel_from(Z, fn),
+    "receive_value": receive_value,
+    "receive_value_from": lambda fn: receive_value_from(Z, fn),
+    "send_value_async": send_value_async,
+}
+
+
+@pytest.mark.parametrize("rule", CONTINUATION_RULES)
+def test_a_rule_calls_its_continuation_at_most_once(rule):
+    calls = []
+    program = CONTINUATION_RULES[rule](lambda *args: calls.append(args) or "result")
+    with recording() as rec:
+        assert program._call_cont(Z) == "result"
+        with pytest.raises(RuntimeViolation) as raised:
+            program._call_cont(Z)
+    assert str(raised.value) == f"{rule}: continuation invoked twice"
+    assert calls == [(Z,)]
+    assert rec.counters.reuses == 1
+    assert rec.counters.continuations == {rule: 1}
+
+
 # -- a refused second use fails the Recorder's one-shot check ------------------
 
 
@@ -71,9 +115,9 @@ async def drive_twice():
 
 
 async def call_twice():
-    once = OneShotContinuation("include_session", lambda lens: lens)
-    once(0)
-    once(0)
+    rule = include_session(session(End, terminate()), lambda lens: terminate())
+    rule._call_cont(Z)
+    rule._call_cont(Z)
 
 
 async def send_twice():

@@ -9,6 +9,7 @@ from sessia import (
     ExternalChoice,
     Fix,
     InternalChoice,
+    LinearToShared,
     Lock,
     ProtocolError,
     ReceiveChannel,
@@ -19,7 +20,10 @@ from sessia import (
     Z,
     nat,
     payload_of,
+    session,
+    terminate,
 )
+from sessia.protocols import type_name
 
 WIRE_CONSTRUCTORS = [
     End,
@@ -176,6 +180,24 @@ def test_nested_positions_must_be_protocols():
         SharedToLinear("x")
     with pytest.raises(ProtocolError, match="expected a session type"):
         Lock(3)
+
+
+def test_a_protocol_of_any_depth_prints():
+    depth = 10**4
+    deep = End
+    for _ in range(depth):
+        deep = SendValue(int, ReceiveValue((int, str), deep))
+    text = "SendValue(int, ReceiveValue(int|str, " * depth + "End" + "))" * depth
+    assert str(deep) == type_name(deep) == text
+    # A delegated channel type is carried, so a shared body may hold a deep one.
+    shared = LinearToShared(SendChannel(deep, Z))
+    assert str(shared) == f"LinearToShared(SendChannel({text}, Z))"
+    # A check that rejects it reports it, instead of exceeding the recursion limit.
+    with pytest.raises(ProtocolError) as raised:
+        session(deep, terminate())
+    assert str(raised.value) == (
+        f"terminate offers End, but the expected protocol here is {text}"
+    )
 
 
 def test_value_type_may_be_a_tuple_of_types():

@@ -21,10 +21,14 @@ from .core import (
     ContRule,
     LensRule,
     PartialSession,
+    Session,
     expect_program,
+    forward,
+    include_session,
+    session,
 )
 from .errors import LinearityError, ProtocolError
-from .instrument import record_event
+from .instrument import active_recorder
 from .protocols import (
     ExternalChoice,
     InternalChoice,
@@ -77,7 +81,9 @@ class terminate(PartialSession):
             )
 
     def _step(self, endpoints, offer):
-        record_event("END")
+        rec = active_recorder()
+        if rec is not None:
+            rec.record("END")
         offer.send(END)
 
 
@@ -185,7 +191,9 @@ class send_value_async(ContRule):
     _offers = SendValue
 
     def __init__(self, produce):
-        super().__init__(produce)
+        if not callable(produce):  # ContRule.__init__, inline as in LensRule
+            ContRule.__init__(self, produce)  # raises the rule's diagnostic
+        self.execute, self.cont = UNCHECKED, produce
 
     def _check(self, ctx, offer):
         self.ctx, self.value_type, self.after = ctx, offer.value_type, offer.cont
@@ -338,6 +346,35 @@ class receive_channel_from(LensRule):
         carried_endpoint, endpoints[self.n] = message
         endpoints.append(carried_endpoint)
         return self.cont, endpoints, offer
+
+
+def apply_channel(f: Session, a: Session) -> Session:
+    """Link a channel-expecting program with a provider for that channel."""
+    if not isinstance(f, Session) or not isinstance(a, Session):
+        raise ProtocolError(
+            "apply_channel expects two checked Sessions "
+            f"(got {f!r} and {a!r})"
+        )
+    if not isinstance(f.protocol, ReceiveChannel):
+        raise ProtocolError(
+            f"apply_channel: first program must offer ReceiveChannel(A, B), "
+            f"got {f.protocol}"
+        )
+    expected = f.protocol.carried
+    if a.protocol != expected:
+        raise ProtocolError(
+            f"apply_channel: channel program offers {a.protocol}, "
+            f"but the consumer expects {expected}"
+        )
+    result = f.protocol.cont
+    body = include_session(
+        f,
+        lambda chan_f: include_session(
+            a,
+            lambda chan_a: send_channel_to(chan_f, chan_a, forward(chan_f)),
+        ),
+    )
+    return session(result, body)
 
 
 # -- binary choice ------------------------------------------------------------

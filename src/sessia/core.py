@@ -9,8 +9,8 @@ class, named as the rule. Nothing communicates until
 
 * `session(A, program)` imposes the closed judgment (empty context,
   offering A) and returns a checked `Session` — the analogue of a typed
-  let-binding. Linking constructs (`cut`, `include_session`,
-  `apply_channel`) impose judgments on their premises the same way.
+  let-binding. Linking constructs (`cut`, `include_session`, and
+  `constructs.apply_channel`) impose judgments on their premises the same way.
 * Continuations that receive only a lens are invoked once at check time.
   Continuations that receive a communicated value cannot be checked before
   the value exists; their subtree is checked the moment the value arrives,
@@ -54,8 +54,8 @@ from .context import (
 )
 from .errors import LinearityError, ProtocolError
 from .instrument import active_recorder, refuse_reuse
-from .protocols import End, Protocol, ReceiveChannel, SendValue, check_protocol
-from .runtime import channel, spawn, start
+from .protocols import End, Protocol, SendValue, check_protocol
+from .runtime import channel, lens_step, spawn, start
 
 
 # The `execute` of a program not yet checked.
@@ -152,7 +152,8 @@ class ContRule(PartialSession):
 class LensRule(ContRule):
     """A client rule on the slot at lens `n` (its level once checked), with
     the continuation `cont`. Its step, unless the rule has its own, waits for
-    the message of the slot's provider and continues with `_received`."""
+    the message of the slot's provider and continues with `_received`; the
+    run's scheduler waits itself, with no call of the step."""
 
     __slots__ = ("n",)
 
@@ -163,8 +164,7 @@ class LensRule(ContRule):
         self.cont = cont
         self.n = n
 
-    def _step(self, endpoints, offer):
-        return endpoints[self.n], type(self)._received
+    _step = lens_step
 
 
 def expect_program(p, rule: str) -> PartialSession:
@@ -214,7 +214,8 @@ class Session(PartialSession):
 
 def session(protocol: Protocol, program: PartialSession) -> Session:
     """Check `program` against the closed judgment offering `protocol`."""
-    check_protocol(protocol, "session")
+    if not isinstance(protocol, Protocol):
+        check_protocol(protocol, "session")  # raises
     if not isinstance(program, PartialSession):
         expect_program(program, "session")
     return Session(protocol, program._resolve([], protocol))
@@ -235,9 +236,9 @@ def run_session(s: Session):
             f"run_session requires a Session(End); got {s!r} "
             f"(annotate the program with session(End, ...) first)"
         )
-    if s.protocol != End:
+    if s._protocol is not End:
         raise ProtocolError(
-            f"run_session requires a Session(End); got Session({s.protocol})"
+            f"run_session requires a Session(End); got Session({s._protocol})"
         )
     return start(main=s._resolve([], End))
 
@@ -376,7 +377,9 @@ class include_session(ContRule):
             raise ProtocolError(
                 f"include_session expects a checked Session to include, got {a!r}"
             )
-        super().__init__(cont)
+        if not callable(cont):  # ContRule.__init__, inline as in LensRule
+            ContRule.__init__(self, cont)  # raises the rule's diagnostic
+        self.execute, self.cont = UNCHECKED, cont
         self.provider = a
 
     def _check(self, ctx, offer):
@@ -393,35 +396,4 @@ class include_session(ContRule):
         spawn(self.provider, [], sender)
         endpoints.append(receiver)
         return self.cont, endpoints, offer
-
-
-def apply_channel(f: Session, a: Session) -> Session:
-    """Link a channel-expecting program with a provider for that channel."""
-    if not isinstance(f, Session) or not isinstance(a, Session):
-        raise ProtocolError(
-            "apply_channel expects two checked Sessions "
-            f"(got {f!r} and {a!r})"
-        )
-    if not isinstance(f.protocol, ReceiveChannel):
-        raise ProtocolError(
-            f"apply_channel: first program must offer ReceiveChannel(A, B), "
-            f"got {f.protocol}"
-        )
-    expected = f.protocol.carried
-    if a.protocol != expected:
-        raise ProtocolError(
-            f"apply_channel: channel program offers {a.protocol}, "
-            f"but the consumer expects {expected}"
-        )
-    from .constructs import send_channel_to
-
-    result = f.protocol.cont
-    body = include_session(
-        f,
-        lambda chan_f: include_session(
-            a,
-            lambda chan_a: send_channel_to(chan_f, chan_a, forward(chan_f)),
-        ),
-    )
-    return session(result, body)
 

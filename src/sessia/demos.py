@@ -18,6 +18,7 @@ import asyncio
 from dataclasses import dataclass
 
 from .constructs import (
+    apply_channel,
     choose_left,
     choose_right,
     offer_choice,
@@ -36,7 +37,6 @@ from .constructs import (
 from .context import Z, nat
 from .core import (
     Session,
-    apply_channel,
     cut,
     forward,
     include_session,

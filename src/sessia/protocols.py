@@ -100,7 +100,7 @@ class Protocol:
         return type_name(self)
 
     def __repr__(self):
-        return str(self)
+        return type_name(self, named=True)
 
 
 class Unique:
@@ -124,9 +124,6 @@ class Unique:
 
 class SharedProtocol:
     """Marker base class for shared session types."""
-
-    def __repr__(self):
-        return str(self)
 
 
 @dataclass(frozen=True)
@@ -152,19 +149,23 @@ class PayloadLayout:
         return tuple(p for p in self.parts if p.role.startswith("continuation"))
 
 
-def type_name(t) -> str:
+def type_name(t, named=False) -> str:
     """The name of a value type, or the text of a session type, built with
-    an explicit stack of the parts still to print, so that any depth prints."""
+    an explicit stack of the parts still to print, so that any depth prints.
+    `named` gives a session type's repr instead, as `@dataclass` would build
+    it: each field named, and each value type shown by its repr."""
     out, stack = [], [t]
     while stack:
         t = stack.pop()
-        if isinstance(t, tuple):
+        if isinstance(t, tuple) and not named:
             parts = [part for x in t for part in ("|", x)][1:]
         elif type(t).__str__ is Protocol.__str__:
-            fields = [part for f in t._fields for part in (", ", getattr(t, f))][1:]
+            fields = [part for f in t._fields
+                      for part in (", ", f"{f}=" if named else "", getattr(t, f))][1:]
             parts = [f"{type(t).__name__}(", *fields, ")"]
-        else:  # a part of the text, or a name
-            out.append(t if type(t) is str else getattr(t, "__name__", str(t)))
+        else:  # a part of the text, or a name or, `named`, a repr
+            name = repr(t) if named else getattr(t, "__name__", str(t))
+            out.append(t if type(t) is str else name)
             continue
         stack.extend(reversed(parts))
     return "".join(out)
@@ -192,7 +193,7 @@ class _End(Unique, Protocol):
 End = _End()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ReceiveValue(Protocol):
     """Receive a value of `value_type`, then continue as `cont`."""
 
@@ -204,7 +205,7 @@ class ReceiveValue(Protocol):
     _polarity = "reversed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SendValue(Protocol):
     """Send a value of `value_type`, then continue as `cont`."""
 
@@ -216,7 +217,7 @@ class SendValue(Protocol):
     _polarity = "direct"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ReceiveChannel(Protocol):
     """Receive a channel of type `carried`, then continue as `cont`.
 
@@ -230,7 +231,7 @@ class ReceiveChannel(Protocol):
     _polarity = "reversed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SendChannel(Protocol):
     """Send a channel of type `carried`, then continue as `cont`."""
 
@@ -242,7 +243,7 @@ class SendChannel(Protocol):
     _polarity = "direct"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ExternalChoice(Protocol):
     """Offer both branches; the client picks left or right."""
 
@@ -253,7 +254,7 @@ class ExternalChoice(Protocol):
     _polarity = "reversed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class InternalChoice(Protocol):
     """The provider picks left or right and announces it."""
 

@@ -62,7 +62,7 @@ def type_apply(f: Protocol, x: Protocol) -> Protocol:
     return substitute(f, x, _keep_leaf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Fix(Protocol):
     """The fixed point of a protocol shape; unrolls to one step of itself."""
 

@@ -12,27 +12,29 @@ the client.
 A step message, as `protocols.payload_of` describes it, is a bare signal
 or a pair `(carried, continuation)`: a value, channel or branch tag, and
 the peer's end of the next step channel. The typing rules send every such
-pair through `emit`, `ask` and `answer`. In a reversed step the provider
-sends a fresh sender, never holding a receiver, and the client answers;
-`ask` returns the receiver of that answer.
+pair through `emit`, `ask` and `answer`, each one call that makes the next
+step's channel and fills the current one itself. In a reversed step the
+provider sends a fresh sender, never holding a receiver, and the client
+answers; `ask` returns the receiver of that answer.
 
 A run is a scheduler that steps checked programs itself: `RunContext`
 steps the drivers that `run_session`, `cut`, `include_session` and each
 acquire of a shared process start, on the task awaiting the run, each in
 its own context and as the loop's current task. A step `(program,
-endpoints, offer)` empties the program's `execute` slot and calls it; the
+endpoints, offer)` empties the program's `execute` slot and calls it, or
+waits itself at the lens of a client rule whose step is `lens_step`; the
 call returns the next step, a wait `(source, after)`, or None once the
 driver is done. A wait's value is a receiver's payload, what an awaitable
 gives, or the source itself, and `after(program, value, endpoints, offer)`
 returns a step, a wait or None in turn; a driver's steps update its one
-endpoints list in place. A driver waiting on an empty receiver parks there
-with its pending wait, and the send that fills the receiver readies it
-with no event-loop iteration. A coroutine is made only to await a foreign
-awaitable (an async continuation, a contended acquire), and the driver
-parks on each future it awaits through the future's done callback. Only a
-driver can park: a receive on an empty channel outside any run raises
-`RuntimeViolation`, and a failure reaches every parked driver through
-`RunContext.fail`.
+endpoints list in place. A driver waiting on an empty receiver parks there,
+its pending wait kept in its own slots, and the send that fills the
+receiver readies it inline, with no event-loop iteration. A coroutine is
+made only to await a foreign awaitable (an async continuation, a contended
+acquire), and the driver parks on each future it awaits through the
+future's done callback. Only a driver can park: a receive on an empty
+channel outside any run raises `RuntimeViolation`, and a failure reaches
+every parked driver through `RunContext.fail`.
 """
 
 from __future__ import annotations
@@ -128,8 +130,11 @@ class Sender:
             refuse_reuse("one-shot channel endpoint used twice (send)")
         receiver.payload = payload
         waiter = receiver.waiter
-        if waiter is not None:
-            waiter.run._resume(waiter, receiver)
+        if waiter is not None and waiter.waiting is receiver:  # else a stale wake-up
+            waiter.waiting = None
+            waiter.run.ready.append(waiter)
+            if waiter.run._waker is not None:
+                waiter.run._wake()
         rec = active_recorder()
         if rec is not None:
             rec.endpoint_consumed()
@@ -150,50 +155,75 @@ def channel() -> tuple[Sender, Receiver]:
 
 
 def emit(offer: Sender, carried) -> Sender:
-    """Provider side of a direct step; returns the next step's sender."""
-    sender, receiver = channel()
-    offer.send((carried, receiver))
+    """Provider side of a direct step: send `carried` with the receiver of
+    a fresh channel; return that channel's sender, the next step's."""
+    # `channel()` and `Sender.send`, inline, here and in `answer`: one call.
+    receiver, offer._receiver = offer._receiver, None
+    if receiver is None:
+        refuse_reuse("one-shot channel endpoint used twice (send)")
+    sender, fresh = Sender(), Receiver()
+    sender._receiver, fresh.payload, fresh.waiter = fresh, PENDING, None
+    receiver.payload = carried, fresh
+    waiter = receiver.waiter
+    if waiter is not None and waiter.waiting is receiver:
+        waiter.waiting = None
+        waiter.run.ready.append(waiter)
+        if waiter.run._waker is not None:
+            waiter.run._wake()
+    rec = active_recorder()
+    if rec is not None:
+        rec.channel_created()
+        rec.endpoint_consumed()
     return sender
 
 
-def ask(offer: Sender) -> Receiver:
-    """Provider side of a reversed step; returns the receiver of the reply
-    pair."""
-    sender, receiver = channel()
-    offer.send(sender)
-    return receiver
+def answer(outbound: Sender, carried=PENDING) -> Receiver:
+    """Client side of a reversed step: send `carried` with the sender of a
+    fresh channel; return that channel's receiver, the next step's. As
+    `ask(offer)`, with nothing carried, the provider side: send the bare
+    sender, and return the receiver of the client's reply."""
+    receiver, outbound._receiver = outbound._receiver, None
+    if receiver is None:
+        refuse_reuse("one-shot channel endpoint used twice (send)")
+    sender, fresh = Sender(), Receiver()
+    sender._receiver, fresh.payload, fresh.waiter = fresh, PENDING, None
+    receiver.payload = sender if carried is PENDING else (carried, sender)
+    waiter = receiver.waiter
+    if waiter is not None and waiter.waiting is receiver:
+        waiter.waiting = None
+        waiter.run.ready.append(waiter)
+        if waiter.run._waker is not None:
+            waiter.run._wake()
+    rec = active_recorder()
+    if rec is not None:
+        rec.channel_created()
+        rec.endpoint_consumed()
+    return fresh
 
 
-def answer(outbound: Sender, carried) -> Receiver:
-    """Client side of a reversed step; returns the next step's receiver."""
-    sender, receiver = channel()
-    outbound.send((carried, sender))
-    return receiver
+ask = answer
+
+
+def lens_step(program, endpoints, offer):
+    """The step of a client rule that waits for the message at its level
+    `n` for its `_received`; the scheduler waits itself, with no call."""
+    return endpoints[program.n], type(program)._received
 
 
 class _Driver:
     """A driver of a run: a chain of checked programs' steps, or a plain
     coroutine, stepped in its own context and as the current task, so it
     cancels and counts cancel requests as an `asyncio.Task` does, for
-    `asyncio.timeout` and `TaskGroup`. `pending` holds its first step (None
-    for a plain coroutine), or its wait with the `program`, `endpoints` and
-    `offer` the wait's `after` takes; `coro` the awaitable it steps, if any;
-    `waiting` what it is parked on, None while it is ready."""
+    `asyncio.timeout` and `TaskGroup`. `spawn` sets its slots: `program`
+    or, with no `after`, a plain coroutine `coro` to step first. A park
+    keeps the receiver waited on in `source` or the awaitable in `coro`,
+    with the `after`, `program`, `endpoints` and `offer` that take its
+    value; `waiting` is what it is parked on, None while it is ready."""
 
     __slots__ = (
-        "pending", "coro", "on_failure", "run", "context", "waiting", "exc",
-        "cancels", "__weakref__",
+        "coro", "source", "after", "program", "endpoints", "offer", "on_failure",
+        "run", "context", "waiting", "exc", "cancels", "__weakref__",
     )
-
-    def __init__(self, run: RunContext, step, coro, on_failure):
-        self.pending = (step, None, None, None)
-        self.coro = coro
-        self.on_failure = on_failure
-        self.run = run
-        self.context = contextvars.copy_context()
-        self.waiting = None
-        self.exc: BaseException | None = None
-        self.cancels = 0
 
     def advance(self):
         """Take the value the driver waits for and run its steps up to a
@@ -201,50 +231,55 @@ class _Driver:
         yields, or _DONE. A cancel is thrown into its coroutine, else
         raised at its wait."""
         exc, self.exc = self.exc, None
-        coro, (step, program, endpoints, offer) = self.coro, self.pending
+        coro, source, after = self.coro, self.source, self.after
+        program, endpoints, offer = self.program, self.endpoints, self.offer
         try:
+            # One pass per step: `program` steps, or the driver takes the
+            # value of `source` for `after`, and the next step is the result.
             while True:
                 if coro is not None:
                     try:
                         parked = coro.send(None) if exc is None else coro.throw(exc)
                     except StopIteration as stop:
                         self.coro = coro = exc = None
-                        if step is None:  # a plain coroutine has returned
+                        if after is None:  # a plain coroutine has returned
                             return _DONE
-                        step = step[1](program, stop.value, endpoints, offer)
+                        step = after(program, stop.value, endpoints, offer)
                     else:
-                        self.coro = coro
-                        self.pending = step, program, endpoints, offer
+                        self.coro, self.source, self.after = coro, None, after
+                        self.program, self.endpoints = program, endpoints
+                        self.offer = offer
                         return parked
                 elif exc is not None:
                     raise exc
-                # Steps until the driver ends (the `else`) or awaits (the `break`).
-                while step is not None:
-                    if len(step) == 3:
-                        program, endpoints, offer = step
-                        execute, program.execute = program.execute, None
-                        if execute is None:
-                            refuse_reuse(f"{program._rule}: executor invoked twice")
-                        rec = active_recorder()
+                elif source is None:
+                    execute, program.execute = program.execute, None
+                    if execute is None:
+                        refuse_reuse(f"{program._rule}: executor invoked twice")
+                    rec = active_recorder()
+                    if rec is not None:
+                        rec.executor_ran(program._rule)
+                    if not isinstance(offer, Sender):
                         if rec is not None:
-                            rec.executor_ran(program._rule)
-                        if not isinstance(offer, Sender):
-                            if rec is not None:
-                                rec.polarity_violation()
-                            raise RuntimeViolation(
-                                f"{program._rule}: executor needs the provider-side "
-                                f"sending endpoint"
-                            )
+                            rec.polarity_violation()
+                        raise RuntimeViolation(
+                            f"{program._rule}: executor needs the provider-side "
+                            f"sending endpoint"
+                        )
+                    if execute is lens_step:
+                        source, after = endpoints[program.n], type(program)._received
+                    else:
                         step = execute(program, endpoints, offer)
-                        continue
-                    source, after = step
+                if source is not None:
                     if type(source) is Receiver:
                         value, waiter = source.payload, source.waiter
                         if value is _TAKEN or waiter is not None and waiter is not self:
                             refuse_reuse("one-shot channel endpoint used twice (recv)")
                         if value is PENDING:
                             source.waiter, self.waiting = self, source
-                            self.pending = step, program, endpoints, offer
+                            self.source, self.after = source, after
+                            self.program, self.endpoints = program, endpoints
+                            self.offer = offer
                             return _PARK
                         source.payload, source.waiter = _TAKEN, None
                         rec = active_recorder()
@@ -255,12 +290,18 @@ class _Driver:
                     ):  # the continuation chose to be asynchronous
                         stepped = type(source) in _STEPPED
                         coro = source if stepped else source.__await__()
-                        break
+                        source = None
+                        continue
                     else:
                         value = source
+                    source = None
                     step = after(program, value, endpoints, offer)
-                else:
+                if step is None:
                     return _DONE
+                if len(step) == 3:
+                    program, endpoints, offer = step
+                else:
+                    source, after = step
         except BaseException as exc:
             if self.on_failure is not None:
                 self.on_failure(exc)
@@ -305,13 +346,19 @@ class RunContext:
         self._waker: asyncio.Future | None = None
 
     def _resume(self, driver: _Driver, parked_on) -> None:
-        # A stale wake-up, for a driver that has moved on, is dropped.
+        # A stale wake-up, for a driver that has moved on, is dropped. A send
+        # readies the driver parked on its receiver as this does, inline.
         if driver.waiting is parked_on:
             driver.waiting = None
             self.ready.append(driver)
-            waker, self._waker = self._waker, None
-            if waker is not None and not waker.done():
-                waker.set_result(None)
+            if self._waker is not None:
+                self._wake()
+
+    def _wake(self) -> None:
+        """Wake the task awaiting the run, idle until a driver is ready."""
+        waker, self._waker = self._waker, None
+        if not waker.done():
+            waker.set_result(None)
 
     def _step_ready(self) -> None:
         """Step ready drivers until none is ready or the turn is spent."""
@@ -379,12 +426,13 @@ async def start(*coros, main=None) -> None:
     raise the run's failure, and a cancel from outside last. A run gives
     the event loop at least one turn, so that a task awaiting many short
     runs in a row does not starve the rest of the loop."""
-    run = RunContext()
+    run, result = RunContext(), None
     token = _run_context.set(run)
     try:
         if main is not None:
             offer, result = channel()
             spawn(main, [], offer)
+            main = None  # the spent part of the program is not kept alive
         for coro in coros:
             spawn(coro)
         cancelled, turned = None, False
@@ -408,7 +456,7 @@ async def start(*coros, main=None) -> None:
     failure = cancelled or run.failure
     if failure is not None:
         raise failure
-    if main is not None:
+    if result is not None:
         signal = result.poll()  # sent by the time every driver ended
         if signal is not END:
             raise RuntimeViolation(f"run_session: expected termination, got {signal!r}")
@@ -422,12 +470,15 @@ def spawn(provider, endpoints=(), offer=None, on_failure=None):
     run = _run_context.get()
     if run is None:
         return start(provider)
-    if offer is None:
-        driver = _Driver(run, None, provider, on_failure)
-    else:
-        if type(endpoints) is tuple:
-            endpoints = list(endpoints)
-        driver = _Driver(run, (provider, endpoints, offer), None, on_failure)
+    driver = _Driver()
+    driver.coro = provider if offer is None else None
+    driver.program = None if offer is None else provider
+    driver.endpoints = list(endpoints) if type(endpoints) is tuple else endpoints
+    driver.offer, driver.on_failure = offer, on_failure
+    driver.source = driver.after = driver.waiting = driver.exc = None
+    driver.run, driver.context, driver.cancels = run, contextvars.copy_context(), 0
     run.tasks[driver] = None
-    run._resume(driver, None)  # a new driver waits on nothing
+    run.ready.append(driver)
+    if run._waker is not None:
+        run._wake()
     return driver

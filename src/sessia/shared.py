@@ -62,13 +62,13 @@ from .errors import (
     RuntimeViolation,
     SharedTypeError,
 )
-from .instrument import record_event
+from .instrument import active_recorder
 from .protocols import Protocol, SharedProtocol, _End, check_protocol
 from .recursion import Fix, substitute
 from .runtime import ACK, channel, current_run, spawn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SharedToLinear(Protocol):
     """Release step: ends a critical section, zero payload on the wire."""
 
@@ -78,7 +78,7 @@ class SharedToLinear(Protocol):
     _polarity = "reversed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Lock(Protocol):
     """Critical-section token occupying slot 0 between accept and detach."""
 
@@ -119,7 +119,7 @@ def shared_type_apply(f: Protocol, x: Protocol) -> Protocol:
     return substitute(f, x, _strict_leaf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LinearToShared(SharedProtocol):
     """Shared session type: acquire, run the linear body, release, repeat."""
 
@@ -145,6 +145,7 @@ class LinearToShared(SharedProtocol):
 
     _fields = ("body",)
     __str__ = Protocol.__str__
+    __repr__ = Protocol.__repr__
 
 
 # -- shared program values -----------------------------------------------
@@ -241,9 +242,10 @@ class detach_shared_session(ContRule):
                 f"slot {live[0]} still holds {live[1]}"
             )
         # Compared by body: forming LinearToShared(offer.body) would unroll it.
-        if self.cont.protocol.body != offer.body:
+        body = self.cont._protocol.body
+        if body is not offer.body and body != offer.body:
             raise ProtocolError(
-                f"detach_shared_session: continuation offers {self.cont.protocol}, "
+                f"detach_shared_session: continuation offers {self.cont._protocol}, "
                 f"expected LinearToShared({offer.body})"
             )
         self.cont = self.cont._take_program()
@@ -272,7 +274,9 @@ class acquire_shared_session(ContRule):
             raise ProtocolError(
                 f"acquire_shared_session expects a SharedChannel, got {shared!r}"
             )
-        super().__init__(cont)
+        if not callable(cont):  # ContRule.__init__, inline as in LensRule
+            ContRule.__init__(self, cont)  # raises the rule's diagnostic
+        self.execute, self.cont = UNCHECKED, cont
         self.shared = shared
 
     def _check(self, ctx, offer):
@@ -290,7 +294,9 @@ class acquire_shared_session(ContRule):
         sender, linear = channel()
         section = _Section(self.shared)
         spawn(program, [section], sender, section.failed)
-        record_event("ACQ")
+        rec = active_recorder()
+        if rec is not None:
+            rec.record("ACQ")
         endpoints.append(linear)
         return self.cont, endpoints, offer
 
@@ -316,7 +322,9 @@ class release_shared_session(LensRule):
         self.cont = self.cont._resolve(ctx, offer)
 
     def _received(self, outbound, endpoints, offer):
-        record_event("REL")
+        rec = active_recorder()
+        if rec is not None:
+            rec.record("REL")
         outbound.send(ACK)
         endpoints[self.n] = ()
         return self.cont, endpoints, offer

@@ -1,5 +1,6 @@
 import asyncio
 import gc
+import sys
 import types
 import warnings
 
@@ -40,6 +41,7 @@ from sessia import (
     wait,
 )
 import sessia.core
+import sessia.protocols
 from sessia.demos import (
     CounterStream,
     apply_channel_via_cut,
@@ -527,19 +529,29 @@ def test_cut_validates_a_user_supplied_provider_protocol(protocol):
     assert str(raised.value) == f"cut: expected a session type, got {protocol!r}"
 
 
-def test_offered_protocols_are_not_validated_again_per_construct(monkeypatch):
-    calls = []
-    check = sessia.core.check_protocol
+def test_offered_protocols_are_not_validated_again_per_construct():
+    # Forming a protocol validates its fields. No construct calls
+    # `check_protocol` again for a protocol it accepts, through any module's
+    # binding: `session` tests the protocol its caller hands it inline, for
+    # the client and each of the 64 providers it includes.
+    code, calls = sessia.protocols.check_protocol.__code__, []
+    formation = sessia.protocols.Protocol.__post_init__.__code__
 
-    def counting(p, who):
-        calls.append(who)
-        check(p, who)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            if frame.f_back.f_code is not formation:
+                calls.append(frame.f_locals["who"])
 
-    monkeypatch.setattr(sessia.core, "check_protocol", counting)
-    checked = session(End, fanout_client(64))
-    # Only `session` validates, the protocol its caller hands it: once for
-    # the client and once for each of the 64 providers.
-    assert calls == ["session"] * 65
+    sys.setprofile(profile)
+    try:
+        checked = session(End, fanout_client(64))
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    # It is called only to reject, with its own text.
+    with pytest.raises(ProtocolError) as raised:
+        session("End", terminate())
+    assert str(raised.value) == "session: expected a session type, got 'End'"
     with recording() as rec:
         run(run_session(checked))
     assert rec.conservation_ok() and rec.one_shot_ok()

@@ -20,9 +20,10 @@ from sessia import (
     send_value_async,
     session,
     terminate,
+    wait,
 )
 from sessia.demos import shared_counter_provider
-from sessia.runtime import channel, start
+from sessia.runtime import END, answer, ask, channel, emit, spawn, start
 
 
 # -- the texts a second use raises ---------------------------------------------
@@ -74,6 +75,48 @@ def test_a_continuation_must_be_callable():
     with pytest.raises(ProtocolError) as raised:
         include_session(session(End, terminate()), 42)
     assert str(raised.value) == "include_session: continuation must be callable, got 42"
+
+
+# Each way a step channel is filled: the step messages make the next step's
+# channel and fill the current one themselves, each with its own check.
+SENDS = {
+    "emit": lambda sender: emit(sender, 1),
+    "ask": ask,
+    "answer": lambda sender: answer(sender, 1),
+    "send": lambda sender: sender.send(1),
+}
+
+
+@pytest.mark.parametrize("send", SENDS)
+def test_a_second_send_through_any_step_message_is_refused(send):
+    sender, _ = channel()
+    with recording() as rec:
+        SENDS[send](sender)
+        with pytest.raises(RuntimeViolation) as raised:
+            SENDS[send](sender)
+    assert str(raised.value) == "one-shot channel endpoint used twice (send)"
+    assert rec.counters.reuses == 1
+
+
+def test_a_lens_wait_on_a_taken_payload_is_refused():
+    # The run's scheduler waits at a client rule's lens itself, with the
+    # same check as a receive.
+    async def main():
+        sender, receiver = channel()
+        sender.send(END)
+        assert receiver.poll() is END
+        program = wait(Z, terminate())._resolve([End], End)
+
+        async def spawning():
+            spawn(program, [receiver], channel()[0])
+
+        await start(spawning())
+
+    with recording() as rec:
+        with pytest.raises(RuntimeViolation) as raised:
+            run(main())
+    assert str(raised.value) == "one-shot channel endpoint used twice (recv)"
+    assert rec.counters.reuses == 1
 
 
 # -- a continuation runs once, from its rule's own slot --------------------------

@@ -17,10 +17,12 @@ from sessia import (
     SendChannel,
     SendValue,
     SharedToLinear,
+    SharedTypeError,
     Z,
     nat,
     payload_of,
     session,
+    shared_session,
     terminate,
 )
 from sessia.protocols import type_name
@@ -197,6 +199,56 @@ def test_a_protocol_of_any_depth_prints():
         session(deep, terminate())
     assert str(raised.value) == (
         f"terminate offers End, but the expected protocol here is {text}"
+    )
+
+
+# The repr of each constructor, as `@dataclass` would build it.
+REPRS = [
+    (SendValue(int, End), "SendValue(value_type=<class 'int'>, cont=End)"),
+    (
+        ReceiveValue((int, str), End),
+        "ReceiveValue(value_type=(<class 'int'>, <class 'str'>), cont=End)",
+    ),
+    (
+        SendChannel(SendValue(int, End), End),
+        "SendChannel(carried=SendValue(value_type=<class 'int'>, cont=End), cont=End)",
+    ),
+    (ReceiveChannel(End, End), "ReceiveChannel(carried=End, cont=End)"),
+    (
+        ExternalChoice(End, InternalChoice(End, End)),
+        "ExternalChoice(left=End, right=InternalChoice(left=End, right=End))",
+    ),
+    (Fix(SendValue(int, Z)), "Fix(body=SendValue(value_type=<class 'int'>, cont=Z))"),
+    (
+        SharedToLinear(SendValue(int, Z)),
+        "SharedToLinear(body=SendValue(value_type=<class 'int'>, cont=Z))",
+    ),
+    (Lock(SendValue(int, Z)), "Lock(body=SendValue(value_type=<class 'int'>, cont=Z))"),
+    (
+        LinearToShared(SendValue(int, Z)),
+        "LinearToShared(body=SendValue(value_type=<class 'int'>, cont=Z))",
+    ),
+]
+
+
+@pytest.mark.parametrize(("protocol", "text"), REPRS)
+def test_a_protocol_repr_names_its_fields(protocol, text):
+    assert repr(protocol) == text
+    assert repr([protocol]) == f"[{text}]"
+
+
+def test_a_protocol_of_any_depth_has_a_repr():
+    depth = 10**4
+    deep = End
+    for _ in range(depth):
+        deep = SendValue(int, deep)
+    text = "SendValue(value_type=<class 'int'>, cont=" * depth + "End" + ")" * depth
+    assert repr(deep) == text
+    # A diagnostic that shows it with `!r` reports it.
+    with pytest.raises(SharedTypeError) as raised:
+        shared_session(deep, None)
+    assert str(raised.value) == (
+        f"shared_session: expected a LinearToShared protocol, got {text}"
     )
 
 

@@ -6,6 +6,7 @@ driver when the run fails or is cancelled."""
 import asyncio
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -68,6 +69,40 @@ class CountingLoop(asyncio.SelectorEventLoop):
     def call_soon(self, *args, **kwargs):
         self.call_soon_calls += 1
         return super().call_soon(*args, **kwargs)
+
+
+class Sent:
+    """A value that a weak reference can follow."""
+
+
+def test_a_run_keeps_no_spent_program_alive():
+    # Nothing of the run keeps an included provider that has ended alive, nor
+    # the value it sent: the run drops the program it started from once its
+    # driver holds it. Counted with the cyclic collector off and never run.
+    refs, alive = [], []
+
+    def included():
+        sent = Sent()
+        refs.append(weakref.ref(sent))
+        return session(SendValue(Sent, End), send_value(sent, terminate()))
+
+    def later(y):
+        alive.append(refs[0]() is not None)
+        return wait(y, terminate())
+
+    def program():
+        return include_session(
+            included(),
+            lambda x: include_session(
+                int_provider(2),
+                lambda y: receive_value_from(
+                    x, lambda v: wait(x, receive_value_from(y, lambda w: later(y)))
+                ),
+            ),
+        )
+
+    run_without_gc(run_session(session(End, program())))
+    assert alive == [False]
 
 
 def test_a_stream_value_costs_no_event_loop_iteration():

@@ -15,7 +15,7 @@ payloads are checked against the declared value type when sent.
 
 from __future__ import annotations
 
-from .context import Empty, Nat, focus, live_slot, nat
+from .context import Empty, Nat, _nats, focus, live_slot, nat
 from .core import (
     UNCHECKED,
     ContRule,
@@ -43,16 +43,14 @@ from .runtime import END, LEFT, RIGHT, answer, ask, emit
 
 
 def _expect_slot(rule: str, n, ctx, cls, error=ProtocolError):
-    """The slot at lens `n`, checked to be the `cls` step a client rule needs."""
-    slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else focus(n, ctx)
-    if not isinstance(slot, cls):
-        name = cls.__name__.lstrip("_")
-        article = "an" if name[0] in "AEIOU" else "a"
-        raise error(
-            f"{rule}: lens {n.level}: slot has type {slot}, "
-            f"expected {article} {name} step"
-        )
-    return slot
+    """Raise: the slot at lens `n` is not the `cls` step a client rule needs."""
+    slot = focus(n, ctx)
+    name = cls.__name__.lstrip("_")
+    article = "an" if name[0] in "AEIOU" else "a"
+    raise error(
+        f"{rule}: lens {n.level}: slot has type {slot}, "
+        f"expected {article} {name} step"
+    )
 
 
 def _check_value(rule: str, value, value_type):
@@ -70,15 +68,19 @@ class terminate(PartialSession):
     """Send the termination signal; every linear channel must be consumed."""
 
     __slots__ = ()
-    _offers = _End
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, _End):
+            self._wrong_offer(_End, offer)
         live = live_slot(ctx) if ctx else None
         if live is not None:
             raise LinearityError(
                 f"terminate requires an empty linear context; "
                 f"slot {live[0]} still holds {live[1]}"
             )
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         rec = active_recorder()
@@ -93,12 +95,18 @@ class wait(LensRule):
     __slots__ = ()
     _keeps_offer = True
 
-    def _check(self, ctx, offer):
-        # Waiting on anything but End reuses or drops a channel.
-        _expect_slot("wait", self.n, ctx, _End, LinearityError)
-        self.n = level = self.n.level
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        n = self.n
+        slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
+        if not isinstance(slot, _End):
+            # Waiting on anything but End reuses or drops a channel.
+            _expect_slot("wait", n, ctx, _End, LinearityError)
+        self.n = level = n.level
         ctx[level] = Empty
         self.cont = self.cont._resolve(ctx, offer)
+        self.execute = type(self)._step
+        return self
 
     def _received(self, signal, endpoints, offer):
         endpoints[self.n] = ()
@@ -114,10 +122,14 @@ class receive_value(ContRule):
     # The judgment after the step; the next offer, until the premise is checked.
     __slots__ = ("ctx", "after", "next_offer")
     _calls_cont = True
-    _offers = ReceiveValue
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, ReceiveValue):
+            self._wrong_offer(ReceiveValue, offer)
         self.ctx, self.after = ctx, offer.cont
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         return ask(offer), receive_value._received
@@ -143,13 +155,19 @@ class send_value_to(LensRule):
         self.value = value
         self.cont = expect_program(cont, "send_value_to")
 
-    def _check(self, ctx, offer):
-        slot = _expect_slot("send_value_to", self.n, ctx, ReceiveValue)
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        n = self.n
+        slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
+        if not isinstance(slot, ReceiveValue):
+            _expect_slot("send_value_to", n, ctx, ReceiveValue)
         if not isinstance(self.value, slot.value_type):
             _check_value("send_value_to", self.value, slot.value_type)
-        self.n = level = self.n.level
+        self.n = level = n.level
         ctx[level] = slot.cont
         self.cont = self.cont._resolve(ctx, offer)
+        self.execute = type(self)._step
+        return self
 
     def _received(self, outbound, endpoints, offer):
         endpoints[self.n] = answer(outbound, self.value)
@@ -163,7 +181,6 @@ class send_value(PartialSession):
     """Send `value` together with the continuation endpoint, then continue."""
 
     __slots__ = ("value", "cont")
-    _offers = SendValue
 
     def __init__(self, value, cont):
         self.execute = UNCHECKED
@@ -172,10 +189,15 @@ class send_value(PartialSession):
             expect_program(cont, "send_value")
         self.cont = cont
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, SendValue):
+            self._wrong_offer(SendValue, offer)
         if not isinstance(self.value, offer.value_type):
             _check_value("send_value", self.value, offer.value_type)
         self.cont = self.cont._resolve(ctx, offer.cont)
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         return self.cont, endpoints, emit(offer, self.value)
@@ -188,15 +210,19 @@ class send_value_async(ContRule):
     # `cont` is the producer; the context, the value type and the protocol after it.
     __slots__ = ("ctx", "value_type", "after")
     _calls_cont = True
-    _offers = SendValue
 
     def __init__(self, produce):
         if not callable(produce):  # ContRule.__init__, inline as in LensRule
             ContRule.__init__(self, produce)  # raises the rule's diagnostic
         self.execute, self.cont = UNCHECKED, produce
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, SendValue):
+            self._wrong_offer(SendValue, offer)
         self.ctx, self.value_type, self.after = ctx, offer.value_type, offer.cont
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         return self._call_cont(), send_value_async._produced
@@ -218,11 +244,17 @@ class receive_value_from(LensRule):
     __slots__ = ("target", "offered", "next_endpoint")
     _calls_cont = True
 
-    def _check(self, ctx, offer):
-        slot = _expect_slot("receive_value_from", self.n, ctx, SendValue)
-        self.n = level = self.n.level
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        n = self.n
+        slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
+        if not isinstance(slot, SendValue):
+            _expect_slot("receive_value_from", n, ctx, SendValue)
+        self.n = level = n.level
         ctx[level] = slot.cont
         self.target, self.offered = ctx, offer
+        self.execute = type(self)._step
+        return self
 
     def _received(self, message, endpoints, offer):
         value, self.next_endpoint = message
@@ -245,13 +277,19 @@ class receive_channel(ContRule):
 
     __slots__ = ()
     _calls_cont = True
-    _offers = ReceiveChannel
 
-    def _check(self, ctx, offer):
-        premise = self._call_cont(nat(len(ctx)))
-        expect_program(premise, "receive_channel continuation")
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, ReceiveChannel):
+            self._wrong_offer(ReceiveChannel, offer)
+        level = len(ctx)
+        premise = self._call_cont(_nats[level] if level < len(_nats) else nat(level))
+        if not isinstance(premise, PartialSession):
+            expect_program(premise, "receive_channel continuation")
         ctx.append(offer.carried)
         self.cont = premise._resolve(ctx, offer.cont)
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         return ask(offer), receive_channel._received
@@ -275,9 +313,11 @@ class send_channel_to(LensRule):
         self.n2 = n2
         self.cont = expect_program(cont, "send_channel_to")
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         n1, n2 = self.n, self.n2
-        carried = focus(n2, ctx)
+        valid = isinstance(n2, Nat) and n2.level < len(ctx)
+        carried = ctx[n2.level] if valid else focus(n2, ctx)
         if carried == Empty:
             raise LinearityError(
                 f"send_channel_to: lens {n2.level}: slot has type Empty, "
@@ -285,7 +325,9 @@ class send_channel_to(LensRule):
             )
         self.n, self.n2 = level1, level2 = n1.level, n2.level
         ctx[level2] = Empty
-        slot = _expect_slot("send_channel_to", n1, ctx, ReceiveChannel)
+        slot = ctx[level1] if isinstance(n1, Nat) and level1 < len(ctx) else None
+        if not isinstance(slot, ReceiveChannel):
+            _expect_slot("send_channel_to", n1, ctx, ReceiveChannel)
         if slot.carried != carried:
             raise ProtocolError(
                 f"send_channel_to: slot {n1.level} expects a channel of type "
@@ -293,6 +335,8 @@ class send_channel_to(LensRule):
             )
         ctx[level1] = slot.cont
         self.cont = self.cont._resolve(ctx, offer)
+        self.execute = type(self)._step
+        return self
 
     def _received(self, outbound, endpoints, offer):
         receiver = answer(outbound, endpoints[self.n2])
@@ -305,11 +349,14 @@ class send_channel_from(LensRule):
     """Send the channel held at slot `n` to the client, consuming the slot."""
 
     __slots__ = ()
-    _offers = SendChannel
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, SendChannel):
+            self._wrong_offer(SendChannel, offer)
         n = self.n
-        carried = focus(n, ctx)
+        valid = isinstance(n, Nat) and n.level < len(ctx)
+        carried = ctx[n.level] if valid else focus(n, ctx)
         if carried != offer.carried:
             raise ProtocolError(
                 f"send_channel_from: lens {n.level}: slot has type {carried}, "
@@ -318,6 +365,8 @@ class send_channel_from(LensRule):
         self.n = level = n.level
         ctx[level] = Empty
         self.cont = self.cont._resolve(ctx, offer.cont)
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         sender = emit(offer, endpoints[self.n])
@@ -332,15 +381,22 @@ class receive_channel_from(LensRule):
     __slots__ = ()
     _calls_cont = True
 
-    def _check(self, ctx, offer):
-        slot = _expect_slot("receive_channel_from", self.n, ctx, SendChannel)
-        self.n = level = self.n.level
-        premise = expect_program(
-            self._call_cont(nat(len(ctx))), "receive_channel_from continuation"
-        )
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        n = self.n
+        slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
+        if not isinstance(slot, SendChannel):
+            _expect_slot("receive_channel_from", n, ctx, SendChannel)
+        self.n = level = n.level
+        length = len(ctx)
+        premise = self._call_cont(_nats[length] if length < len(_nats) else nat(length))
+        if not isinstance(premise, PartialSession):
+            expect_program(premise, "receive_channel_from continuation")
         ctx[level] = slot.cont
         ctx.append(slot.carried)
         self.cont = premise._resolve(ctx, offer)
+        self.execute = type(self)._step
+        return self
 
     def _received(self, message, endpoints, offer):
         carried_endpoint, endpoints[self.n] = message
@@ -385,7 +441,6 @@ class offer_choice(PartialSession):
     which one runs. Only the chosen branch ever executes."""
 
     __slots__ = ("left", "right")
-    _offers = ExternalChoice
 
     def __init__(self, left, right):
         if not (isinstance(left, PartialSession) and isinstance(right, PartialSession)):
@@ -395,10 +450,15 @@ class offer_choice(PartialSession):
         self.left = left
         self.right = right
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, ExternalChoice):
+            self._wrong_offer(ExternalChoice, offer)
         right_ctx = ctx.copy()  # the first branch may keep `ctx` for later
         self.left = self.left._resolve(ctx, offer.left)
         self.right = self.right._resolve(right_ctx, offer.right)
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         return ask(offer), offer_choice._chosen
@@ -426,12 +486,17 @@ class choose(send_value_to):
             expect_program(cont, rule)
         self.cont = cont
 
-    def _check(self, ctx, offer):
-        slot = _expect_slot(self._rule, self.n, ctx, ExternalChoice)
-        chosen = slot.left if self.value == LEFT else slot.right
-        self.n = level = self.n.level
-        ctx[level] = chosen
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        n = self.n
+        slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
+        if not isinstance(slot, ExternalChoice):
+            _expect_slot(self._rule, n, ctx, ExternalChoice)
+        self.n = level = n.level
+        ctx[level] = slot.left if self.value == LEFT else slot.right
         self.cont = self.cont._resolve(ctx, offer)
+        self.execute = type(self)._step
+        return self
 
 
 def choose_left(n, cont) -> PartialSession:
@@ -448,7 +513,6 @@ class offer(send_value):
     # Offering one branch sends its tag, as `send_value` sends a value;
     # `value` holds the side.
     __slots__ = ("_rule",)
-    _offers = InternalChoice
 
     def __init__(self, side: str, cont):
         if side not in (LEFT, RIGHT):
@@ -458,9 +522,14 @@ class offer(send_value):
         self.value = side
         self.cont = expect_program(cont, rule)
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, InternalChoice):
+            self._wrong_offer(InternalChoice, offer)
         chosen = offer.left if self.value == LEFT else offer.right
         self.cont = self.cont._resolve(ctx, chosen)
+        self.execute = type(self)._step
+        return self
 
 
 def offer_left(cont) -> PartialSession:
@@ -486,13 +555,19 @@ class case(PartialSession):
         self.left = left
         self.right = right
 
-    def _check(self, ctx, offer):
-        slot = _expect_slot("case", self.n, ctx, InternalChoice)
-        self.n = level = self.n.level
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        n = self.n
+        slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
+        if not isinstance(slot, InternalChoice):
+            _expect_slot("case", n, ctx, InternalChoice)
+        self.n = level = n.level
         right_ctx = ctx.copy()  # as in `offer_choice`
         ctx[level], right_ctx[level] = slot.left, slot.right
         self.left = self.left._resolve(ctx, offer)
         self.right = self.right._resolve(right_ctx, offer)
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         return endpoints[self.n], case._announced

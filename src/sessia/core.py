@@ -16,6 +16,11 @@ class, named as the rule. Nothing communicates until
   the value exists; their subtree is checked the moment the value arrives,
   still before that subtree executes.
 
+A rule's check is its own `_resolve(ctx, offer)`, one Python frame per
+construct, as a typing rule is one function in Ferrite. It marks `execute`
+first, so a program whose check fails cannot be linked again; it calls
+`focus` or `_expect_slot` only to reject, and `nat` only to grow its lenses.
+
 Program values are linear: every `PartialSession`/`Session` is consumed by
 the construct that links it, and every checked program and user
 continuation runs at most once. Each such resource sits in one slot that is
@@ -42,9 +47,12 @@ process has no task of its own.
 from __future__ import annotations
 
 from inspect import iscoroutine
+from typing import NoReturn
 
 from .context import (
     Empty,
+    Nat,
+    _nats,
     focus,
     live_slot,
     nat,
@@ -71,17 +79,19 @@ class PartialSession:
     the class's name. A program is consumed exactly once by the construct
     (or the `session` annotation) that uses it, and is in one of three
     states, kept in `execute`: unchecked, with the UNCHECKED mark;
-    checked, with its rule's `_step`; and spent, with `execute` empty. The
-    rule's `_check(ctx, offer)` raises its diagnostics, checks the premises
-    in place and keeps what the step needs in the same slots; a rule that
-    exchanges nothing returns its checked premise, which takes its place.
+    checked, with its rule's `_step`; and spent, with `execute` empty.
+
+    Each rule's `_resolve(ctx, offer)` is its check; it owns the list
+    `ctx`. Its first line marks `execute` empty, or refuses a program that
+    is not unchecked. It then raises its diagnostics, calling a helper only
+    to reject, checks the premises in place, keeps what the step needs in
+    the same slots, sets `execute` to its `_step` and returns itself; a rule
+    that exchanges nothing returns its checked premise, which takes its place.
     """
 
     __slots__ = ("execute",)
     # A client rule whose premise `cont` offers what it offers (`_synthesize`).
     _keeps_offer = False
-    # The protocol class a provider rule offers, which its check tests first.
-    _offers = None
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -92,27 +102,18 @@ class PartialSession:
     def __init__(self):
         self.execute = UNCHECKED
 
-    def _resolve(self, ctx, offer):
-        """Check the program against `ctx` |- `offer`, once; it owns the list `ctx`."""
-        if type(ctx) is tuple:
-            ctx = list(ctx)
-        if self.execute is not UNCHECKED:
-            raise LinearityError(
-                f"{self._rule}: session program value already consumed "
-                f"(programs are linear)"
-            )
-        self.execute = None
-        offers = self._offers
-        if offers is not None and not isinstance(offer, offers):
-            raise ProtocolError(
-                f"{self._rule} offers {offers.__name__.lstrip('_')}, "
-                f"but the expected protocol here is {offer}"
-            )
-        premise = self._check(ctx, offer)
-        if premise is not None:
-            return premise
-        self.execute = type(self)._step
-        return self
+    def _linked_twice(self) -> NoReturn:
+        """Raise: the program was linked before. Rules call it to reject."""
+        raise LinearityError(
+            f"{self._rule}: session program value already consumed "
+            f"(programs are linear)"
+        )
+
+    def _wrong_offer(self, offers: type, offer) -> NoReturn:
+        raise ProtocolError(
+            f"{self._rule} offers {offers.__name__.lstrip('_')}, "
+            f"but the expected protocol here is {offer}"
+        )
 
     def __repr__(self):
         return f"<PartialSession {self._rule}>"
@@ -194,7 +195,8 @@ class Session(PartialSession):
     def protocol(self) -> Protocol:
         return self._protocol
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         if ctx:
             raise LinearityError(
                 f"a closed session cannot run in the non-empty context "
@@ -258,9 +260,10 @@ class forward(PartialSession):
         self.execute = UNCHECKED
         self.n = n
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
-        slot = focus(n, ctx)
+        slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else focus(n, ctx)
         if slot != offer:
             raise ProtocolError(
                 f"forward: lens {n.level}: slot has type {slot}, "
@@ -274,6 +277,8 @@ class forward(PartialSession):
                 f"forward requires every other slot to be consumed; "
                 f"slot {live[0]} still holds {live[1]}"
             )
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         return endpoints[self.n], forward._relay
@@ -321,7 +326,8 @@ class cut(PartialSession):
         self.protocol = provider_protocol
         self.context = provider_context
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         provider, a = self.provider, self.protocol
         c2 = []
         if self.context is not None:
@@ -356,6 +362,8 @@ class cut(PartialSession):
         self.client = self.client._resolve(ctx, offer)
         self.provider = provider._resolve(c2, a)
         self.context = c1_len
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         sender, receiver = channel()
@@ -382,14 +390,18 @@ class include_session(ContRule):
         self.execute, self.cont = UNCHECKED, cont
         self.provider = a
 
-    def _check(self, ctx, offer):
-        premise = self._call_cont(nat(len(ctx)))
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        level = len(ctx)
+        premise = self._call_cont(_nats[level] if level < len(_nats) else nat(level))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "include_session continuation")
         a = self.provider._protocol
         ctx.append(a)
         self.cont = premise._resolve(ctx, offer)
         self.provider = self.provider._resolve([], a)
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         sender, receiver = channel()

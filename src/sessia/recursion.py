@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .context import Nat, S, Z, _Z, focus
-from .core import ContRule, LensRule
+from .core import UNCHECKED, ContRule, LensRule
 from .errors import ProtocolError
 from .protocols import End, Protocol
 
@@ -101,7 +101,8 @@ class fix_session(ContRule):
 
     __slots__ = ()
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, Fix):
             raise ProtocolError(
                 f"fix_session offers a Fix protocol, "
@@ -115,7 +116,8 @@ class unfix_session_for(LensRule):
 
     __slots__ = ()
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         valid = isinstance(n, Nat) and n.level < len(ctx)
         slot = ctx[n.level] if valid else focus(n, ctx)

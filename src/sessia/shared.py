@@ -48,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .context import Empty, Nat, S, focus, live_slot, nat, show
+from .context import Empty, Nat, S, _nats, focus, live_slot, nat, show
 from .core import (
     UNCHECKED,
     ContRule,
@@ -217,7 +217,6 @@ class detach_shared_session(ContRule):
     shared process's next section, to the next acquirer."""
 
     __slots__ = ()  # `cont`: the SharedSession, then its checked program
-    _offers = SharedToLinear
 
     def __init__(self, cont: SharedSession):
         if not isinstance(cont, SharedSession):
@@ -228,7 +227,10 @@ class detach_shared_session(ContRule):
         self.execute = UNCHECKED
         self.cont = cont
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, SharedToLinear):
+            self._wrong_offer(SharedToLinear, offer)
         # The test `ctx[0] != Lock(offer.body)` makes, without forming a Lock.
         if not ctx or type(ctx[0]) is not Lock or ctx[0].body != offer.body:
             raise ProtocolError(
@@ -249,6 +251,8 @@ class detach_shared_session(ContRule):
                 f"expected LinearToShared({offer.body})"
             )
         self.cont = self.cont._take_program()
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         section = endpoints[0]
@@ -279,12 +283,16 @@ class acquire_shared_session(ContRule):
         self.execute, self.cont = UNCHECKED, cont
         self.shared = shared
 
-    def _check(self, ctx, offer):
-        premise = self._call_cont(nat(len(ctx)))
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        level = len(ctx)
+        premise = self._call_cont(_nats[level] if level < len(_nats) else nat(level))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "acquire_shared_session continuation")
         ctx.append(self.shared.protocol._unrolling)
         self.cont = premise._resolve(ctx, offer)
+        self.execute = type(self)._step
+        return self
 
     def _step(self, endpoints, offer):
         return self.shared.acquire(), acquire_shared_session._acquired
@@ -308,7 +316,8 @@ class release_shared_session(LensRule):
     __slots__ = ()
     _keeps_offer = True
 
-    def _check(self, ctx, offer):
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         valid = isinstance(n, Nat) and n.level < len(ctx)
         slot = ctx[n.level] if valid else focus(n, ctx)
@@ -320,6 +329,8 @@ class release_shared_session(LensRule):
         self.n = level = n.level
         ctx[level] = Empty
         self.cont = self.cont._resolve(ctx, offer)
+        self.execute = type(self)._step
+        return self
 
     def _received(self, outbound, endpoints, offer):
         rec = active_recorder()

@@ -21,6 +21,7 @@ from sessia import (
     S,
     SendChannel,
     SendValue,
+    SessionTypeError,
     Z,
     apply_channel,
     case,
@@ -48,7 +49,9 @@ from sessia import (
     terminate,
     wait,
 )
-from sessia.demos import shared_counter_provider
+from sessia.demos import SharedCounter, shared_counter_provider
+from sessia.recursion import Fix
+from sessia.shared import Lock, SharedToLinear
 
 
 def end_provider():
@@ -715,3 +718,91 @@ def test_each_rule_constructor_is_its_rule_class():
         constructor = getattr(sessia, name)
         assert issubclass(constructor, PartialSession), name
         assert constructor.__name__ == name
+
+
+# -- every rule holds its own guard and its own offer test -----------------------
+
+# A judgment no table entry holds: every rule but `fix_session` refuses it or
+# reads a slot out of range, and `fix_session`'s premise refuses it.
+NO_RULE_HOLDS = (lambda: [], Fix(SendValue(int, Z)))
+
+# A judgment each table entry that can check holds, with its table arguments.
+HOLDS = {
+    "detach_shared_session": (
+        lambda: [Lock(SharedCounter.body)],
+        SharedToLinear(SharedCounter.body),
+    ),
+    "forward": (lambda: [End], End),
+    "offer": (lambda: [], InternalChoice(End, End)),
+    "offer_choice": (lambda: [], ExternalChoice(End, End)),
+    "offer_left": (lambda: [], InternalChoice(End, End)),
+    "offer_right": (lambda: [], InternalChoice(End, End)),
+    "receive_value": (lambda: [], ReceiveValue(int, End)),
+    "receive_value_from": (lambda: [SendValue(int, End)], End),
+    "release_shared_session": (lambda: [SharedToLinear(SharedCounter.body)], End),
+    "send_channel_from": (lambda: [End], SendChannel(End, End)),
+    "send_value": (lambda: [], SendValue(int, End)),
+    "send_value_async": (lambda: [], SendValue(int, End)),
+    "terminate": (lambda: [], End),
+    "wait": (lambda: [End], End),
+}
+
+
+def check_twice(name, judgment, holds: bool) -> None:
+    """Check a fresh program of `name` under `judgment`, which it `holds` or
+    fails, then check it again: the second check is refused by the rule's
+    own guard and leaves the program as the first left it."""
+    rule, _, arguments = CONSTRUCTORS[name]
+    program = build(name, arguments())
+    context, protocol = judgment
+    if holds:
+        assert isinstance(program._resolve(context(), protocol), PartialSession)
+    else:
+        with pytest.raises(SessionTypeError) as first:
+            program._resolve(context(), protocol)
+        assert "already consumed" not in str(first.value)
+    state = program.execute
+    with pytest.raises(LinearityError) as raised:
+        program._resolve(context(), protocol)
+    assert str(raised.value) == (
+        f"{rule}: session program value already consumed (programs are linear)"
+    )
+    assert program.execute is state
+
+
+@pytest.mark.parametrize("name", sorted(HOLDS))
+def test_a_rule_refuses_a_program_it_has_checked(name):
+    check_twice(name, HOLDS[name], holds=True)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_a_rule_refuses_a_program_whose_check_failed(name):
+    check_twice(name, NO_RULE_HOLDS, holds=False)
+
+
+# What each provider rule offers, as its diagnostic names it.
+OFFERS = {
+    "detach_shared_session": "SharedToLinear",
+    "fix_session": "a Fix protocol",
+    "offer": "InternalChoice",
+    "offer_choice": "ExternalChoice",
+    "offer_left": "InternalChoice",
+    "offer_right": "InternalChoice",
+    "receive_channel": "ReceiveChannel",
+    "receive_value": "ReceiveValue",
+    "send_channel_from": "SendChannel",
+    "send_value": "SendValue",
+    "send_value_async": "SendValue",
+    "terminate": "End",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFFERS))
+def test_a_provider_rule_tests_the_class_of_its_offer(name):
+    rule, _, arguments = CONSTRUCTORS[name]
+    wrong = SendValue(int, End) if name == "terminate" else End
+    with pytest.raises(ProtocolError) as raised:
+        build(name, arguments())._resolve([], wrong)
+    assert str(raised.value) == (
+        f"{rule} offers {OFFERS[name]}, but the expected protocol here is {wrong}"
+    )

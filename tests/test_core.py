@@ -372,14 +372,14 @@ def test_every_executor_and_continuation_ran_once():
 
 def test_a_checked_program_is_its_own_step():
     p = terminate()
-    assert p._resolve((), End) is p
+    assert p._resolve([], End) is p
 
     async def produce():
         return 0, stream_producer(1)
 
     # rolling adds no step: the checked premise is the step
     body = offer_choice(send_value_async(produce), terminate())
-    assert fix_session(body)._resolve((), CounterStream) is body
+    assert fix_session(body)._resolve([], CounterStream) is body
 
 
 def test_driver_runs_an_executor_once_and_only_with_a_sender():

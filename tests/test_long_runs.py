@@ -109,6 +109,33 @@ def test_fanout_over_three_hundred_providers():
     assert rec.one_shot_ok()
 
 
+def test_a_flat_chain_of_nine_hundred_sends_checks_and_runs():
+    # Checking costs one frame per construct, so 900 nested `send_value`s
+    # check under the default recursion limit; at two frames a construct
+    # the check raised RecursionError at 500.
+    assert sys.getrecursionlimit() <= 1000
+    length = 900
+    protocol, program = End, terminate()
+    for k in reversed(range(length)):
+        protocol, program = SendValue(int, protocol), send_value(k, program)
+    provider = session(protocol, program)
+    received = []
+
+    def take(lens, remaining):
+        if remaining == 0:
+            return wait(lens, terminate())
+        return receive_value_from(
+            lens, lambda value: received.append(value) or take(lens, remaining - 1)
+        )
+
+    client = include_session(provider, lambda lens: take(lens, length))
+    with recording() as rec:
+        run(run_session(session(End, client)))
+    assert received == list(range(length))
+    assert rec.conservation_ok()
+    assert rec.one_shot_ok()
+
+
 def test_cli_counter_takes_a_thousand_values(capsys):
     assert cli_main(["run", "counter", "--take", "1000"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -83,7 +83,7 @@ def end_case():
 def test_a_provider_step_sends_the_message_payload_of_declares(case):
     async def main():
         protocol, program, endpoints, carried = case()
-        ctx = tuple(End for _ in endpoints)  # every held channel is End
+        ctx = [End for _ in endpoints]  # every held channel is End
         offer, client_end = channel()
         spawn(program._resolve(ctx, protocol), endpoints, offer)
         message = await client_end.recv()

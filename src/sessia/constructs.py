@@ -73,8 +73,8 @@ class terminate(PartialSession):
         self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, _End):
             self._wrong_offer(_End, offer)
-        live = live_slot(ctx) if ctx else None
-        if live is not None:
+        if ctx and ctx.count(Empty) != len(ctx):  # `Empty` matches by identity
+            live = live_slot(ctx)
             raise LinearityError(
                 f"terminate requires an empty linear context; "
                 f"slot {live[0]} still holds {live[1]}"
@@ -258,7 +258,12 @@ class receive_value_from(LensRule):
 
     def _received(self, message, endpoints, offer):
         value, self.next_endpoint = message
-        return self._call_cont(value), receive_value_from._continued
+        premise = self._call_cont(value)
+        if not isinstance(premise, PartialSession):  # awaited, or refused
+            return premise, receive_value_from._continued
+        premise = premise._resolve(self.target, self.offered)
+        endpoints[self.n] = self.next_endpoint
+        return premise, endpoints, offer
 
     def _continued(self, premise, endpoints, offer):
         if not isinstance(premise, PartialSession):
@@ -282,8 +287,12 @@ class receive_channel(ContRule):
         self.execute = None if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, ReceiveChannel):
             self._wrong_offer(ReceiveChannel, offer)
+        fn, self.cont = self.cont, None  # one-shot: `execute` is marked
+        rec = active_recorder()
+        if rec is not None:
+            rec.continuation_ran(self._rule)
         level = len(ctx)
-        premise = self._call_cont(_nats[level] if level < len(_nats) else nat(level))
+        premise = fn(_nats[level] if level < len(_nats) else nat(level))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "receive_channel continuation")
         ctx.append(offer.carried)
@@ -323,11 +332,11 @@ class send_channel_to(LensRule):
                 f"send_channel_to: lens {n2.level}: slot has type Empty, "
                 f"expected a live channel"
             )
-        self.n, self.n2 = level1, level2 = n1.level, n2.level
-        ctx[level2] = Empty
-        slot = ctx[level1] if isinstance(n1, Nat) and level1 < len(ctx) else None
+        ctx[n2.level] = Empty
+        slot = ctx[n1.level] if isinstance(n1, Nat) and n1.level < len(ctx) else None
         if not isinstance(slot, ReceiveChannel):
             _expect_slot("send_channel_to", n1, ctx, ReceiveChannel)
+        self.n, self.n2 = level1, level2 = n1.level, n2.level
         if slot.carried != carried:
             raise ProtocolError(
                 f"send_channel_to: slot {n1.level} expects a channel of type "

@@ -136,11 +136,12 @@ def focus(n, ctx):
     return ctx[level]
 
 
-def live_slot(ctx, start: int = 0):
-    """(level, slot) of the first unconsumed slot from `start` on, or None."""
-    for level in range(start, len(ctx)):
-        if ctx[level] is not Empty:
-            return level, ctx[level]
+def live_slot(ctx):
+    """(level, slot) of the first unconsumed slot, or None; a rule calls it
+    only to name the slot it rejects."""
+    for level, slot in enumerate(ctx):
+        if slot is not Empty:
+            return level, slot
     return None
 
 

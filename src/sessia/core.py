@@ -11,10 +11,10 @@ class, named as the rule. Nothing communicates until
   offering A) and returns a checked `Session` — the analogue of a typed
   let-binding. Linking constructs (`cut`, `include_session`, and
   `constructs.apply_channel`) impose judgments on their premises the same way.
-* Continuations that receive only a lens are invoked once at check time.
-  Continuations that receive a communicated value cannot be checked before
-  the value exists; their subtree is checked the moment the value arrives,
-  still before that subtree executes.
+* Continuations that receive only a lens are called once at check time,
+  from their rule's `_resolve`. Continuations that receive a communicated
+  value cannot be checked before the value exists; their subtree is checked
+  the moment the value arrives, still before that subtree executes.
 
 A rule's check is its own `_resolve(ctx, offer)`, one Python frame per
 construct, as a typing rule is one function in Ferrite. It marks `execute`
@@ -24,10 +24,13 @@ first, so a program whose check fails cannot be linked again; it calls
 Program values are linear: every `PartialSession`/`Session` is consumed by
 the construct that links it, and every checked program and user
 continuation runs at most once. Each such resource sits in one slot that is
-emptied when it is used: a program's `execute` (the UNCHECKED mark, then
-its step) and, in a rule that calls a user continuation, its `cont`, which
-`ContRule._call_cont` empties before the call, as Rust moves an `FnOnce`
-into its call. An empty slot is the one mark of "already used".
+emptied when it is used, as Rust moves a value, and an empty slot is the one
+mark of "already used": a program's `execute` (the UNCHECKED mark, then its
+step), a `Session`'s `_program`, which the rule that links it empties,
+and a user continuation's `cont`. `include_session`, `receive_channel` and
+`acquire_shared_session` call their check-time continuation in their own
+`_resolve`, which has marked `execute`, so the call is one-shot by
+construction; `ContRule._call_cont` makes every other continuation call.
 
 A run executes as a trampoline, and the run's scheduler
 (`runtime.RunContext`) is the trampoline. A checked program's step is one
@@ -122,7 +125,11 @@ class PartialSession:
 class ContRule(PartialSession):
     """A rule whose one argument is its continuation `cont`: a premise
     program or, in a rule that sets `_calls_cont`, a user function that
-    returns one. That function runs at most once, through `_call_cont`."""
+    returns one. That function runs at most once. `include_session`,
+    `receive_channel` and `acquire_shared_session` call it in their own
+    `_resolve`, which empties `cont` and counts the call; every other rule,
+    and every run-time continuation, which gets a communicated value, calls
+    it through `_call_cont`, which does the same in a frame of its own."""
 
     __slots__ = ("cont",)
     _calls_cont = False
@@ -139,8 +146,8 @@ class ContRule(PartialSession):
         self.cont = cont
 
     def _call_cont(self, *args):
-        """Empty the `cont` slot, then call the function it held: the emptied
-        slot is the continuation's one-shot mark."""
+        """The one-shot call of a run-time continuation: empty the `cont`
+        slot, the continuation's mark, then call the function it held."""
         fn, self.cont = self.cont, None
         if fn is None:
             refuse_reuse(f"{self._rule}: continuation invoked twice")
@@ -181,22 +188,24 @@ def expect_program(p, rule: str) -> PartialSession:
 
 
 class Session(PartialSession):
-    """A checked closed program: no free linear channels, offers `protocol`."""
+    """A checked closed program: no free linear channels, offers `protocol`.
+
+    Its one link mark is `_program`, which the rule that links it empties:
+    `include_session` in its own frame, and `cut`, `run_session` or any rule
+    where a program may stand through `_resolve`. A second link finds it
+    empty. `execute` is unused."""
 
     __slots__ = ("_protocol", "_program")
     _rule = "session"
-
-    def __init__(self, protocol: Protocol, program: PartialSession):
-        self.execute = UNCHECKED
-        self._protocol = protocol
-        self._program = program
 
     @property
     def protocol(self) -> Protocol:
         return self._protocol
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        program, self._program = self._program, None
+        if program is None:
+            self._linked_twice()
         if ctx:
             raise LinearityError(
                 f"a closed session cannot run in the non-empty context "
@@ -207,7 +216,6 @@ class Session(PartialSession):
                 f"session offers {self._protocol}, "
                 f"but the expected protocol here is {offer}"
             )
-        program, self._program = self._program, None
         return program
 
     def __repr__(self):
@@ -220,7 +228,9 @@ def session(protocol: Protocol, program: PartialSession) -> Session:
         check_protocol(protocol, "session")  # raises
     if not isinstance(program, PartialSession):
         expect_program(program, "session")
-    return Session(protocol, program._resolve([], protocol))
+    checked = object.__new__(Session)  # its two slots are all it has
+    checked._protocol, checked._program = protocol, program._resolve([], protocol)
+    return checked
 
 
 def run_session(s: Session):
@@ -271,8 +281,8 @@ class forward(PartialSession):
             )
         self.n = level = n.level
         ctx[level] = Empty
-        live = live_slot(ctx)
-        if live is not None:
+        if ctx.count(Empty) != len(ctx):  # `Empty` matches by identity
+            live = live_slot(ctx)
             raise LinearityError(
                 f"forward requires every other slot to be consumed; "
                 f"slot {live[0]} still holds {live[1]}"
@@ -392,14 +402,19 @@ class include_session(ContRule):
 
     def _resolve(self, ctx, offer):
         self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        fn, self.cont = self.cont, None  # one-shot: `execute` is marked
+        rec = active_recorder()
+        if rec is not None:
+            rec.continuation_ran(self._rule)
         level = len(ctx)
-        premise = self._call_cont(_nats[level] if level < len(_nats) else nat(level))
+        premise = fn(_nats[level] if level < len(_nats) else nat(level))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "include_session continuation")
-        a = self.provider._protocol
-        ctx.append(a)
+        provider = self.provider
+        ctx.append(provider._protocol)
         self.cont = premise._resolve(ctx, offer)
-        self.provider = self.provider._resolve([], a)
+        program, provider._program = provider._program, None  # the link
+        self.provider = provider._linked_twice() if program is None else program
         self.execute = type(self)._step
         return self
 

@@ -237,8 +237,9 @@ class detach_shared_session(ContRule):
                 "detach_shared_session requires the critical-section lock "
                 f"at slot 0 of {show(ctx)}"
             )
-        live = live_slot(ctx, 1)
-        if live is not None:
+        ctx[0] = Empty  # detach consumes the lock
+        if ctx.count(Empty) != len(ctx):  # `Empty` matches by identity
+            live = live_slot(ctx)
             raise LinearityError(
                 f"detach_shared_session requires all other channels consumed; "
                 f"slot {live[0]} still holds {live[1]}"
@@ -285,8 +286,12 @@ class acquire_shared_session(ContRule):
 
     def _resolve(self, ctx, offer):
         self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        fn, self.cont = self.cont, None  # one-shot: `execute` is marked
+        rec = active_recorder()
+        if rec is not None:
+            rec.continuation_ran(self._rule)
         level = len(ctx)
-        premise = self._call_cont(_nats[level] if level < len(_nats) else nat(level))
+        premise = fn(_nats[level] if level < len(_nats) else nat(level))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "acquire_shared_session continuation")
         ctx.append(self.shared.protocol._unrolling)

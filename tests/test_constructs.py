@@ -1,6 +1,7 @@
 import asyncio
 import inspect
 import random
+import sys
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import sessia
 from conftest import run
 from sessia import (
+    Empty,
     End,
     ExternalChoice,
     LEFT,
@@ -82,6 +84,50 @@ def test_terminate_rejects_live_slot():
             ReceiveChannel(End, End),
             receive_channel(lambda a: terminate()),
         )
+
+
+def python_calls(program, context, offer) -> list:
+    """The names of the Python functions that checking `program` calls."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        program._resolve(context, offer)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+# A judgment of consumed slots, and the live slots it needs, that each rule
+# requiring "every other slot is consumed" accepts.
+ACCEPTS_CONSUMED = {
+    "terminate": lambda: (terminate(), [Empty] * 3, End),
+    "forward": lambda: (sessia.forward(nat(3)), [Empty] * 3 + [End], End),
+    "detach_shared_session": lambda: (
+        sessia.detach_shared_session(shared_counter_provider()),
+        [Lock(SharedCounter.body)] + [Empty] * 3,
+        SharedToLinear(SharedCounter.body),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", ACCEPTS_CONSUMED)
+def test_an_accepting_check_never_scans_for_a_live_slot(rule, monkeypatch):
+    scanned = []
+    for module in (sessia.core, sessia.constructs, sessia.shared):
+        monkeypatch.setattr(module, "live_slot", lambda *args: scanned.append(args))
+    program, context, offer = ACCEPTS_CONSUMED[rule]()
+    assert isinstance(program._resolve(context, offer), PartialSession)
+    assert scanned == []
+
+
+@pytest.mark.parametrize("rule", ["terminate", "forward"])
+def test_an_accepting_check_of_consumed_slots_makes_no_other_call(rule):
+    assert python_calls(*ACCEPTS_CONSUMED[rule]()) == ["_resolve"]
 
 
 def test_wait_rejects_reuse_of_consumed_slot():
@@ -778,6 +824,32 @@ def test_a_rule_refuses_a_program_it_has_checked(name):
 @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
 def test_a_rule_refuses_a_program_whose_check_failed(name):
     check_twice(name, NO_RULE_HOLDS, holds=False)
+
+
+# The parameters that take a context lens.
+LENS_PARAMETERS = {"n", "n1", "n2"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        name
+        for name, (_, parameters, _) in sorted(CONSTRUCTORS.items())
+        if LENS_PARAMETERS & set(parameters.split(", "))
+    ],
+)
+def test_a_rule_refuses_a_lens_that_is_not_one(name):
+    # Under a judgment that reaches the lens: the rule's own, or two End slots.
+    _, parameters, arguments = CONSTRUCTORS[name]
+    context, protocol = HOLDS.get(name, (lambda: [End, End], End))
+    for position, parameter in enumerate(parameters.split(", ")):
+        if parameter not in LENS_PARAMETERS:
+            continue
+        wrong = list(arguments())
+        wrong[position] = 42
+        with pytest.raises(ProtocolError) as raised:
+            build(name, wrong)._resolve(context(), protocol)
+        assert str(raised.value) == "expected a context lens (Z or S(n)), got 42"
 
 
 # What each provider rule offers, as its diagnostic names it.

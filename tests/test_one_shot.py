@@ -6,18 +6,30 @@ import pytest
 from conftest import run, run_program
 from sessia import (
     End,
+    LinearityError,
     ProtocolError,
+    ReceiveChannel,
+    ReceiveValue,
     RuntimeViolation,
+    SendChannel,
+    SendValue,
+    SessionTypeError,
     Z,
     acquire_shared_session,
+    apply_channel,
+    cut,
     include_session,
+    nat,
     receive_channel,
     receive_channel_from,
     receive_value,
     receive_value_from,
     recording,
+    release_shared_session,
+    run_session,
     run_shared_session,
     send_value_async,
+    send_value_to,
     session,
     terminate,
     wait,
@@ -146,6 +158,116 @@ def test_a_rule_calls_its_continuation_at_most_once(rule):
     assert calls == [(Z,)]
     assert rec.counters.reuses == 1
     assert rec.counters.continuations == {rule: 1}
+
+
+# Each rule that calls its continuation at check time: the rule around a
+# continuation, a judgment, and a body for the continuation under which the
+# rule holds.
+CHECK_TIME_CONTINUATIONS = {
+    "include_session": (
+        lambda fn: include_session(session(End, terminate()), fn),
+        lambda: ([], End),
+        lambda x: wait(x, terminate()),
+    ),
+    "acquire_shared_session": (
+        lambda fn: acquire_shared_session(
+            run_shared_session(shared_counter_provider(0)), fn
+        ),
+        lambda: ([], End),
+        lambda c: receive_value_from(
+            c, lambda v: release_shared_session(c, terminate())
+        ),
+    ),
+    "receive_channel": (
+        receive_channel,
+        lambda: ([], ReceiveChannel(End, End)),
+        lambda c: wait(c, terminate()),
+    ),
+    "receive_channel_from": (
+        lambda fn: receive_channel_from(Z, fn),
+        lambda: ([SendChannel(End, End)], End),
+        lambda c: wait(Z, wait(c, terminate())),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", CHECK_TIME_CONTINUATIONS)
+def test_a_check_calls_and_counts_its_continuation_once(rule):
+    build, judgment, body = CHECK_TIME_CONTINUATIONS[rule]
+    lenses = []
+    program = build(lambda lens: lenses.append(lens) or body(lens))
+    context, offer = judgment()
+    with recording() as rec:
+        program._resolve(context, offer)
+        with pytest.raises(LinearityError):
+            program._resolve(*judgment())
+    assert lenses == [nat(len(judgment()[0]))]
+    assert rec.counters.continuations == {rule: 1}
+
+
+# -- a checked Session is linked once -------------------------------------------
+
+ALREADY_LINKED = "session: session program value already consumed (programs are linear)"
+
+
+def end_provider():
+    return session(End, terminate())
+
+
+def value_continuation_run(linked):
+    """Run a provider whose value continuation returns the Session `linked`."""
+    provider = session(ReceiveValue(int, End), receive_value(lambda value: linked))
+    client = include_session(
+        provider, lambda x: send_value_to(x, 1, wait(x, terminate()))
+    )
+    run(run_session(session(End, client)))
+
+
+# Each way to link a checked `Session` offering End, by a check or a run.
+LINKS = {
+    "include_session": lambda s: session(
+        End, include_session(s, lambda x: wait(x, terminate()))
+    ),
+    "cut": lambda s: session(End, cut(wait(Z, terminate()), s)),
+    "apply_channel": lambda s: apply_channel(
+        session(
+            ReceiveChannel(End, End), receive_channel(lambda c: wait(c, terminate()))
+        ),
+        s,
+    ),
+    "run_session": lambda s: run(run_session(s)),
+    "value continuation": value_continuation_run,
+}
+
+# First links that the Session's own check refuses, which consume it too.
+REFUSED_LINKS = {
+    "cut, with a provider context": lambda s: session(
+        End,
+        include_session(
+            end_provider(),
+            lambda x: cut(wait(Z, terminate()), s, provider_context=(End, ())),
+        ),
+    ),
+    "lens continuation, in a non-empty context": lambda s: session(
+        End, include_session(end_provider(), lambda x: s)
+    ),
+    "session, at another protocol": lambda s: session(SendValue(int, End), s),
+}
+
+
+@pytest.mark.parametrize("second", LINKS)
+@pytest.mark.parametrize("first", [*LINKS, *REFUSED_LINKS])
+def test_a_checked_session_is_linked_once(first, second):
+    s = end_provider()
+    if first in LINKS:
+        LINKS[first](s)
+    else:
+        with pytest.raises(SessionTypeError) as refused:
+            REFUSED_LINKS[first](s)
+        assert "already consumed" not in str(refused.value)
+    with pytest.raises(LinearityError) as raised:
+        LINKS[second](s)
+    assert str(raised.value) == ALREADY_LINKED
 
 
 # -- a refused second use fails the Recorder's one-shot check ------------------

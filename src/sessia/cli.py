@@ -24,6 +24,17 @@ _PRINTED_KINDS = {
 }
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; argparse exits 2 on anything else."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sessia-demos",
@@ -33,9 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run one demo and print its transcript")
     run.add_argument("example", choices=DEMO_NAMES)
     run.add_argument("--start", type=int, default=0, help="counter: first value")
-    run.add_argument("--take", type=int, default=5, help="counter: values to take")
-    run.add_argument("--delay-ms", type=int, default=0, help="counter: producer delay")
-    run.add_argument("--clients", type=int, default=2, help="shared-counter: clients")
+    run.add_argument("--take", type=_count, default=5, help="counter: values to take")
+    run.add_argument("--delay-ms", type=_count, default=0, help="counter: producer delay")
+    run.add_argument("--clients", type=_count, default=2, help="shared-counter: clients")
     return parser
 
 

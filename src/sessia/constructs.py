@@ -2,11 +2,11 @@
 
 Each constructor is its rule's `PartialSession` subclass: calling it
 validates the premises and builds the conclusion program, one object that
-holds them. Once its judgment is imposed, it checks the premises in place
-against the judgments the rule dictates and sets its step: a plain
-function that performs the construct's single protocol step and returns
-the continuation's step, or a wait for the peer, to the run's scheduler
-(`runtime.RunContext`).
+holds them. Once its judgment is imposed, it sets its step and checks the
+premises in place against the judgments the rule dictates. The step is a
+plain function that performs the construct's single protocol step and
+returns the continuation's step, or a wait for the peer, to the run's
+scheduler (`runtime.RunContext`).
 
 Provider-side rules act on the offer handle; client-side rules act on a
 context slot through a lens and leave the offered protocol alone. Value
@@ -39,7 +39,7 @@ from .protocols import (
     _End,
     type_name,
 )
-from .runtime import END, LEFT, RIGHT, answer, ask, emit
+from .runtime import END, LEFT, RIGHT, answer, ask, emit, lens_step
 
 
 def _expect_slot(rule: str, n, ctx, cls, error=ProtocolError):
@@ -70,7 +70,7 @@ class terminate(PartialSession):
     __slots__ = ()
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, _End):
             self._wrong_offer(_End, offer)
         if ctx and ctx.count(Empty) != len(ctx):  # `Empty` matches by identity
@@ -79,7 +79,6 @@ class terminate(PartialSession):
                 f"terminate requires an empty linear context; "
                 f"slot {live[0]} still holds {live[1]}"
             )
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -96,7 +95,7 @@ class wait(LensRule):
     _keeps_offer = True
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
         if not isinstance(slot, _End):
@@ -105,7 +104,6 @@ class wait(LensRule):
         self.n = level = n.level
         ctx[level] = Empty
         self.cont = self.cont._resolve(ctx, offer)
-        self.execute = type(self)._step
         return self
 
     def _received(self, signal, endpoints, offer):
@@ -124,11 +122,10 @@ class receive_value(ContRule):
     _calls_cont = True
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, ReceiveValue):
             self._wrong_offer(ReceiveValue, offer)
         self.ctx, self.after = ctx, offer.cont
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -156,7 +153,7 @@ class send_value_to(LensRule):
         self.cont = expect_program(cont, "send_value_to")
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
         if not isinstance(slot, ReceiveValue):
@@ -166,7 +163,6 @@ class send_value_to(LensRule):
         self.n = level = n.level
         ctx[level] = slot.cont
         self.cont = self.cont._resolve(ctx, offer)
-        self.execute = type(self)._step
         return self
 
     def _received(self, outbound, endpoints, offer):
@@ -190,13 +186,12 @@ class send_value(PartialSession):
         self.cont = cont
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, SendValue):
             self._wrong_offer(SendValue, offer)
         if not isinstance(self.value, offer.value_type):
             _check_value("send_value", self.value, offer.value_type)
         self.cont = self.cont._resolve(ctx, offer.cont)
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -217,11 +212,10 @@ class send_value_async(ContRule):
         self.execute, self.cont = UNCHECKED, produce
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, SendValue):
             self._wrong_offer(SendValue, offer)
         self.ctx, self.value_type, self.after = ctx, offer.value_type, offer.cont
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -245,7 +239,7 @@ class receive_value_from(LensRule):
     _calls_cont = True
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
         if not isinstance(slot, SendValue):
@@ -253,7 +247,6 @@ class receive_value_from(LensRule):
         self.n = level = n.level
         ctx[level] = slot.cont
         self.target, self.offered = ctx, offer
-        self.execute = type(self)._step
         return self
 
     def _received(self, message, endpoints, offer):
@@ -284,20 +277,15 @@ class receive_channel(ContRule):
     _calls_cont = True
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, ReceiveChannel):
             self._wrong_offer(ReceiveChannel, offer)
-        fn, self.cont = self.cont, None  # one-shot: `execute` is marked
-        rec = active_recorder()
-        if rec is not None:
-            rec.continuation_ran(self._rule)
         level = len(ctx)
-        premise = fn(_nats[level] if level < len(_nats) else nat(level))
+        premise = self._call_cont(_nats[level] if level < len(_nats) else nat(level))
         if not isinstance(premise, PartialSession):
             expect_program(premise, "receive_channel continuation")
         ctx.append(offer.carried)
         self.cont = premise._resolve(ctx, offer.cont)
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -323,7 +311,7 @@ class send_channel_to(LensRule):
         self.cont = expect_program(cont, "send_channel_to")
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n1, n2 = self.n, self.n2
         valid = isinstance(n2, Nat) and n2.level < len(ctx)
         carried = ctx[n2.level] if valid else focus(n2, ctx)
@@ -344,7 +332,6 @@ class send_channel_to(LensRule):
             )
         ctx[level1] = slot.cont
         self.cont = self.cont._resolve(ctx, offer)
-        self.execute = type(self)._step
         return self
 
     def _received(self, outbound, endpoints, offer):
@@ -360,7 +347,7 @@ class send_channel_from(LensRule):
     __slots__ = ()
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, SendChannel):
             self._wrong_offer(SendChannel, offer)
         n = self.n
@@ -374,7 +361,6 @@ class send_channel_from(LensRule):
         self.n = level = n.level
         ctx[level] = Empty
         self.cont = self.cont._resolve(ctx, offer.cont)
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -391,7 +377,7 @@ class receive_channel_from(LensRule):
     _calls_cont = True
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
         if not isinstance(slot, SendChannel):
@@ -404,7 +390,6 @@ class receive_channel_from(LensRule):
         ctx[level] = slot.cont
         ctx.append(slot.carried)
         self.cont = premise._resolve(ctx, offer)
-        self.execute = type(self)._step
         return self
 
     def _received(self, message, endpoints, offer):
@@ -460,13 +445,12 @@ class offer_choice(PartialSession):
         self.right = right
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, ExternalChoice):
             self._wrong_offer(ExternalChoice, offer)
         right_ctx = ctx.copy()  # the first branch may keep `ctx` for later
         self.left = self.left._resolve(ctx, offer.left)
         self.right = self.right._resolve(right_ctx, offer.right)
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -496,7 +480,7 @@ class choose(send_value_to):
         self.cont = cont
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
         if not isinstance(slot, ExternalChoice):
@@ -504,7 +488,6 @@ class choose(send_value_to):
         self.n = level = n.level
         ctx[level] = slot.left if self.value == LEFT else slot.right
         self.cont = self.cont._resolve(ctx, offer)
-        self.execute = type(self)._step
         return self
 
 
@@ -532,12 +515,11 @@ class offer(send_value):
         self.cont = expect_program(cont, rule)
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, InternalChoice):
             self._wrong_offer(InternalChoice, offer)
         chosen = offer.left if self.value == LEFT else offer.right
         self.cont = self.cont._resolve(ctx, chosen)
-        self.execute = type(self)._step
         return self
 
 
@@ -565,7 +547,7 @@ class case(PartialSession):
         self.right = right
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else None
         if not isinstance(slot, InternalChoice):
@@ -575,12 +557,10 @@ class case(PartialSession):
         ctx[level], right_ctx[level] = slot.left, slot.right
         self.left = self.left._resolve(ctx, offer)
         self.right = self.right._resolve(right_ctx, offer)
-        self.execute = type(self)._step
         return self
 
-    def _step(self, endpoints, offer):
-        return endpoints[self.n], case._announced
+    _step = lens_step
 
-    def _announced(self, message, endpoints, offer):
+    def _received(self, message, endpoints, offer):
         side, endpoints[self.n] = message
         return self.left if side == LEFT else self.right, endpoints, offer

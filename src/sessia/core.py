@@ -17,20 +17,20 @@ class, named as the rule. Nothing communicates until
   the moment the value arrives, still before that subtree executes.
 
 A rule's check is its own `_resolve(ctx, offer)`, one Python frame per
-construct, as a typing rule is one function in Ferrite. It marks `execute`
-first, so a program whose check fails cannot be linked again; it calls
-`focus` or `_expect_slot` only to reject, and `nat` only to grow its lenses.
+construct, as a typing rule is one function in Ferrite. It sets `execute`
+to its step first, so a program whose check fails is never linked again;
+it calls `focus` or `_expect_slot` only to reject, `nat` only to grow lenses.
 
 Program values are linear: every `PartialSession`/`Session` is consumed by
 the construct that links it, and every checked program and user
 continuation runs at most once. Each such resource sits in one slot that is
 emptied when it is used, as Rust moves a value, and an empty slot is the one
-mark of "already used": a program's `execute` (the UNCHECKED mark, then its
-step), a `Session`'s `_program`, which the rule that links it empties,
-and a user continuation's `cont`. `include_session`, `receive_channel` and
-`acquire_shared_session` call their check-time continuation in their own
-`_resolve`, which has marked `execute`, so the call is one-shot by
-construction; `ContRule._call_cont` makes every other continuation call.
+mark of "already used": a program's `execute` (the UNCHECKED mark, its
+step once checked, emptied when the step runs), a `Session`'s `_program`,
+which the rule that links it empties, and a user continuation's `cont`.
+`include_session` and `acquire_shared_session` call their check-time
+continuation in their own `_resolve`, which has set `execute`, so the call
+is one-shot by construction; `ContRule._call_cont` makes every other call.
 
 A run executes as a trampoline, and the run's scheduler
 (`runtime.RunContext`) is the trampoline. A checked program's step is one
@@ -82,14 +82,17 @@ class PartialSession:
     the class's name. A program is consumed exactly once by the construct
     (or the `session` annotation) that uses it, and is in one of three
     states, kept in `execute`: unchecked, with the UNCHECKED mark;
-    checked, with its rule's `_step`; and spent, with `execute` empty.
+    checked, with its rule's `_step`; and spent, once the scheduler has
+    emptied `execute` to run the step.
 
     Each rule's `_resolve(ctx, offer)` is its check; it owns the list
-    `ctx`. Its first line marks `execute` empty, or refuses a program that
-    is not unchecked. It then raises its diagnostics, calling a helper only
-    to reject, checks the premises in place, keeps what the step needs in
-    the same slots, sets `execute` to its `_step` and returns itself; a rule
-    that exchanges nothing returns its checked premise, which takes its place.
+    `ctx`. Its first line sets `execute` to its `_step`, the first of the
+    two transitions, or refuses a program that is not unchecked. It then
+    raises its diagnostics, calling a helper only to reject, checks the
+    premises in place, keeps what the step needs and returns itself. A
+    failed check leaves the step, but the first line refuses a second link
+    and no checked tree holds the program. A rule that exchanges nothing
+    empties `execute` and returns its checked premise to take its place.
     """
 
     __slots__ = ("execute",)
@@ -125,11 +128,10 @@ class PartialSession:
 class ContRule(PartialSession):
     """A rule whose one argument is its continuation `cont`: a premise
     program or, in a rule that sets `_calls_cont`, a user function that
-    returns one. That function runs at most once. `include_session`,
-    `receive_channel` and `acquire_shared_session` call it in their own
-    `_resolve`, which empties `cont` and counts the call; every other rule,
-    and every run-time continuation, which gets a communicated value, calls
-    it through `_call_cont`, which does the same in a frame of its own."""
+    returns one. That function runs at most once. `include_session` and
+    `acquire_shared_session` call it in their own `_resolve`, which empties
+    `cont` and counts the call; every other call, at check or at run time,
+    goes through `_call_cont`, which does the same in a frame of its own."""
 
     __slots__ = ("cont",)
     _calls_cont = False
@@ -159,9 +161,9 @@ class ContRule(PartialSession):
 
 class LensRule(ContRule):
     """A client rule on the slot at lens `n` (its level once checked), with
-    the continuation `cont`. Its step, unless the rule has its own, waits for
-    the message of the slot's provider and continues with `_received`; the
-    run's scheduler waits itself, with no call of the step."""
+    the continuation `cont`. Its step, unless the rule has its own, is
+    `lens_step`: the run's scheduler empties `execute` and waits itself, with
+    no call, for the message of the slot's provider, then calls `_received`."""
 
     __slots__ = ("n",)
 
@@ -260,9 +262,9 @@ def run_session(s: Session):
 
 class forward(PartialSession):
     """Offer exactly the session found at slot `n`, which must be the only
-    live slot. The single pending payload is relayed from the focused
-    endpoint to the offer handle; the continuation endpoints it carries
-    reconnect the two parties directly."""
+    live slot. Its step is a `LensRule`'s lens wait: the single pending
+    payload is relayed from the focused endpoint to the offer handle; the
+    continuation endpoints it carries reconnect the two parties directly."""
 
     __slots__ = ("n",)  # the lens, then its level
 
@@ -271,7 +273,7 @@ class forward(PartialSession):
         self.n = n
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else focus(n, ctx)
         if slot != offer:
@@ -287,13 +289,11 @@ class forward(PartialSession):
                 f"forward requires every other slot to be consumed; "
                 f"slot {live[0]} still holds {live[1]}"
             )
-        self.execute = type(self)._step
         return self
 
-    def _step(self, endpoints, offer):
-        return endpoints[self.n], forward._relay
+    _step = lens_step
 
-    def _relay(self, payload, endpoints, offer):
+    def _received(self, payload, endpoints, offer):
         offer.send(payload)
 
 
@@ -337,7 +337,7 @@ class cut(PartialSession):
         self.context = provider_context
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         provider, a = self.provider, self.protocol
         c2 = []
         if self.context is not None:
@@ -372,7 +372,6 @@ class cut(PartialSession):
         self.client = self.client._resolve(ctx, offer)
         self.provider = provider._resolve(c2, a)
         self.context = c1_len
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -401,8 +400,8 @@ class include_session(ContRule):
         self.provider = a
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
-        fn, self.cont = self.cont, None  # one-shot: `execute` is marked
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
+        fn, self.cont = self.cont, None  # one-shot: `execute` is set
         rec = active_recorder()
         if rec is not None:
             rec.continuation_ran(self._rule)
@@ -415,7 +414,6 @@ class include_session(ContRule):
         self.cont = premise._resolve(ctx, offer)
         program, provider._program = provider._program, None  # the link
         self.provider = provider._linked_twice() if program is None else program
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):

@@ -17,24 +17,26 @@ step's channel and fills the current one itself. In a reversed step the
 provider sends a fresh sender, never holding a receiver, and the client
 answers; `ask` returns the receiver of that answer.
 
-A run is a scheduler that steps checked programs itself: `RunContext`
-steps the drivers that `run_session`, `cut`, `include_session` and each
-acquire of a shared process start, on the task awaiting the run, each in
-its own context and as the loop's current task. A step `(program,
-endpoints, offer)` empties the program's `execute` slot and calls it, or
-waits itself at the lens of a client rule whose step is `lens_step`; the
-call returns the next step, a wait `(source, after)`, or None once the
-driver is done. A wait's value is a receiver's payload, what an awaitable
-gives, or the source itself, and `after(program, value, endpoints, offer)`
-returns a step, a wait or None in turn; a driver's steps update its one
-endpoints list in place. A driver waiting on an empty receiver parks there,
-its pending wait kept in its own slots, and the send that fills the
-receiver readies it inline, with no event-loop iteration. A coroutine is
-made only to await a foreign awaitable (an async continuation, a contended
-acquire), and the driver parks on each future it awaits through the
-future's done callback. Only a driver can park: a receive on an empty
-channel outside any run raises `RuntimeViolation`, and a failure reaches
-every parked driver through `RunContext.fail`.
+A run is a scheduler that steps checked programs itself: `RunContext` steps
+the drivers that `run_session`, `cut`, `include_session` and each acquire
+of a shared process start, on the task awaiting the run, each in its own
+context and as the loop's current task. A program's check set its `execute`
+slot to its step; a step `(program, endpoints, offer)` empties that slot,
+the one-shot record's second and last transition, and calls the step, or
+waits itself at the lens of a client rule, `forward` or `case`, whose step
+is `lens_step`, with no call. The call returns the next step, a wait
+`(source, after)`, or None once the driver is done. A wait's value is a
+receiver's payload, what an awaitable gives, or the source itself, and
+`after(program, value, endpoints, offer)` returns a step, a wait or None in
+turn; a driver's steps update its one endpoints list in place. A driver
+waiting on an empty receiver parks there, its pending wait kept in its own
+slots, and the send that fills the receiver readies it inline, with no
+event-loop iteration. A coroutine is made only to await a foreign awaitable
+(an async continuation, a contended acquire), and the driver parks on each
+future it awaits through the future's done callback. Only a driver can
+park: a receive on an empty channel outside any run raises
+`RuntimeViolation`, and a failure reaches every parked driver through
+`RunContext.fail`.
 """
 
 from __future__ import annotations
@@ -205,8 +207,9 @@ ask = answer
 
 
 def lens_step(program, endpoints, offer):
-    """The step of a client rule that waits for the message at its level
-    `n` for its `_received`; the scheduler waits itself, with no call."""
+    """The step of a client rule, `forward` or `case`: wait for the message
+    at its level `n` for its `_received`. The scheduler waits itself, with
+    no call."""
     return endpoints[program.n], type(program)._received
 
 

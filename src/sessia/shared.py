@@ -228,7 +228,7 @@ class detach_shared_session(ContRule):
         self.cont = cont
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, SharedToLinear):
             self._wrong_offer(SharedToLinear, offer)
         # The test `ctx[0] != Lock(offer.body)` makes, without forming a Lock.
@@ -252,7 +252,6 @@ class detach_shared_session(ContRule):
                 f"expected LinearToShared({offer.body})"
             )
         self.cont = self.cont._take_program()
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -285,8 +284,8 @@ class acquire_shared_session(ContRule):
         self.shared = shared
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
-        fn, self.cont = self.cont, None  # one-shot: `execute` is marked
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
+        fn, self.cont = self.cont, None  # one-shot: `execute` is set
         rec = active_recorder()
         if rec is not None:
             rec.continuation_ran(self._rule)
@@ -296,7 +295,6 @@ class acquire_shared_session(ContRule):
             expect_program(premise, "acquire_shared_session continuation")
         ctx.append(self.shared.protocol._unrolling)
         self.cont = premise._resolve(ctx, offer)
-        self.execute = type(self)._step
         return self
 
     def _step(self, endpoints, offer):
@@ -322,7 +320,7 @@ class release_shared_session(LensRule):
     _keeps_offer = True
 
     def _resolve(self, ctx, offer):
-        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         valid = isinstance(n, Nat) and n.level < len(ctx)
         slot = ctx[n.level] if valid else focus(n, ctx)
@@ -334,7 +332,6 @@ class release_shared_session(LensRule):
         self.n = level = n.level
         ctx[level] = Empty
         self.cont = self.cont._resolve(ctx, offer)
-        self.execute = type(self)._step
         return self
 
     def _received(self, outbound, endpoints, offer):

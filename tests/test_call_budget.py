@@ -16,9 +16,13 @@ from collections import Counter
 import sessia
 from sessia import (
     End,
+    InternalChoice,
     SendValue,
+    case,
+    forward,
     include_session,
     nat,
+    offer_left,
     receive_value_from,
     run_session,
     run_shared_session,
@@ -133,6 +137,52 @@ def test_an_included_provider_stays_within_its_call_budget():
     # makes its `Session` with no `__init__` frame and a value continuation's
     # program is checked in its rule's `_received`.
     assert_within_budget(fanout, 32, 25)
+
+
+def forward_chain(relays: int):
+    """A closed program that waits on an `End` provider behind `relays`
+    `forward`s, each in a session of its own that includes the one before."""
+    provider = session(End, terminate())
+    for _ in range(relays):
+        provider = session(End, include_session(provider, forward))
+    return session(End, include_session(provider, lambda lens: wait(lens, terminate())))
+
+
+def case_chain(cases: int):
+    """`cases` sessions, each of which includes the one before and an
+    `InternalChoice(End, End)` provider, takes the branch the provider
+    announces with `case`, then waits on both."""
+    choice, inner = InternalChoice(End, End), session(End, terminate())
+    for _ in range(cases):
+        provider = session(choice, offer_left(terminate()))
+
+        def body(done, provider=provider):
+            return include_session(provider, lambda c: case(
+                c, wait(c, wait(done, terminate())), wait(c, wait(done, terminate()))
+            ))
+
+        inner = session(End, include_session(inner, body))
+    return inner
+
+
+def test_a_forward_relay_step_stays_within_its_call_budget():
+    # Run only: the chains are built and checked before they are counted.
+    # 8.04 calls per relay while `forward` had a `_step` of its own, which
+    # returned the wait at its lens; 7.04 once the scheduler waits itself.
+    built = {relays: forward_chain(relays) for relays in (50, 100)}
+    assert_within_budget(
+        lambda relays: asyncio.run(run_session(built[relays])), 50, 7.04
+    )
+
+
+def test_a_case_step_stays_within_its_call_budget():
+    # Run only, as above. Each unit also spawns two providers and takes two
+    # `wait`s. 20.08 calls per `case` while it had a `_step` of its own;
+    # 19.08 once the scheduler waits at its lens itself.
+    built = {cases: case_chain(cases) for cases in (50, 100)}
+    assert_within_budget(
+        lambda cases: asyncio.run(run_session(built[cases])), 50, 19.08
+    )
 
 
 # A rule's call of a user continuation, which the chains below leave out:

@@ -4,6 +4,7 @@ For every generated protocol the derived pair must run to completion with
 every endpoint consumed and every executor and continuation run once. Every
 single-point mutation of the client must be rejected by `session(...)`,
 with a diagnostic that starts with the failing rule, before anything runs.
+A pair also runs with its provider behind up to two `forward` relays.
 
 The client works over the context [a: P, b: End]: slot b is a second live
 channel, so that a wrong lens points at a real channel, not out of range.
@@ -28,6 +29,7 @@ from sessia import (
     Z,
     case,
     choose,
+    forward,
     include_session,
     nat,
     offer,
@@ -191,19 +193,29 @@ MUTATION_SITES = {
 }
 
 
-def linked(p, mask, client):
-    """The closed program: the provider of p at slot a, an End at slot b."""
+def relayed(p, mask, relays):
+    """The checked provider of p behind `relays` `forward`s, each in a
+    session of its own that includes the one before."""
+    provided = session(p, provider(p, mask))
+    for _ in range(relays):
+        provided = session(p, include_session(provided, forward))
+    return provided
+
+
+def linked(p, mask, client, relays=0):
+    """The closed program: the provider of p, behind `relays` relays, at
+    slot a, an End at slot b."""
     return include_session(
-        session(p, provider(p, mask)),
+        relayed(p, mask, relays),
         lambda a: include_session(
             session(End, terminate()), lambda b: client.build(p)
         ),
     )
 
 
-@given(protocols(5), st.integers(0, 63))
-def test_generated_pairs_run_with_conservation(p, mask):
-    program = session(End, linked(p, mask, Client(mask)))
+@given(protocols(5), st.integers(0, 63), st.integers(0, 2))
+def test_generated_pairs_run_with_conservation(p, mask, relays):
+    program = session(End, linked(p, mask, Client(mask), relays))
     with recording() as rec:
         run(run_session(program))
     assert rec.conservation_ok()

@@ -315,7 +315,7 @@ class send_channel_to(LensRule):
         n1, n2 = self.n, self.n2
         valid = isinstance(n2, Nat) and n2.level < len(ctx)
         carried = ctx[n2.level] if valid else focus(n2, ctx)
-        if carried == Empty:
+        if carried is Empty:
             raise LinearityError(
                 f"send_channel_to: lens {n2.level}: slot has type Empty, "
                 f"expected a live channel"
@@ -325,7 +325,7 @@ class send_channel_to(LensRule):
         if not isinstance(slot, ReceiveChannel):
             _expect_slot("send_channel_to", n1, ctx, ReceiveChannel)
         self.n, self.n2 = level1, level2 = n1.level, n2.level
-        if slot.carried != carried:
+        if slot.carried is not carried:
             raise ProtocolError(
                 f"send_channel_to: slot {n1.level} expects a channel of type "
                 f"{slot.carried}, but slot {n2.level} offers {carried}"
@@ -353,7 +353,7 @@ class send_channel_from(LensRule):
         n = self.n
         valid = isinstance(n, Nat) and n.level < len(ctx)
         carried = ctx[n.level] if valid else focus(n, ctx)
-        if carried != offer.carried:
+        if carried is not offer.carried:
             raise ProtocolError(
                 f"send_channel_from: lens {n.level}: slot has type {carried}, "
                 f"but the offered protocol sends {offer.carried}"
@@ -411,7 +411,7 @@ def apply_channel(f: Session, a: Session) -> Session:
             f"got {f.protocol}"
         )
     expected = f.protocol.carried
-    if a.protocol != expected:
+    if a.protocol is not expected:
         raise ProtocolError(
             f"apply_channel: channel program offers {a.protocol}, "
             f"but the consumer expects {expected}"
@@ -491,12 +491,19 @@ class choose(send_value_to):
         return self
 
 
-def choose_left(n, cont) -> PartialSession:
-    return choose(LEFT, n, cont)
+class choose_left(choose):
+    __slots__ = ()
+    value = LEFT  # and `_rule` is the class's name, as for every rule
+
+    def __init__(self, n, cont):
+        self.execute, self.n = UNCHECKED, n
+        self.cont = cont if isinstance(cont, PartialSession) else expect_program(cont, self._rule)
 
 
-def choose_right(n, cont) -> PartialSession:
-    return choose(RIGHT, n, cont)
+class choose_right(choose):
+    __slots__ = ()
+    value = RIGHT
+    __init__ = choose_left.__init__
 
 
 class offer(send_value):
@@ -523,12 +530,19 @@ class offer(send_value):
         return self
 
 
-def offer_left(cont) -> PartialSession:
-    return offer(LEFT, cont)
+class offer_left(offer):
+    __slots__ = ()
+    value = LEFT  # and `_rule` is the class's name, as for every rule
+
+    def __init__(self, cont):
+        self.execute = UNCHECKED
+        self.cont = expect_program(cont, self._rule)
 
 
-def offer_right(cont) -> PartialSession:
-    return offer(RIGHT, cont)
+class offer_right(offer):
+    __slots__ = ()
+    value = RIGHT
+    __init__ = offer_left.__init__
 
 
 class case(PartialSession):

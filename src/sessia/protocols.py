@@ -1,9 +1,9 @@
 """Session type constructors and their runtime payload layouts.
 
 A session type (protocol) describes one endpoint of a conversation from the
-provider's point of view. Each constructor is a frozen dataclass that
-declares its shape in three class constants, and everything else about it
-is derived from them by `Protocol`:
+provider's point of view. Each constructor declares its shape in three
+class constants, and everything else about it is derived from them by
+`Formed` and `Protocol`:
 
 * `_carried`: the field sent alongside the continuation, as a pair
   `(field, role)`. The role is `VALUE` for a value type, `CHANNEL` for a
@@ -19,11 +19,18 @@ is derived from them by `Protocol`:
   "signal" for the bare termination message; None for a token that never
   communicates.
 
-The dataclass fields are the carried field followed by the continuation
-fields. From the declaration come validation at formation, printing
-(`Name(field, ...)`), and `payload_layout`, which describes what the step
-helpers `emit`, `ask` and `answer` of `runtime` send: the carried part, a
-branch tag when there are two continuations, and one continuation endpoint.
+The fields are the carried field followed by the continuation fields,
+taken by position or by name. From the declaration come validation at
+formation, printing (`Name(field, ...)`), and `payload_layout`, which
+describes what the step helpers `emit`, `ask` and `answer` of `runtime`
+send: the carried part, a branch tag when there are two continuations, and
+one continuation endpoint.
+
+Protocols are hash-consed (Filliâtre and Conchon, "Type-Safe Modular
+Hash-Consing", ML Workshop 2006): forming a node returns the live node of
+the same class and fields, if any, and validates a new one only once. So
+two equal protocols are one immutable object, as two equal session types
+are one Rust type in Ferrite, and equality and hashing are identity.
 
 Value types carried by `ReceiveValue`/`SendValue` must be transferable
 between tasks; they are given as a Python type (or tuple of types) and are
@@ -32,7 +39,10 @@ enforced with `isinstance` when a value is sent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import FrozenInstanceError, dataclass
+from inspect import Parameter, Signature
 from typing import ClassVar
 
 from .errors import ProtocolError
@@ -41,17 +51,33 @@ VALUE = "value"
 CHANNEL = "delegated-client-endpoint"
 
 
-class Protocol:
-    """Base class for linear session types; derives behaviour from the shape."""
+# The live nodes by class and fields, each held by a weak reference that
+# drops its entry when the node dies. A field that is a node is keyed by its
+# id, which the live node keeps valid, so that the table keeps no node alive
+# (a `Fix` and its unrolling refer to each other); a value type by value.
+_formed: dict = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)  # a weak reference to a formed node, and its key
+
+
+def _forget(entry: _Entry) -> None:  # a node died: drop its entry, if not replaced
+    _remove_dead_weakref(_formed, entry.key)
+
+
+class Formed:
+    """Base of the hash-consed protocol nodes; derives behaviour from the shape."""
 
     _carried: ClassVar[tuple[str, str | None] | None] = None
     _conts: ClassVar[tuple[str, ...]] = ()
-    _polarity: ClassVar[str | None] = "signal"
-    # Derived once per class, since substitution builds nodes on every
-    # unroll: every dataclass field (carried first), and its validation as
-    # (field, check, name in diagnostics).
+    # Derived once per class: every field (carried first), its validation as
+    # (field, check, name in diagnostics), whether the carried field is a
+    # value type (then a continuation follows), and the keyword binding.
     _fields: ClassVar[tuple[str, ...]] = ()
     _checks: ClassVar[tuple] = ()
+    _by_value: ClassVar[bool] = False
+    _signature: ClassVar[Signature] = Signature()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -65,10 +91,69 @@ class Protocol:
             )
             for field in cls._fields
         )
+        cls._by_value = any(role == VALUE for _, role in carried)
+        cls._signature = Signature(
+            [Parameter(field, Parameter.POSITIONAL_OR_KEYWORD) for field in cls._fields]
+        )
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._signature.bind(*args, **kwargs).args
+        if len(args) == 2:  # a carried field or first branch, then a continuation
+            key = (cls, args[0] if cls._by_value else id(args[0]), id(args[1]))
+        else:  # a body, or no field
+            key = (cls, *map(id, args))
+        try:
+            ref = _formed.get(key)
+        except TypeError:  # an unhashable value type, which validation rejects
+            ref = None
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            for field, value in zip(cls._fields, args):
+                object.__setattr__(node, field, value)
+            node.__post_init__()
+            ref = _Entry(node, _forget)
+            ref.key = key
+            # No lock: `setdefault` and `_remove_dead_weakref` are each one
+            # atomic step, so threads that form one node at once keep the
+            # first, and a dead node's entry not yet dropped is dropped.
+            while (kept := _formed.setdefault(key, ref)) is not ref:
+                formed = kept()
+                if formed is not None:
+                    return formed
+                _remove_dead_weakref(_formed, key)
+        return node
 
     def __post_init__(self):
+        """Validate the fields of a new node, once, before it is kept."""
         for field, check, who in self._checks:
             check(getattr(self, field), who)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Unpickling and `copy` form the node again, which finds this one.
+        return type(self), tuple(getattr(self, field) for field in self._fields)
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __str__(self):
+        return type_name(self)
+
+    def __repr__(self):
+        return type_name(self, named=True)
+
+
+class Protocol(Formed):
+    """Base class for linear session types."""
+
+    _polarity: ClassVar[str | None] = "signal"
 
     def payload_layout(self) -> PayloadLayout:
         if self._polarity is None:
@@ -96,12 +181,6 @@ class Protocol:
             parts.append(PayloadPart(bare))
         return PayloadLayout(self._polarity, tuple(parts))
 
-    def __str__(self):
-        return type_name(self)
-
-    def __repr__(self):
-        return type_name(self, named=True)
-
 
 class Unique:
     """Base of a class with one instance, printed as its class's name.
@@ -122,8 +201,8 @@ class Unique:
     __repr__ = __str__
 
 
-class SharedProtocol:
-    """Marker base class for shared session types."""
+class SharedProtocol(Formed):
+    """Base class for shared session types."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +238,7 @@ def type_name(t, named=False) -> str:
         t = stack.pop()
         if isinstance(t, tuple) and not named:
             parts = [part for x in t for part in ("|", x)][1:]
-        elif type(t).__str__ is Protocol.__str__:
+        elif type(t).__str__ is Formed.__str__:
             fields = [part for f in t._fields
                       for part in (", ", f"{f}=" if named else "", getattr(t, f))][1:]
             parts = [f"{type(t).__name__}(", *fields, ")"]
@@ -193,73 +272,49 @@ class _End(Unique, Protocol):
 End = _End()
 
 
-@dataclass(frozen=True, repr=False)
 class ReceiveValue(Protocol):
     """Receive a value of `value_type`, then continue as `cont`."""
-
-    value_type: object
-    cont: Protocol
 
     _carried = ("value_type", VALUE)
     _conts = ("cont",)
     _polarity = "reversed"
 
 
-@dataclass(frozen=True, repr=False)
 class SendValue(Protocol):
     """Send a value of `value_type`, then continue as `cont`."""
-
-    value_type: object
-    cont: Protocol
 
     _carried = ("value_type", VALUE)
     _conts = ("cont",)
     _polarity = "direct"
 
 
-@dataclass(frozen=True, repr=False)
 class ReceiveChannel(Protocol):
     """Receive a channel of type `carried`, then continue as `cont`.
 
     The received channel always arrives at client polarity."""
 
-    carried: Protocol
-    cont: Protocol
-
     _carried = ("carried", CHANNEL)
     _conts = ("cont",)
     _polarity = "reversed"
 
 
-@dataclass(frozen=True, repr=False)
 class SendChannel(Protocol):
     """Send a channel of type `carried`, then continue as `cont`."""
-
-    carried: Protocol
-    cont: Protocol
 
     _carried = ("carried", CHANNEL)
     _conts = ("cont",)
     _polarity = "direct"
 
 
-@dataclass(frozen=True, repr=False)
 class ExternalChoice(Protocol):
     """Offer both branches; the client picks left or right."""
-
-    left: Protocol
-    right: Protocol
 
     _conts = ("left", "right")
     _polarity = "reversed"
 
 
-@dataclass(frozen=True, repr=False)
 class InternalChoice(Protocol):
     """The provider picks left or right and announces it."""
-
-    left: Protocol
-    right: Protocol
 
     _conts = ("left", "right")
     _polarity = "direct"

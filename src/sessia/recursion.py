@@ -13,35 +13,46 @@ session types. It rebuilds the continuation fields each constructor
 declares and leaves carried fields untouched: delegated channel types are
 complete protocols of their own. Constructors without continuations
 (`End`, an inner `Fix`, a release step) are leaves, and the caller decides
-what a leaf means; `type_apply` keeps every leaf as it is. Multi-level
-recursion markers (`S(Z)` and deeper) are not supported.
+what a leaf means; `type_apply` keeps every leaf as it is. It walks with an
+explicit stack, so a body of any depth unrolls. A `Fix` forms its unrolling
+with itself; forming it again finds both (protocols are hash-consed).
+Multi-level recursion markers (`S(Z)` and deeper) are not supported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .context import Nat, S, Z, _Z, focus
 from .core import UNCHECKED, ContRule, LensRule
 from .errors import ProtocolError
-from .protocols import End, Protocol
+from .protocols import Protocol
 
 
 def substitute(f, x: Protocol, leaf):
     """Replace the recursion marker Z by `x` in the continuations of `f`.
 
     `leaf(node)` gives the result for every other node without
-    continuations, including values that are not session types at all.
+    continuations, including values that are not session types at all. The
+    nodes are visited depth first, left to right, as a recursive walk would,
+    so the first leaf that `leaf` rejects is the one reported.
     """
-    conts = getattr(f, "_conts", None)
-    if not conts:
-        return x if f is Z else leaf(f)
-    args = []
-    for name in f._fields:
-        value = getattr(f, name)
-        args.append(substitute(value, x, leaf) if name in conts else value)
-    return type(f)(*args)
+    done = {}  # id of a node visited -> its result
+    stack = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        conts = getattr(node, "_conts", None)
+        if not conts:
+            done[id(node)] = x if node is Z else leaf(node)
+        elif ready:
+            done[id(node)] = type(node)(*[
+                done[id(getattr(node, name))] if name in conts else getattr(node, name)
+                for name in node._fields
+            ])
+        else:
+            stack.append((node, True))
+            stack.extend((getattr(node, name), False) for name in reversed(conts))
+    return done[id(f)]
 
 
 def _keep_leaf(f):
@@ -62,11 +73,8 @@ def type_apply(f: Protocol, x: Protocol) -> Protocol:
     return substitute(f, x, _keep_leaf)
 
 
-@dataclass(frozen=True, repr=False)
 class Fix(Protocol):
     """The fixed point of a protocol shape; unrolls to one step of itself."""
-
-    body: Protocol
 
     _carried = ("body", None)
 
@@ -79,14 +87,9 @@ class Fix(Protocol):
                 f"Fix body {self.body} is not contractive: it must start with "
                 f"a communication step, not Z or another Fix"
             )
-        # Probe the substitution now so malformed bodies fail at type
-        # formation rather than at first unroll.
-        type_apply(self.body, End)
-
-    @cached_property
-    def _unrolling(self) -> Protocol:
-        # Cached in the instance dict; equality and hashing stay field-based.
-        return type_apply(self.body, self)
+        # Formed now, so that a malformed body fails at type formation
+        # rather than at first unroll; it refers back to this node.
+        object.__setattr__(self, "_unrolling", type_apply(self.body, self))
 
     def unroll(self) -> Protocol:
         return self._unrolling

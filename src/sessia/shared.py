@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NoReturn
 
 from .context import Empty, Nat, S, _nats, focus, live_slot, nat, show
 from .core import (
@@ -63,26 +62,20 @@ from .errors import (
     SharedTypeError,
 )
 from .instrument import active_recorder
-from .protocols import Protocol, SharedProtocol, _End, check_protocol
+from .protocols import Protocol, SharedProtocol, _End
 from .recursion import Fix, substitute
 from .runtime import ACK, channel, current_run, spawn
 
 
-@dataclass(frozen=True, repr=False)
 class SharedToLinear(Protocol):
     """Release step: ends a critical section, zero payload on the wire."""
-
-    body: Protocol
 
     _carried = ("body", None)
     _polarity = "reversed"
 
 
-@dataclass(frozen=True, repr=False)
 class Lock(Protocol):
     """Critical-section token occupying slot 0 between accept and detach."""
-
-    body: Protocol
 
     _carried = ("body", None)
     _polarity = None
@@ -119,33 +112,21 @@ def shared_type_apply(f: Protocol, x: Protocol) -> Protocol:
     return substitute(f, x, _strict_leaf)
 
 
-@dataclass(frozen=True, repr=False)
 class LinearToShared(SharedProtocol):
     """Shared session type: acquire, run the linear body, release, repeat."""
 
-    body: Protocol
+    _carried = ("body", None)
 
     def __post_init__(self):
-        check_protocol(self.body, "LinearToShared body")
-        # Form the unrolling now: malformed bodies (e.g. an End leaf) are
-        # rejected at type formation.
-        self.unroll()
-
-    @cached_property
-    def _unrolling(self) -> Protocol:
-        # Cached in the instance dict; equality and hashing stay field-based.
-        return shared_type_apply(self.body, SharedToLinear(self.body))
+        super().__post_init__()
+        # Its unrolling and its lock are formed now: malformed bodies (e.g.
+        # an End leaf) are rejected at type formation.
+        unrolling = shared_type_apply(self.body, SharedToLinear(self.body))
+        object.__setattr__(self, "_unrolling", unrolling)
+        object.__setattr__(self, "_lock", Lock(self.body))
 
     def unroll(self) -> Protocol:
         return self._unrolling
-
-    @cached_property
-    def _lock(self) -> Lock:
-        return Lock(self.body)
-
-    _fields = ("body",)
-    __str__ = Protocol.__str__
-    __repr__ = Protocol.__repr__
 
 
 # -- shared program values -----------------------------------------------
@@ -167,23 +148,19 @@ class SharedSession:
 
     It holds the checked program of its first critical section.
     `run_shared_session`, or the check of a `detach_shared_session` that
-    continues with it, empties that slot; a second link finds the slot
-    empty and raises `LinearityError`.
+    continues with it, empties that slot in its own frame; a second link
+    finds the slot empty and raises `LinearityError`.
     """
 
-    def __init__(self, protocol: LinearToShared, program: PartialSession):
-        self._protocol = protocol
-        self._program = program
+    __slots__ = ("_protocol", "_program")
 
     @property
     def protocol(self) -> LinearToShared:
         return self._protocol
 
-    def _take_program(self) -> PartialSession:
-        if self._program is None:
-            raise LinearityError("shared session program already consumed")
-        program, self._program = self._program, None
-        return program
+    def _linked_twice(self) -> NoReturn:
+        """Raise: the program was linked before. Links call it to reject."""
+        raise LinearityError("shared session program already consumed")
 
     def __repr__(self):
         return f"<SharedSession {self._protocol}>"
@@ -200,8 +177,10 @@ def shared_session(protocol: LinearToShared, program) -> SharedSession:
             f"shared_session: expected a shared program "
             f"(accept_shared_session(...)), got {program!r}"
         )
-    section = program.cont._resolve([protocol._lock], protocol._unrolling)
-    return SharedSession(protocol, section)
+    checked = object.__new__(SharedSession)  # its two slots are all it has
+    checked._protocol = protocol
+    checked._program = program.cont._resolve([protocol._lock], protocol._unrolling)
+    return checked
 
 
 def accept_shared_session(cont) -> SharedSessionBuilder:
@@ -231,8 +210,8 @@ class detach_shared_session(ContRule):
         self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, SharedToLinear):
             self._wrong_offer(SharedToLinear, offer)
-        # The test `ctx[0] != Lock(offer.body)` makes, without forming a Lock.
-        if not ctx or type(ctx[0]) is not Lock or ctx[0].body != offer.body:
+        # The test `ctx[0] is not Lock(offer.body)`, with no call to form it.
+        if not ctx or type(ctx[0]) is not Lock or ctx[0].body is not offer.body:
             raise ProtocolError(
                 "detach_shared_session requires the critical-section lock "
                 f"at slot 0 of {show(ctx)}"
@@ -244,14 +223,15 @@ class detach_shared_session(ContRule):
                 f"detach_shared_session requires all other channels consumed; "
                 f"slot {live[0]} still holds {live[1]}"
             )
-        # Compared by body: forming LinearToShared(offer.body) would unroll it.
-        body = self.cont._protocol.body
-        if body is not offer.body and body != offer.body:
+        # Compared by body, which forms no `LinearToShared(offer.body)`.
+        shared = self.cont
+        if shared._protocol.body is not offer.body:
             raise ProtocolError(
-                f"detach_shared_session: continuation offers {self.cont._protocol}, "
+                f"detach_shared_session: continuation offers {shared._protocol}, "
                 f"expected LinearToShared({offer.body})"
             )
-        self.cont = self.cont._take_program()
+        program, shared._program = shared._program, None  # the link
+        self.cont = shared._linked_twice() if program is None else program
         return self
 
     def _step(self, endpoints, offer):
@@ -479,4 +459,5 @@ def run_shared_session(s: SharedSession) -> SharedChannel:
             f"run_shared_session expects a checked SharedSession "
             f"(build one with shared_session(S, ...)), got {s!r}"
         )
-    return SharedChannel(s.protocol, s._take_program())
+    program, s._program = s._program, None  # the link
+    return SharedChannel(s._protocol, s._linked_twice() if program is None else program)

@@ -325,7 +325,7 @@ class send_channel_to(LensRule):
         if not isinstance(slot, ReceiveChannel):
             _expect_slot("send_channel_to", n1, ctx, ReceiveChannel)
         self.n, self.n2 = level1, level2 = n1.level, n2.level
-        if slot.carried is not carried:
+        if slot.carried is not carried._canon:
             raise ProtocolError(
                 f"send_channel_to: slot {n1.level} expects a channel of type "
                 f"{slot.carried}, but slot {n2.level} offers {carried}"
@@ -353,7 +353,7 @@ class send_channel_from(LensRule):
         n = self.n
         valid = isinstance(n, Nat) and n.level < len(ctx)
         carried = ctx[n.level] if valid else focus(n, ctx)
-        if carried is not offer.carried:
+        if carried._canon is not offer.carried:
             raise ProtocolError(
                 f"send_channel_from: lens {n.level}: slot has type {carried}, "
                 f"but the offered protocol sends {offer.carried}"
@@ -411,7 +411,7 @@ def apply_channel(f: Session, a: Session) -> Session:
             f"got {f.protocol}"
         )
     expected = f.protocol.carried
-    if a.protocol is not expected:
+    if a.protocol._canon is not expected:
         raise ProtocolError(
             f"apply_channel: channel program offers {a.protocol}, "
             f"but the consumer expects {expected}"
@@ -465,19 +465,14 @@ class choose(send_value_to):
     """Send a branch tag to the choice provider at slot `n`."""
 
     # Choosing answers the provider at the slot with a tag, as `send_value_to`
-    # answers with a value; `value` holds the side.
-    __slots__ = ("_rule",)
+    # answers with a value: `choose_left` or `choose_right`, the side's class.
+    __slots__ = ()
 
     def __init__(self, side: str, n, cont):
         if side not in (LEFT, RIGHT):
             raise ProtocolError(f"choose: side must be 'left' or 'right', got {side!r}")
-        self.execute = UNCHECKED
-        self._rule = rule = f"choose_{side}"
-        self.n = n
-        self.value = side
-        if not isinstance(cont, PartialSession):
-            expect_program(cont, rule)
-        self.cont = cont
+        self.__class__ = choose_left if side == LEFT else choose_right
+        self.__init__(n, cont)
 
     def _resolve(self, ctx, offer):
         self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
@@ -509,17 +504,15 @@ class choose_right(choose):
 class offer(send_value):
     """Announce the chosen branch with a tag, then continue as that branch."""
 
-    # Offering one branch sends its tag, as `send_value` sends a value;
-    # `value` holds the side.
-    __slots__ = ("_rule",)
+    # Offering one branch sends its tag, as `send_value` sends a value:
+    # `offer_left` or `offer_right`, the side's class.
+    __slots__ = ()
 
     def __init__(self, side: str, cont):
         if side not in (LEFT, RIGHT):
             raise ProtocolError(f"offer: side must be 'left' or 'right', got {side!r}")
-        self.execute = UNCHECKED
-        self._rule = rule = f"offer_{side}"
-        self.value = side
-        self.cont = expect_program(cont, rule)
+        self.__class__ = offer_left if side == LEFT else offer_right
+        self.__init__(cont)
 
     def _resolve(self, ctx, offer):
         self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()

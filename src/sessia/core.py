@@ -213,7 +213,7 @@ class Session(PartialSession):
                 f"a closed session cannot run in the non-empty context "
                 f"{show(ctx)}"
             )
-        if offer is not self._protocol:
+        if offer._canon is not self._protocol._canon:
             raise ProtocolError(
                 f"session offers {self._protocol}, "
                 f"but the expected protocol here is {offer}"
@@ -276,7 +276,7 @@ class forward(PartialSession):
         self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         n = self.n
         slot = ctx[n.level] if isinstance(n, Nat) and n.level < len(ctx) else focus(n, ctx)
-        if slot is not offer:
+        if slot._canon is not offer._canon:
             raise ProtocolError(
                 f"forward: lens {n.level}: slot has type {slot}, "
                 f"but the expected protocol here is {offer}"
@@ -345,7 +345,7 @@ class cut(PartialSession):
             validate_context(self.context, "cut")
             c2 = slots_of(self.context)
         if isinstance(provider, Session):
-            if a is not None and a is not provider._protocol:
+            if a is not None and a._canon is not provider._protocol._canon:
                 raise ProtocolError(
                     f"cut: provider offers {provider._protocol}, not {a}"
                 )

@@ -27,10 +27,12 @@ send: the carried part, a branch tag when there are two continuations, and
 one continuation endpoint.
 
 Protocols are hash-consed (Filliâtre and Conchon, "Type-Safe Modular
-Hash-Consing", ML Workshop 2006): forming a node returns the live node of
-the same class and fields, if any, and validates a new one only once. So
-two equal protocols are one immutable object, as two equal session types
-are one Rust type in Ferrite, and equality and hashing are identity.
+Hash-Consing", ML Workshop 2006): forming a protocol finds the live node of
+the same class and fields, its `_canon`, and validates a new one only once.
+The first formation is that node; a later one is a fresh immutable copy
+that keeps it, and whose fields are nodes too. So equality and hashing test
+one node's identity, as two equal session types are one Rust type in
+Ferrite, and the checker tests `a._canon is b._canon` with no call.
 
 Value types carried by `ReceiveValue`/`SendValue` must be transferable
 between tasks; they are given as a Python type (or tuple of types) and are
@@ -42,7 +44,6 @@ from __future__ import annotations
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass
-from inspect import Parameter, Signature
 from typing import ClassVar
 
 from .errors import ProtocolError
@@ -73,11 +74,12 @@ class Formed:
     _conts: ClassVar[tuple[str, ...]] = ()
     # Derived once per class: every field (carried first), its validation as
     # (field, check, name in diagnostics), whether the carried field is a
-    # value type (then a continuation follows), and the keyword binding.
+    # value type (then a continuation follows), and the binding of any other
+    # call, whose errors read as a generated `__init__`'s.
     _fields: ClassVar[tuple[str, ...]] = ()
     _checks: ClassVar[tuple] = ()
     _by_value: ClassVar[bool] = False
-    _signature: ClassVar[Signature] = Signature()
+    _kept: ClassVar[tuple[str, ...]] = ("_canon",)  # what a copy takes from its node
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -92,38 +94,41 @@ class Formed:
             for field in cls._fields
         )
         cls._by_value = any(role == VALUE for _, role in carried)
-        cls._signature = Signature(
-            [Parameter(field, Parameter.POSITIONAL_OR_KEYWORD) for field in cls._fields]
-        )
+        names, scope = ", ".join(cls._fields), {}
+        exec(f"def __init__(self, {names}): return [{names}]", scope)
+        cls._bind = scope["__init__"]
+        cls._bind.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):
-            args = cls._signature.bind(*args, **kwargs).args
-        if len(args) == 2:  # a carried field or first branch, then a continuation
-            key = (cls, args[0] if cls._by_value else id(args[0]), id(args[1]))
-        else:  # a body, or no field
-            key = (cls, *map(id, args))
+            args = cls._bind(None, *args, **kwargs)
+        args = [arg._canon if isinstance(arg, Formed) else arg for arg in args]  # as nodes
+        key = (cls, args[0], id(args[1])) if cls._by_value else (cls, *map(id, args))
         try:
             ref = _formed.get(key)
         except TypeError:  # an unhashable value type, which validation rejects
             ref = None
+        formed = object.__new__(cls)
+        for field, value in zip(cls._fields, args):
+            object.__setattr__(formed, field, value)
         node = None if ref is None else ref()
         if node is None:
-            node = object.__new__(cls)
-            for field, value in zip(cls._fields, args):
-                object.__setattr__(node, field, value)
-            node.__post_init__()
-            ref = _Entry(node, _forget)
+            object.__setattr__(formed, "_canon", formed)
+            formed.__post_init__()
+            ref = _Entry(formed, _forget)
             ref.key = key
             # No lock: `setdefault` and `_remove_dead_weakref` are each one
             # atomic step, so threads that form one node at once keep the
             # first, and a dead node's entry not yet dropped is dropped.
             while (kept := _formed.setdefault(key, ref)) is not ref:
-                formed = kept()
-                if formed is not None:
-                    return formed
+                if (node := kept()) is not None:
+                    break
                 _remove_dead_weakref(_formed, key)
-        return node
+            else:
+                return formed
+        for name in cls._kept:  # a copy: its node, and what the node formed
+            object.__setattr__(formed, name, getattr(node, name))
+        return formed
 
     def __post_init__(self):
         """Validate the fields of a new node, once, before it is kept."""
@@ -136,8 +141,14 @@ class Formed:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        return self._canon is other._canon if isinstance(other, Formed) else NotImplemented
+
+    def __hash__(self):
+        return id(self._canon)
+
     def __reduce__(self):
-        # Unpickling and `copy` form the node again, which finds this one.
+        # Unpickling and `copy` form the protocol again, which finds its node.
         return type(self), tuple(getattr(self, field) for field in self._fields)
 
     def __deepcopy__(self, memo):
@@ -187,12 +198,12 @@ class Unique:
 
     The first call makes the instance and every later call returns it.
     `copy`, `deepcopy` and unpickling go back through `__new__` too, so
-    equality and hashing are identity.
+    equality and hashing are identity, and the instance is its own `_canon`.
     """
 
     def __new__(cls):
         if "_unique" not in cls.__dict__:
-            cls._unique = super().__new__(cls)
+            cls._unique = cls._canon = super().__new__(cls)
         return cls._unique
 
     def __str__(self):

@@ -14,8 +14,9 @@ declares and leaves carried fields untouched: delegated channel types are
 complete protocols of their own. Constructors without continuations
 (`End`, an inner `Fix`, a release step) are leaves, and the caller decides
 what a leaf means; `type_apply` keeps every leaf as it is. It walks with an
-explicit stack, so a body of any depth unrolls. A `Fix` forms its unrolling
-with itself; forming it again finds both (protocols are hash-consed).
+explicit stack, so a body of any depth unrolls. A `Fix` node forms its
+unrolling with itself, once; a later formation of it is a copy that keeps
+both (protocols are hash-consed).
 Multi-level recursion markers (`S(Z)` and deeper) are not supported.
 """
 
@@ -77,6 +78,7 @@ class Fix(Protocol):
     """The fixed point of a protocol shape; unrolls to one step of itself."""
 
     _carried = ("body", None)
+    _kept = ("_canon", "_unrolling")
 
     def __post_init__(self):
         super().__post_init__()

@@ -116,6 +116,7 @@ class LinearToShared(SharedProtocol):
     """Shared session type: acquire, run the linear body, release, repeat."""
 
     _carried = ("body", None)
+    _kept = ("_canon", "_unrolling", "_lock")
 
     def __post_init__(self):
         super().__post_init__()
@@ -210,7 +211,7 @@ class detach_shared_session(ContRule):
         self.execute = type(self)._step if self.execute is UNCHECKED else self._linked_twice()
         if not isinstance(offer, SharedToLinear):
             self._wrong_offer(SharedToLinear, offer)
-        # The test `ctx[0] is not Lock(offer.body)`, with no call to form it.
+        # The test `ctx[0] != Lock(offer.body)`, with no call to form it.
         if not ctx or type(ctx[0]) is not Lock or ctx[0].body is not offer.body:
             raise ProtocolError(
                 "detach_shared_session requires the critical-section lock "

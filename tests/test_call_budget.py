@@ -287,8 +287,9 @@ def separately_annotated_stream(values: int) -> None:
 
 
 def test_equal_protocols_are_compared_with_no_call():
-    # Protocols are hash-consed, so two formed apart are one object, and
-    # every check compares protocols by identity. While they were
+    # Protocols are hash-consed: two formed apart keep one node, `_canon`,
+    # and every check compares protocols by that node's identity, with no
+    # call. While they were
     # dataclasses, compared field by field, the stream pair taking one value
     # made 10 calls of generated `__eq__` methods: 3 in `apply_channel`, 4
     # in `send_channel_to` and 3 in the next producer's check, one level of

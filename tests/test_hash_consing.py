@@ -1,6 +1,7 @@
-"""Protocols are hash-consed: forming an equal protocol returns the node
-already formed, so equality is identity, a node is immutable, and no
-operation on a protocol value recurses over its depth."""
+"""Protocols are hash-consed: forming a protocol finds the node of its
+class and fields, its `_canon`, so equality and hashing test that node's
+identity, a protocol is immutable, and no operation on a protocol value
+recurses over its depth. Each formation is an object of its own."""
 
 import copy
 import pickle
@@ -31,42 +32,76 @@ from sessia import (
 SHARED_BODIES = protocols(4, SINGLE_TYPES, leaves=(Z,))
 
 
+def same_node(p, q) -> bool:
+    return p == q and p._canon is q._canon and hash(p) == hash(q)
+
+
 def assert_round_trips(p):
-    assert eval(str(p), vars(sessia)) is p
-    assert copy.copy(p) is p
+    assert same_node(eval(str(p), vars(sessia)), p)
+    assert same_node(copy.copy(p), p)
     assert copy.deepcopy(p) is p
-    assert pickle.loads(pickle.dumps(p)) is p
+    assert same_node(pickle.loads(pickle.dumps(p)), p)
 
 
 @given(protocols(5, SINGLE_TYPES))
-def test_a_protocol_round_trips_as_itself(p):
+def test_a_protocol_round_trips_to_its_node(p):
     assert_round_trips(p)
 
 
 @given(protocols(5, SINGLE_TYPES, leaves=(End, Z)))
-def test_a_fixed_point_round_trips_as_itself(body):
+def test_a_fixed_point_round_trips_to_its_node(body):
     assume(body is not Z)
     assert_round_trips(Fix(body))
 
 
 @given(SHARED_BODIES)
-def test_a_shared_protocol_round_trips_as_itself(body):
+def test_a_shared_protocol_round_trips_to_its_node(body):
     shared = LinearToShared(body)
     assert_round_trips(shared)
     assert_round_trips(shared.unroll())
 
 
-def test_equal_protocols_formed_apart_are_one_object():
-    assert SendValue(int, End) is SendValue(value_type=int, cont=End)
-    assert ReceiveValue((int, str), End) is ReceiveValue((int, str), End)
-    assert SendValue(int, End) is not SendValue(bool, End)
+def test_equal_protocols_formed_apart_share_one_node():
+    a, b = SendValue(int, End), SendValue(value_type=int, cont=End)
+    assert a is not b and same_node(a, b) and a.cont is End
+    assert same_node(ReceiveValue((int, str), End), ReceiveValue((int, str), End))
+    assert SendValue(int, End) != SendValue(bool, End)
+    assert SendValue(int, End) != ReceiveValue(int, End)
     p = Fix(ExternalChoice(SendValue(int, Z), End))
     q = Fix(ExternalChoice(SendValue(int, Z), End))
-    assert p is q and p.unroll() is q.unroll()
-    assert p.unroll() is type_apply(p.body, p)
+    assert p is not q and same_node(p, q) and p.unroll() is q.unroll()
+    assert same_node(p.unroll(), type_apply(p.body, p))
+    # A formation's fields are nodes: an equal part is the same object.
+    assert p.body is q.body and p.body.left is SendValue(int, Z)._canon
     shared = LinearToShared(SendValue(int, Z))
-    assert shared.unroll() is shared_type_apply(shared.body, SharedToLinear(shared.body))
-    assert shared._lock is Lock(shared.body)
+    assert same_node(shared.unroll(), shared_type_apply(shared.body, SharedToLinear(shared.body)))
+    assert same_node(shared._lock, Lock(shared.body))
+
+
+def test_a_wrong_call_of_a_protocol_constructor_reads_as_before():
+    # The texts of the generated `__init__` the constructors had as dataclasses.
+    calls = {
+        "ReceiveValue.__init__() missing 1 required positional argument: 'cont'":
+            lambda: ReceiveValue(int),
+        "ReceiveValue.__init__() missing 2 required positional arguments: "
+        "'value_type' and 'cont'": lambda: ReceiveValue(),
+        "SendValue.__init__() takes 3 positional arguments but 4 were given":
+            lambda: SendValue(int, End, End),
+        "SendValue.__init__() got an unexpected keyword argument 'x'":
+            lambda: SendValue(int, End, x=1),
+        "SendValue.__init__() got multiple values for argument 'value_type'":
+            lambda: SendValue(int, value_type=int),
+        "Fix.__init__() takes 2 positional arguments but 3 were given":
+            lambda: Fix(End, End),
+        "ExternalChoice.__init__() missing 1 required positional argument: 'right'":
+            lambda: ExternalChoice(End),
+        "LinearToShared.__init__() missing 1 required positional argument: 'body'":
+            lambda: LinearToShared(),
+    }
+    for text, call in calls.items():
+        with pytest.raises(TypeError) as raised:
+            call()
+        assert str(raised.value) == text
 
 
 def test_a_protocol_field_cannot_be_assigned():
@@ -90,24 +125,24 @@ def test_a_deep_protocol_works_under_the_default_recursion_limit():
     again = End
     for _ in range(depth):
         again = SendValue(int, again)
-    assert again is closed and again == closed and hash(again) == hash(closed)
-    assert type_apply(open_, End) is closed
+    assert same_node(again, closed) and again.cont is closed.cont
+    assert same_node(type_apply(open_, End), closed)
     counter = Fix(open_)
     unrolled = counter.unroll()
     for _ in range(depth):
         unrolled = unrolled.cont
-    assert unrolled is counter
+    assert unrolled is counter._canon
     # A delegated channel type is carried, so substitution leaves it as it is.
     shared = LinearToShared(SendChannel(closed, open_))
-    assert shared.unroll().carried is closed
+    assert shared.unroll().carried is closed._canon
 
 
-def test_threads_forming_the_same_protocols_get_the_same_objects():
+def test_threads_forming_the_same_protocols_get_the_same_nodes():
     # A value type of its own, so that every node is formed for the first
-    # time while both threads race for it.
+    # time while the threads, more than a runner's cores, race for it.
     value_type = type("Fresh", (), {})
-    count, barrier = 10**3, threading.Barrier(2)
-    formed = [[], []]
+    count, barrier = 10**3, threading.Barrier(4)
+    formed = [[], [], [], []]
 
     def form(out):
         barrier.wait(timeout=10)
@@ -127,5 +162,5 @@ def test_threads_forming_the_same_protocols_get_the_same_objects():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(formed[0]) == len(formed[1]) == count
-    assert all(a is b for a, b in zip(*formed))
+    assert [len(out) for out in formed] == [count] * 4
+    assert all(same_node(first, p) for first, *rest in zip(*formed) for p in rest)

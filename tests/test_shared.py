@@ -12,6 +12,7 @@ from sessia import (
     ProtocolError,
     RuntimeViolation,
     SendValue,
+    SharedSession,
     SharedToLinear,
     SharedTypeError,
     Z,
@@ -990,3 +991,10 @@ def test_demos_stop_their_shared_process_without_gc(monkeypatch):
             "id 1",
             "id 2",
         ]
+
+
+def test_a_shared_session_is_made_only_by_shared_session():
+    # `SharedSession` has no `__init__`: `shared_session` checks the program
+    # of its first critical section and makes it.
+    with pytest.raises(TypeError):
+        SharedSession(SharedCounter, terminate())

@@ -222,7 +222,12 @@ class send_value_async(ContRule):
         return self._call_cont(), send_value_async._produced
 
     def _produced(self, pair, endpoints, offer):
-        value, premise = pair
+        try:
+            value, premise = pair
+        except (TypeError, ValueError):
+            raise ProtocolError(
+                f"send_value_async producer: expected a (value, program) pair, got {pair!r}"
+            ) from None
         if not isinstance(value, self.value_type):
             _check_value("send_value_async", value, self.value_type)
         if not isinstance(premise, PartialSession):

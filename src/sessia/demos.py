@@ -127,13 +127,11 @@ def apply_channel_via_cut(f: Session, a: Session) -> Session:
     return session(result, body)
 
 
-def hello_demo(name: str = "Alice", *, via_cut: bool = False) -> Transcript:
-    """Run the linked hello pair; stdout carries the greeting."""
+def hello_demo(name: str = "Alice") -> Transcript:
+    """Run the hello pair, linked through `cut`; stdout carries the greeting."""
 
     async def main():
-        client, provider = hello_pair(name)
-        link = apply_channel_via_cut if via_cut else apply_channel
-        await run_session(link(client, provider))
+        await run_session(apply_channel_via_cut(*hello_pair(name)))
 
     transcript, _ = _run_demo(main)
     return transcript

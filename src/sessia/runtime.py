@@ -237,8 +237,8 @@ class _Driver:
         coro, source, after = self.coro, self.source, self.after
         program, endpoints, offer = self.program, self.endpoints, self.offer
         try:
-            # One pass per step: `program` steps, or the driver takes the
-            # value of `source` for `after`, and the next step is the result.
+            # One pass per step: `program` steps, or the driver takes the value of
+            # `source`, None too, for a wait's `after`; the next step is the result.
             while True:
                 if coro is not None:
                     try:
@@ -247,7 +247,7 @@ class _Driver:
                         self.coro = coro = exc = None
                         if after is None:  # a plain coroutine has returned
                             return _DONE
-                        step = after(program, stop.value, endpoints, offer)
+                        step, after = after(program, stop.value, endpoints, offer), None
                     else:
                         self.coro, self.source, self.after = coro, None, after
                         self.program, self.endpoints = program, endpoints
@@ -255,7 +255,7 @@ class _Driver:
                         return parked
                 elif exc is not None:
                     raise exc
-                elif source is None:
+                elif after is None:
                     execute, program.execute = program.execute, None
                     if execute is None:
                         refuse_reuse(f"{program._rule}: executor invoked twice")
@@ -273,7 +273,7 @@ class _Driver:
                         source, after = endpoints[program.n], type(program)._received
                     else:
                         step = execute(program, endpoints, offer)
-                if source is not None:
+                if after is not None:
                     if type(source) is Receiver:
                         value, waiter = source.payload, source.waiter
                         if value is _TAKEN or waiter is not None and waiter is not self:
@@ -293,16 +293,15 @@ class _Driver:
                     ):  # the continuation chose to be asynchronous
                         stepped = type(source) in _STEPPED
                         coro = source if stepped else source.__await__()
-                        source = None
                         continue
                     else:
                         value = source
-                    source = None
                     step = after(program, value, endpoints, offer)
                 if step is None:
                     return _DONE
                 if len(step) == 3:
                     program, endpoints, offer = step
+                    after = None
                 else:
                     source, after = step
         except BaseException as exc:

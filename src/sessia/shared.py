@@ -16,8 +16,9 @@ the section as a driver of the acquiring run, with a hook that fails the
 process if the section fails; an uncontended acquire never suspends. The
 client's release acknowledgement hands the program of the next section to
 the next waiter at once, so sections never overlap. The `Lock` slot is the
-runtime witness of being inside a critical section: `accept` plants it at
-slot 0 and `detach` consumes it.
+witness of being inside a critical section: the accept rule, whose check
+`shared_session` imposes as `session` imposes a closed one, plants it at
+slot 0 of its premise, and `detach` consumes it.
 
 `SharedChannel.close()`, or the end of an `async with` block, is the one
 way to end a shared process. Between sections it is only a suspended
@@ -133,24 +134,14 @@ class LinearToShared(SharedProtocol):
 # -- shared program values -----------------------------------------------
 
 
-class SharedSessionBuilder:
-    """Unchecked shared program; becomes a SharedSession via shared_session.
-
-    It holds only the critical-section program `cont`, so checking it twice
-    is caught when `cont` is consumed the second time.
-    """
-
-    def __init__(self, cont: PartialSession):
-        self.cont = cont
-
-
 class SharedSession:
     """A checked shared program; inert until linked, and linked once.
 
     It holds the checked program of its first critical section.
     `run_shared_session`, or the check of a `detach_shared_session` that
     continues with it, empties that slot in its own frame; a second link
-    finds the slot empty and raises `LinearityError`.
+    finds the slot empty and raises `LinearityError`. It is no `Session`, so
+    `cut`, `include_session` and `run_session` refuse it as a linear program.
     """
 
     __slots__ = ("_protocol", "_program")
@@ -173,23 +164,28 @@ def shared_session(protocol: LinearToShared, program) -> SharedSession:
         raise SharedTypeError(
             f"shared_session: expected a LinearToShared protocol, got {protocol!r}"
         )
-    if not isinstance(program, SharedSessionBuilder):
+    if not isinstance(program, accept_shared_session):
         raise ProtocolError(
             f"shared_session: expected a shared program "
             f"(accept_shared_session(...)), got {program!r}"
         )
     checked = object.__new__(SharedSession)  # its two slots are all it has
-    checked._protocol = protocol
-    checked._program = program.cont._resolve([protocol._lock], protocol._unrolling)
+    checked._protocol, checked._program = protocol, program._resolve([], protocol)
     return checked
 
 
-def accept_shared_session(cont) -> SharedSessionBuilder:
-    """Accept one acquire: run `cont` as the critical section, holding the
+class accept_shared_session(ContRule):
+    """Accept one acquire: check `cont`, the critical section, holding the
     lock token at slot 0 and offering the unrolled shared body."""
-    if not isinstance(cont, PartialSession):
-        expect_program(cont, "accept_shared_session")
-    return SharedSessionBuilder(cont)
+
+    __slots__ = ()
+
+    def _resolve(self, ctx, offer):
+        self.execute = None if self.execute is UNCHECKED else self._linked_twice()
+        if not isinstance(offer, LinearToShared):
+            self._wrong_offer(LinearToShared, offer)
+        ctx.append(offer._lock)
+        return self.cont._resolve(ctx, offer._unrolling)
 
 
 class detach_shared_session(ContRule):

@@ -299,6 +299,24 @@ def test_producer_values_arrive_after_declared_delay():
     assert recv.timestamp - started >= 0.05
 
 
+@pytest.mark.parametrize(
+    ("produced", "asynchronous"),
+    [(5, False), ((1, terminate(), 3), False), (None, True)],
+    ids=["int", "triple", "async None"],
+)
+def test_a_producer_that_returns_no_pair_is_refused_by_its_rule(produced, asynchronous):
+    async def produce_async():
+        return produced
+
+    produce = produce_async if asynchronous else lambda: produced
+    program = consume_int(session(SendValue(int, End), send_value_async(produce)))
+    with pytest.raises(ProtocolError) as raised:
+        run(run_session(program))
+    assert str(raised.value) == (
+        f"send_value_async producer: expected a (value, program) pair, got {produced!r}"
+    )
+
+
 # -- channel delegation -------------------------------------------------------
 
 
@@ -641,9 +659,9 @@ def test_cut_gives_provider_and_client_only_their_own_endpoints():
 
 # -- every term constructor ------------------------------------------------------
 
-# The lowercase names of `sessia.__all__` that build no term.
+# The lowercase names of `sessia.__all__` that build no term: links, checks,
+# context and protocol helpers, and the recorder.
 NOT_CONSTRUCTORS = {
-    "accept_shared_session",
     "append",
     "apply_channel",
     "empty_endpoints",
@@ -666,6 +684,7 @@ PROGRAM, CONT = object(), object()
 
 # name: (its rule, its parameters, valid arguments)
 CONSTRUCTORS = {
+    "accept_shared_session": ("accept_shared_session", "cont", lambda: (PROGRAM,)),
     "acquire_shared_session": (
         "acquire_shared_session",
         "shared, cont",
@@ -854,6 +873,7 @@ def test_a_rule_refuses_a_lens_that_is_not_one(name):
 
 # What each provider rule offers, as its diagnostic names it.
 OFFERS = {
+    "accept_shared_session": "LinearToShared",
     "detach_shared_session": "SharedToLinear",
     "fix_session": "a Fix protocol",
     "offer": "InternalChoice",

@@ -28,6 +28,7 @@ from sessia import (
     release_shared_session,
     run_session,
     run_shared_session,
+    send_value,
     send_value_async,
     send_value_to,
     session,
@@ -203,6 +204,49 @@ def test_a_check_calls_and_counts_its_continuation_once(rule):
             program._resolve(*judgment())
     assert lenses == [nat(len(judgment()[0]))]
     assert rec.counters.continuations == {rule: 1}
+
+
+# -- a continuation that returns None is refused by its rule, not as a reuse ---
+
+# Each rule whose run-time continuation, given as `cont`, returns the program
+# after the value: a closed program that calls it, and the text with which
+# the rule refuses None.
+RETURNS_NONE = {
+    "receive_value": (
+        lambda cont: include_session(
+            session(ReceiveValue(int, End), receive_value(cont)),
+            lambda x: send_value_to(x, 1, wait(x, terminate())),
+        ),
+        "receive_value continuation: expected a session program "
+        "(PartialSession), got None",
+    ),
+    "receive_value_from": (
+        lambda cont: include_session(
+            session(SendValue(int, End), send_value(1, terminate())),
+            lambda x: receive_value_from(x, cont),
+        ),
+        "receive_value_from continuation: expected a session program "
+        "(PartialSession), got None",
+    ),
+    "send_value_async": (
+        lambda cont: include_session(
+            session(SendValue(int, End), send_value_async(cont)),
+            lambda x: receive_value_from(x, lambda value: wait(x, terminate())),
+        ),
+        "send_value_async producer: expected a (value, program) pair, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RETURNS_NONE))
+def test_a_continuation_that_returns_none_is_refused_by_its_rule(rule):
+    build, text = RETURNS_NONE[rule]
+    program = session(End, build(lambda *args: None))
+    with recording() as rec:
+        with pytest.raises(ProtocolError) as raised:
+            run(run_session(program))
+    assert str(raised.value) == text
+    assert rec.one_shot_ok()
 
 
 # -- a checked Session is linked once -------------------------------------------

@@ -31,12 +31,12 @@ receiver's payload, what an awaitable gives, or the source itself, and
 turn; a driver's steps update its one endpoints list in place. A driver
 waiting on an empty receiver parks there, its pending wait kept in its own
 slots, and the send that fills the receiver readies it inline, with no
-event-loop iteration. A coroutine is made only to await a foreign awaitable
-(an async continuation, a contended acquire), and the driver parks on each
-future it awaits through the future's done callback. Only a driver can
-park: a receive on an empty channel outside any run raises
-`RuntimeViolation`, and a failure reaches every parked driver through
-`RunContext.fail`.
+event-loop iteration; a contended acquire parks its driver on the shared
+channel, and the release readies it the same way. A coroutine is made only
+to await an async continuation, and the driver parks on each future it
+awaits through the future's done callback. Only a driver can park: a
+receive on an empty channel outside any run raises `RuntimeViolation`, and
+a failure reaches every parked driver through `RunContext.fail`.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ LEFT = "left"
 RIGHT = "right"
 
 # What `Receiver.poll` returns before the send (None is a payload), a
-# receiver's payload once taken, what a driver that parks on a receiver
-# yields to its scheduler, and what a driver that has ended returns.
+# receiver's payload once taken, what a driver that parks itself yields to
+# its scheduler, and what a driver that has ended returns.
 PENDING, _TAKEN, _PARK, _DONE = object(), object(), object(), object()
 
 # Awaitables a driver steps as they are; only a generator needs `isawaitable`.
@@ -219,9 +219,10 @@ class _Driver:
     cancels and counts cancel requests as an `asyncio.Task` does, for
     `asyncio.timeout` and `TaskGroup`. `spawn` sets its slots: `program`
     or, with no `after`, a plain coroutine `coro` to step first. A park
-    keeps the receiver waited on in `source` or the awaitable in `coro`,
-    with the `after`, `program`, `endpoints` and `offer` that take its
-    value; `waiting` is what it is parked on, None while it is ready."""
+    keeps the receiver or shared channel waited on in `source`, or the
+    awaitable in `coro`, with the `after`, `program`, `endpoints` and
+    `offer` that take its value. `waiting` is what it is parked on: a
+    `Receiver`, a `SharedChannel` or a future; None while it is ready."""
 
     __slots__ = (
         "coro", "source", "after", "program", "endpoints", "offer", "on_failure",
@@ -280,10 +281,7 @@ class _Driver:
                             refuse_reuse("one-shot channel endpoint used twice (recv)")
                         if value is PENDING:
                             source.waiter, self.waiting = self, source
-                            self.source, self.after = source, after
-                            self.program, self.endpoints = program, endpoints
-                            self.offer = offer
-                            return _PARK
+                            break
                         source.payload, source.waiter = _TAKEN, None
                         rec = active_recorder()
                         if rec is not None:
@@ -294,8 +292,10 @@ class _Driver:
                         stepped = type(source) in _STEPPED
                         coro = source if stepped else source.__await__()
                         continue
-                    else:
+                    elif self.waiting is None:
                         value = source
+                    else:  # its step parked it, as an acquire that queues does
+                        break
                     step = after(program, value, endpoints, offer)
                 if step is None:
                     return _DONE
@@ -304,6 +304,9 @@ class _Driver:
                     after = None
                 else:
                     source, after = step
+            self.source, self.after = source, after
+            self.program, self.endpoints, self.offer = program, endpoints, offer
+            return _PARK
         except BaseException as exc:
             if self.on_failure is not None:
                 self.on_failure(exc)
@@ -316,12 +319,14 @@ class _Driver:
         if self.done():
             return False
         self.cancels += 1
-        waiting = self.waiting
+        waiting = self.waiting  # a Receiver, a SharedChannel, a future or None
         if asyncio.isfuture(waiting) and waiting.cancel(msg):
             return True  # its done callback readies the driver
         self.exc = asyncio.CancelledError(*(() if msg is None else (msg,)))
         if waiting is not None:
             self.run._resume(self, waiting)
+        elif hasattr(self.program, "_cancelled"):  # ready, at an acquire's wait
+            self.program._cancelled(self)
         return True
 
     def cancelling(self) -> int:

@@ -11,12 +11,12 @@ path that never releases back to the shared type, and cannot form one.
 
 A shared process has no task of its own. Between critical sections it is
 its suspended checked program, waiting at its accept. An acquire takes
-that program, after the acquirers already waiting in FIFO order, and runs
-the section as a driver of the acquiring run, with a hook that fails the
-process if the section fails; an uncontended acquire never suspends. The
-client's release acknowledgement hands the program of the next section to
-the next waiter at once, so sections never overlap. The `Lock` slot is the
-witness of being inside a critical section: the accept rule, whose check
+that program and runs the section as a driver of the acquiring run, with a
+hook that fails the process if the section fails. An acquire made while a
+section runs parks its driver on the channel, in FIFO order; the client's
+release acknowledgement readies the first with the next section's program
+inline, so sections never overlap. The `Lock` slot is the witness of
+being inside a critical section: the accept rule, whose check
 `shared_session` imposes as `session` imposes a closed one, plants it at
 slot 0 of its premise, and `detach` consumes it.
 
@@ -65,7 +65,7 @@ from .errors import (
 from .instrument import active_recorder
 from .protocols import Protocol, SharedProtocol, _End
 from .recursion import Fix, substitute
-from .runtime import ACK, channel, current_run, spawn
+from .runtime import ACK, _Driver, channel, current_run, spawn
 
 
 class SharedToLinear(Protocol):
@@ -277,6 +277,12 @@ class acquire_shared_session(ContRule):
     def _step(self, endpoints, offer):
         return self.shared.acquire(), acquire_shared_session._acquired
 
+    def _cancelled(self, driver) -> None:
+        # Readied by a release, cancelled before its step took the program.
+        program, driver.source = driver.source, None
+        if isinstance(program, PartialSession) and driver is not asyncio.current_task():
+            self.shared.release(program)
+
     def _acquired(self, program, endpoints, offer):
         # The section is a driver of this run, after those spawned before it.
         sender, linear = channel()
@@ -362,24 +368,24 @@ class _Section:
 
 class SharedChannel:
     """A shared process, and the channel its clients acquire it through: its
-    suspended program while no section runs, and the acquirers waiting, in
-    FIFO order, while one does. A clone is the channel itself. `close()`,
-    or the end of an `async with` block, refuses further acquires and sets
-    `stopped` once no section runs. The process has no task, so a channel
-    dropped unclosed leaves nothing running."""
+    suspended program while no section runs, and the acquiring drivers
+    parked on it, in FIFO order, while one does. A clone is the channel
+    itself. `close()`, or the end of an `async with` block, refuses further
+    acquires and sets `stopped` once no section runs. The process has no
+    task, so a channel dropped unclosed leaves nothing running."""
 
     def __init__(self, protocol: LinearToShared, program: PartialSession):
         self.protocol = protocol
         self.program: PartialSession | None = program
-        self.requests: deque[asyncio.Future] = deque()
+        self.requests: deque[_Driver] = deque()
         self.accepting = True
         self.failure: BaseException | None = None
         self.stopped = asyncio.Event()
 
     def acquire(self):
         """Take the process, after the acquirers queued before this one:
-        the program of its next section if no section runs, else a
-        coroutine that waits for its turn and returns that program."""
+        the program of its next section if no section runs, else park the
+        acquiring driver in the queue and return the channel it waits on."""
         if self.failure is not None:
             raise self._unserved()
         if not self.accepting:
@@ -387,24 +393,17 @@ class SharedChannel:
         program, self.program = self.program, None
         if program is not None:
             return program
-        turn = asyncio.get_running_loop().create_future()
-        self.requests.append(turn)
-        return self._turn(turn)
-
-    async def _turn(self, turn: asyncio.Future) -> PartialSession:
-        try:
-            return await turn
-        except BaseException:
-            if turn.done() and not turn.cancelled() and turn.exception() is None:
-                self.release(turn.result())  # woken, then cancelled
-            raise
+        self.requests.append(asyncio.current_task())  # the acquiring driver
+        self.requests[-1].waiting = self  # parks on the channel
+        return self
 
     def release(self, program: PartialSession) -> None:
         """Hand the process to the first waiter, or suspend it."""
         while self.requests:
-            turn = self.requests.popleft()
-            if not turn.done():  # an acquirer cancelled while queued is skipped
-                turn.set_result(program)
+            driver = self.requests.popleft()
+            if driver.waiting is self:  # an acquirer cancelled while queued is skipped
+                driver.source = program
+                driver.run._resume(driver, self)
                 return
         self.program = program
         if not self.accepting:
@@ -413,9 +412,10 @@ class SharedChannel:
     def fail(self, exc: BaseException) -> None:
         self.failure = exc
         while self.requests:
-            turn = self.requests.popleft()
-            if not turn.done():
-                turn.set_exception(self._unserved())
+            driver = self.requests.popleft()
+            if driver.waiting is self:
+                driver.exc = self._unserved()
+                driver.run._resume(driver, self)
         self.stopped.set()
 
     def _unserved(self) -> RuntimeViolation:

@@ -773,6 +773,112 @@ def test_an_acquirer_cancelled_after_its_turn_came_passes_the_turn_on():
     run_without_gc(main())
 
 
+def test_a_queued_acquirer_is_its_parked_driver_and_cancelled_ones_pass_the_turn_on():
+    # Three acquirers queue behind a holder whose section waits at a gate.
+    # The second is cancelled while queued; the first is cancelled after the
+    # release readied it and before it stepped, so it hands the process on,
+    # past the second, to the third.
+    async def main():
+        gate = asyncio.Event()
+        provider_runs, seen, runs, readied = [], [], [], []
+        chan = run_shared_session(gated_counter(0, gate, provider_runs))
+
+        async def cancel_the_first():
+            first_driver = queued_drivers[0]
+            readied.append(first_driver in first_driver.run.ready)
+            acquirers[0].cancel()
+            return 0, terminate()
+
+        canceller = session(SendValue(int, End), send_value_async(cancel_the_first))
+
+        def holder_body(c):
+            def on_value(v):
+                seen.append(v)
+                return release_shared_session(c, include_then_finish(canceller))
+
+            return receive_value_from(c, on_value)
+
+        holder = asyncio.ensure_future(
+            run_session(noting_client(chan, [], [], holder_body))
+        )
+        while not provider_runs:  # the holder's section waits at the gate
+            await asyncio.sleep(0)
+        acquirers = []
+        for k in range(1, 4):
+            acquirers.append(
+                asyncio.ensure_future(run_session(noting_client(chan, seen, runs)))
+            )
+            while len(chan.requests) < k:
+                await asyncio.sleep(0)
+        queued_drivers = list(chan.requests)
+        # The wait-for edge: each queued acquirer is its run's driver, parked
+        # on the channel.
+        assert all(driver.waiting is chan for driver in queued_drivers)
+        assert len({id(driver.run) for driver in queued_drivers}) == 3
+        acquirers[1].cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await acquirers[1]
+        gate.set()
+        await asyncio.wait_for(asyncio.gather(holder, acquirers[2]), 1)  # a guard
+        with pytest.raises(asyncio.CancelledError):
+            await acquirers[0]
+        assert readied == [True]
+        assert seen == [0, 1]  # the third acquirer was served the next count
+        assert chan.failure is None and not chan.requests
+        chan.close()
+        await asyncio.wait_for(chan.stopped.wait(), 1)
+
+    run_without_gc(main())
+
+
+def test_an_acquirer_that_cancels_itself_after_taking_its_turn_keeps_the_section():
+    # The acquirer cancels its own driver in the step that took the program
+    # a release readied it with. The section is its own now, so the cancel
+    # must not hand that program on: the run ends inside the section, the
+    # process fails, and the acquirer queued after it is refused.
+    async def main():
+        gate = asyncio.Event()
+        provider_runs = []
+        chan = run_shared_session(gated_counter(0, gate, provider_runs))
+        ready_value = session(SendValue(int, End), send_value(7, terminate()))
+
+        def self_cancelling(p):
+            def body(c):
+                def on_value(v):
+                    asyncio.current_task().cancel()
+                    return receive_value_from(
+                        c, lambda w: wait(p, release_shared_session(c, terminate()))
+                    )
+
+                return receive_value_from(p, on_value)
+
+            return acquire_shared_session(chan, body)
+
+        holder = asyncio.ensure_future(run_session(noting_client(chan, [], [])))
+        while not provider_runs:
+            await asyncio.sleep(0)
+        cancelling = asyncio.ensure_future(
+            run_session(session(End, include_session(ready_value, self_cancelling)))
+        )
+        while not chan.requests:
+            await asyncio.sleep(0)
+        queued = asyncio.ensure_future(run_session(noting_client(chan, [], [])))
+        while len(chan.requests) < 2:
+            await asyncio.sleep(0)
+        gate.set()
+        await asyncio.wait_for(holder, 1)
+        with pytest.raises(asyncio.CancelledError):
+            await asyncio.wait_for(cancelling, 1)
+        with pytest.raises(
+            RuntimeViolation, match="failed before this acquire was served"
+        ):
+            await asyncio.wait_for(queued, 1)
+        assert isinstance(chan.failure, RuntimeViolation)
+        assert "inside its critical section" in str(chan.failure)
+
+    run_without_gc(main())
+
+
 def test_a_holder_failing_at_the_gate_fails_the_queued_acquirer_without_gc():
     boom = ValueError("holder exploded")
 
